@@ -54,7 +54,10 @@ def _resolve_seed(args) -> tuple[int, str]:
         return int(args.seed), "flag"
     env = os.environ.get(SEED_ENV)
     if env is not None:
-        return int(env), "env"
+        try:
+            return int(env), "env"
+        except ValueError:
+            raise ValueError(f"{SEED_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_SEED, "default"
 
 
@@ -123,7 +126,7 @@ def cmd_lis_table(args) -> int:
         pmf = lis.nonsimple_lis_counts(n, mode=args.mode, m=args.m)
         cum = 0.0
         for k, mass in zip(pmf.support, pmf.masses):
-            cum += float(mass) / (pmf.total or 1) if pmf.mode == "count" else float(mass)
+            cum += mass / pmf.total if pmf.mode == "count" else float(mass)
             count_rows.append((n, k, mass, cum))
         m1, m2 = pmf.moment(1), pmf.moment(2)
         moment_rows.append((n, float(m1), float(m2), args.mode))
@@ -503,7 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, groups.CapExceededError) as exc:
+        print(f"butterflylab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

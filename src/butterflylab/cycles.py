@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .pmf import Pmf, int_convolve
+from .groups import group_order, tree_size
+from .pmf import Ladder, Pmf, float_convolve, int_convolve
 
 __all__ = [
     "simple_cycle_dist",
@@ -118,8 +118,38 @@ def simple_cd_dist(m: int, n: int, d: int) -> Pmf:
 # ---------------------------------------------------------------------------
 
 
-def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact",
-                           size_cap: int | None = None) -> Pmf:
+def _step_exact(p: int, d: int, comp: list[int]) -> list[int]:
+    """s_{d+1} from s_d, on the compressed index."""
+    conv = comp
+    for _ in range(p - 1):
+        conv = int_convolve(conv, comp)
+    keep = (p - 1) * p ** (p**d - 1)
+    new = [keep * c for c in comp] + [0] * (len(conv) + 1 - len(comp))
+    for j, c in enumerate(conv):
+        new[j + 1] += c
+    return new
+
+
+def _step_float(p: int, d: int, comp: np.ndarray) -> np.ndarray:
+    """`_step_exact` on probabilities: eta ~ Bern(1/p) weights the branch."""
+    conv = comp
+    for _ in range(p - 1):
+        conv = float_convolve(conv, comp)
+    new = np.zeros(len(conv) + 1)
+    new[: len(comp)] += (1 - 1 / p) * comp
+    new[1:] += conv / p
+    return new
+
+
+def _level_size(p: int, d: int) -> int:
+    return tree_size(p, d) + 1  # compressed index j = (k-1)/(p-1), k = 1..p^d
+
+
+_EXACT_LADDER = Ladder([1], _step_exact, _level_size)
+_FLOAT_LADDER = Ladder(np.array([1.0]), _step_float, _level_size)
+
+
+def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
     """Law of C(sigma) for the uniform nonsimple p-nary group at depth n.
 
     Support lives on k = 1 mod (p-1); the recursion runs on the compressed
@@ -134,67 +164,18 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact",
     _require_prime(p)
     if n < 0:
         raise ValueError("n >= 0")
-    cap = size_cap if size_cap is not None else (EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP)
+    cap = EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP
     if p**n > cap:
         raise ValueError(f"p^n = {p**n} exceeds the {mode} cap {cap}")
     if mode == "exact":
-        comp, total = _stirling_exact(p, n)
         masses = [0] * (p**n)
-        for j, c in enumerate(comp):
-            masses[j * (p - 1)] = c
-        return Pmf(1, masses, "count", total=total)
+        masses[:: p - 1] = _EXACT_LADDER.level(p, n)
+        return Pmf(1, masses, "count", total=group_order(p, n, simple=False))
     if mode == "float":
-        comp = _stirling_float(p, n)
         masses = np.zeros(p**n)
-        masses[(np.arange(len(comp))) * (p - 1)] = comp
+        masses[:: p - 1] = _FLOAT_LADDER.level(p, n)
         return Pmf(1, masses / masses.sum(), "float")
     raise ValueError(f"unknown mode {mode!r}")
-
-
-_EXACT_STIRLING: dict[int, list[list[int]]] = {}
-
-
-def _stirling_exact(p: int, n: int):
-    ladder = _EXACT_STIRLING.setdefault(p, [[1]])
-    while len(ladder) <= n:
-        lev = len(ladder) - 1
-        comp = ladder[-1]
-        conv = comp
-        for _ in range(p - 1):
-            conv = int_convolve(conv, comp)
-        keep = (p - 1) * p ** (p**lev - 1)
-        new = [0] * ((p ** (lev + 1) - 1) // (p - 1) + 1)
-        for j, c in enumerate(comp):
-            new[j] += keep * c
-        for j, c in enumerate(conv):
-            new[j + 1] += c
-        ladder.append(new)
-    total = p ** ((p**n - 1) // (p - 1)) if n > 0 else 1
-    return list(ladder[n]), total
-
-
-_FLOAT_STIRLING: dict[int, list[np.ndarray]] = {}
-
-
-def _stirling_float(p: int, n: int) -> np.ndarray:
-    ladder = _FLOAT_STIRLING.setdefault(p, [np.array([1.0])])
-    while len(ladder) <= n:
-        lev = len(ladder) - 1
-        comp = ladder[-1]
-        conv = comp
-        for _ in range(p - 1):
-            if max(len(conv), len(comp)) > 4096:
-                conv = np.clip(fftconvolve(conv, comp), 0.0, None)
-            else:
-                conv = np.convolve(conv, comp)
-        new = np.zeros((p ** (lev + 1) - 1) // (p - 1) + 1)
-        new[: len(comp)] += (1 - 1 / p) * comp
-        new[1 : 1 + len(conv)] += conv / p
-        drift = abs(new.sum() - 1.0)
-        if drift >= 1e-9:
-            raise FloatingPointError(f"level mass drift {drift:.3e} exceeds 1e-9")
-        ladder.append(new / new.sum())
-    return ladder[n]
 
 
 # ---------------------------------------------------------------------------

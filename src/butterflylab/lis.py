@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
+from .groups import group_order
 from .permutations import Permutation
-from .pmf import Pmf, int_convolve
+from .pmf import Ladder, Pmf, float_convolve, int_convolve
 
 __all__ = [
     "lis",
@@ -43,28 +43,25 @@ FLOAT_LEVEL_CAP = 20
 ORACLE_SIZE_CAP = 10**4
 
 
-def lis(p: Permutation) -> int:
-    """Length of the longest increasing subsequence (patience sorting)."""
+def _patience(seq) -> int:
     tails: list[int] = []
-    for x in p.map:
+    for x in seq:
         i = bisect.bisect_left(tails, x)
         if i == len(tails):
             tails.append(x)
         else:
             tails[i] = x
     return len(tails)
+
+
+def lis(p: Permutation) -> int:
+    """Length of the longest increasing subsequence (patience sorting)."""
+    return _patience(p.map)
 
 
 def lds(p: Permutation) -> int:
     """Longest decreasing subsequence: LIS of the reversed one-line array."""
-    tails: list[int] = []
-    for x in p.map[::-1]:
-        i = bisect.bisect_left(tails, x)
-        if i == len(tails):
-            tails.append(x)
-        else:
-            tails[i] = x
-    return len(tails)
+    return _patience(p.map[::-1])
 
 
 def lis_oracle(p: Permutation) -> int:
@@ -216,8 +213,48 @@ def _max_counts(ca: list[int], cb: list[int]) -> list[int]:
     return out
 
 
-def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2,
-                         level_cap: int | None = None) -> Pmf:
+def _step_exact(m: int, d: int, counts: list[int]) -> list[int]:
+    """Depth d+1 LIS counts from depth d: the max/sum update summed over e."""
+    convs: list[list[int]] = [[1]]
+    for _j in range(m):
+        convs.append(int_convolve(convs[-1], counts))
+    new = [0] * (m * (len(counts) - 1) + 1)
+    for e in range(m):
+        part = _max_counts(convs[m - e], convs[e])
+        for k, v in enumerate(part):
+            if v:
+                new[k] += v
+    return new
+
+
+def _step_float(m: int, d: int, cur: np.ndarray) -> np.ndarray:
+    """`_step_exact` on probabilities: the same update averaged over e."""
+    convs = [np.array([1.0])]
+    for _j in range(m):
+        convs.append(float_convolve(convs[-1], cur))
+    new = np.zeros(m * (len(cur) - 1) + 1)
+    for e in range(m):
+        ca, cb = convs[m - e], convs[e]
+        L = max(len(ca), len(cb))
+        ca = np.pad(ca, (0, L - len(ca)))
+        cb = np.pad(cb, (0, L - len(cb)))
+        Fa = np.cumsum(ca)
+        Fb = np.cumsum(cb)
+        part = ca * Fb + np.concatenate(([0.0], Fa[:-1])) * cb
+        new[: len(part)] += part
+    new /= float(m)
+    return new
+
+
+def _level_size(m: int, d: int) -> int:
+    return m**d + 1  # index = value 0..m^d; value 0 has no mass
+
+
+_EXACT_LADDER = Ladder([0, 1], _step_exact, _level_size)  # depth 0: L = 1
+_FLOAT_LADDER = Ladder(np.array([0.0, 1.0]), _step_float, _level_size)
+
+
+def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     """Law of the nonsimple-group LIS at depth n, values 1..m^n.
 
     Exact mode returns big-integer counts summing to the group order; float
@@ -226,69 +263,14 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2,
     """
     if m < 2 or n < 0:
         raise ValueError("need m >= 2, n >= 0")
-    cap = level_cap if level_cap is not None else (EXACT_LEVEL_CAP if mode == "exact" else FLOAT_LEVEL_CAP)
+    cap = EXACT_LEVEL_CAP if mode == "exact" else FLOAT_LEVEL_CAP
     if n > cap:
         raise ValueError(f"level {n} exceeds the {mode} cap {cap}")
     if mode == "exact":
-        return _counts_exact(m, n)
+        return Pmf(1, _EXACT_LADDER.level(m, n)[1:], "count", total=group_order(m, n, simple=False))
     if mode == "float":
-        return _counts_float(m, n)
+        return Pmf(1, _FLOAT_LADDER.level(m, n)[1:], "float")
     raise ValueError(f"unknown mode {mode!r}")
-
-
-_EXACT_LEVELS: dict[int, list[list[int]]] = {}
-
-
-def _counts_exact(m: int, n: int) -> Pmf:
-    ladder = _EXACT_LEVELS.setdefault(m, [[0, 1]])  # index = value; depth 0: L = 1
-    while len(ladder) <= n:
-        counts = ladder[-1]
-        convs: list[list[int]] = [[1]]
-        for _j in range(m):
-            convs.append(int_convolve(convs[-1], counts))
-        new = [0] * (m * (len(counts) - 1) + 1)
-        for e in range(m):
-            part = _max_counts(convs[m - e], convs[e])
-            for k, v in enumerate(part):
-                if v:
-                    new[k] += v
-        ladder.append(new)
-    order = m ** ((m**n - 1) // (m - 1)) if n > 0 else 1
-    return Pmf(1, list(ladder[n][1:]), "count", total=order)
-
-
-_FLOAT_LEVELS: dict[int, list[np.ndarray]] = {}
-
-
-def _counts_float(m: int, n: int) -> Pmf:
-    ladder = _FLOAT_LEVELS.setdefault(m, [np.array([0.0, 1.0])])
-    while len(ladder) <= n:
-        cur = ladder[-1]
-        K = len(cur) - 1
-        convs = [np.array([1.0])]
-        for _j in range(m):
-            prev = convs[-1]
-            if max(len(prev), len(cur)) > 4096:
-                c = np.clip(fftconvolve(prev, cur), 0.0, None)
-            else:
-                c = np.convolve(prev, cur)
-            convs.append(c)
-        new = np.zeros(m * K + 1)
-        for e in range(m):
-            ca, cb = convs[m - e], convs[e]
-            L = max(len(ca), len(cb))
-            ca = np.pad(ca, (0, L - len(ca)))
-            cb = np.pad(cb, (0, L - len(cb)))
-            Fa = np.cumsum(ca)
-            Fb = np.cumsum(cb)
-            part = ca * Fb + np.concatenate(([0.0], Fa[:-1])) * cb
-            new[: len(part)] += part
-        new /= float(m)
-        drift = abs(new.sum() - 1.0)
-        if drift >= 1e-9:
-            raise FloatingPointError(f"level mass drift {drift:.3e} exceeds 1e-9")
-        ladder.append(new / new.sum())
-    return Pmf(1, ladder[n][1:], "float")
 
 
 def nonsimple_lis_moments(n: int, mode: str = "exact", m: int = 2):

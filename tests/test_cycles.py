@@ -135,7 +135,7 @@ class TestStirlingTriangles:
     def test_structural_identities(self):
         for p, nmax in ((2, 6), (3, 4), (5, 3)):
             for n in range(1, nmax + 1):
-                pmf = nonsimple_cycle_counts(p, n, size_cap=5**4)
+                pmf = nonsimple_cycle_counts(p, n)
                 order = p ** ((p**n - 1) // (p - 1))
                 assert pmf.total == order
                 assert pmf.mass(p**n) == 1
@@ -147,7 +147,7 @@ class TestStirlingTriangles:
 
     def test_float_matches_exact(self):
         for p, n in ((2, 8), (3, 4), (5, 3)):
-            exact = nonsimple_cycle_counts(p, n, size_cap=5**4)
+            exact = nonsimple_cycle_counts(p, n)
             flt = nonsimple_cycle_counts(p, n, mode="float")
             probs = np.array([float(x) for x in exact.probabilities()])
             good = probs > 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from butterflylab.cli import main
+from butterflylab.lis import nonsimple_lis_counts
 from butterflylab.pmf import Pmf
 from butterflylab.rng import substream
 from butterflylab.stats import chi_square, merge_sparse_cells
@@ -79,6 +80,30 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "lis-table"
         assert "butterflylab" in manifest["versions"]
+
+    def test_lis_table_at_the_exact_cap(self, tmp_path):
+        # Counts at depths 11 and 12 overflow float(); the cdf divides exactly.
+        out = run_cli(["lis-table", "--n", "11..12"], tmp_path / "cap")
+        rows = [line.split(",") for line in (out / "lis_counts.csv").read_text().splitlines()[1:]]
+        for n in (11, 12):
+            got = [r for r in rows if r[0] == str(n)]
+            pmf = nonsimple_lis_counts(n)
+            assert [int(r[2]) for r in got] == pmf.masses
+            assert abs(float(got[-1][3]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("args, env", [
+        (["verify"], "abc"),
+        (["cycles-table", "--p", "4"], None),
+        (["lis-table", "--n", "13..13"], None),
+    ])
+    def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
+        if env is None:
+            monkeypatch.delenv("BUTTERFLYLAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BUTTERFLYLAB_SEED", env)
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("butterflylab: error: ") and err.count("\n") == 1
 
     def test_bounds_table(self, tmp_path):
         out = run_cli(["bounds", "--m", "2..11"], tmp_path / "b")
