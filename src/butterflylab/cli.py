@@ -8,6 +8,7 @@ so aggregation order never matters.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -27,6 +28,12 @@ from .rng import DEFAULT_SEED, substream
 SEED_ENV = "BUTTERFLYLAB_SEED"
 
 ENSEMBLES = ("bs-scalar", "ns-scalar", "bs-diag", "ns-diag", "uniform", "goe", "gue", "bernoulli")
+_BUTTERFLY_SHAPES = {"bs-diag": "simple", "ns-diag": "nonsimple"}
+
+# Matrix entries per gepp_perm_batch call in lis-mc: 4096 trials at N = 4,
+# 4 at N = 128, one at a time from N = 256 on. Larger chunks add peak
+# memory without speed.
+BATCH_ENTRIES = 1 << 16
 
 
 def _fmt(x) -> str:
@@ -35,6 +42,20 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit; exact moments outgrow it."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -136,26 +157,37 @@ def cmd_lis_table(args) -> int:
     return 0
 
 
+def _gepp_inputs(ensemble: str, N: int, rngs) -> np.ndarray:
+    """One matrix per substream, stacked, for a GEPP ensemble."""
+    if ensemble in _BUTTERFLY_SHAPES:
+        shape = _BUTTERFLY_SHAPES[ensemble]
+        angles = [gepp.sample_spec("diagonal", shape, N, rng).angles for rng in rngs]
+        return gepp.build_butterflies("diagonal", shape, N, angles)
+    return np.stack([gepp.ensemble_sample(ensemble, N, rng) for rng in rngs])
+
+
 def _sample_lis(ensemble: str, N: int, trials: int, seed: int) -> tuple[float, float]:
     vals = np.empty(trials)
     n = N.bit_length() - 1
-    for t in range(trials):
-        rng = substream(seed, ENSEMBLES.index(ensemble), N, t)
-        if ensemble == "uniform":
-            perm = fisher_yates(N, rng)
-        elif ensemble == "bs-scalar":
-            perm = groups.materialize(groups.sample_simple(2, n, rng))
-        elif ensemble == "ns-scalar":
-            perm = groups.materialize(groups.sample_nonsimple(2, n, rng))
-        else:
-            if ensemble == "bs-diag":
-                A = gepp.build_butterfly(gepp.sample_spec("diagonal", "simple", N, rng))
-            elif ensemble == "ns-diag":
-                A = gepp.build_butterfly(gepp.sample_spec("diagonal", "nonsimple", N, rng))
+    e = ENSEMBLES.index(ensemble)
+    if ensemble in ("uniform", "bs-scalar", "ns-scalar"):
+        for t in range(trials):
+            rng = substream(seed, e, N, t)
+            if ensemble == "uniform":
+                perm = fisher_yates(N, rng)
+            elif ensemble == "bs-scalar":
+                perm = groups.materialize(groups.sample_simple(2, n, rng))
             else:
-                A = gepp.ensemble_sample({"goe": "goe", "gue": "gue", "bernoulli": "bernoulli"}[ensemble], N, rng)
-            perm = Permutation(gepp.gepp_perm_batch(A[None])[0])
-        vals[t] = lis.lis(perm)
+                perm = groups.materialize(groups.sample_nonsimple(2, n, rng))
+            vals[t] = lis.lis(perm)
+    else:
+        # Eliminate in chunks of at most BATCH_ENTRIES matrix entries; each
+        # trial still draws from its own substream and lands in vals[t].
+        chunk = max(1, BATCH_ENTRIES // N**2)
+        for lo in range(0, trials, chunk):
+            rngs = [substream(seed, e, N, t) for t in range(lo, min(lo + chunk, trials))]
+            for t, row in enumerate(gepp.gepp_perm_batch(_gepp_inputs(ensemble, N, rngs)), lo):
+                vals[t] = lis.lis(Permutation(row))
     return float(vals.mean()), float(vals.std(ddof=1)) if trials > 1 else 0.0
 
 
@@ -242,9 +274,10 @@ def cmd_moments(args) -> int:
     seed, src = _resolve_seed(args)
     out = Path(args.out)
     ms = cycles.limit_moments(args.p, args.k_max)
-    payload = [{"p": args.p, "k": k, "numerator": str(m.numerator),
-                "denominator": str(m.denominator), "float": float(m)}
-               for k, m in enumerate(ms)]
+    with _unlimited_int_digits():
+        payload = [{"p": args.p, "k": k, "numerator": str(m.numerator),
+                    "denominator": str(m.denominator), "float": float(m)}
+                   for k, m in enumerate(ms)]
     out.mkdir(parents=True, exist_ok=True)
     (out / "moments.json").write_text(json.dumps(payload, indent=1) + "\n")
     _write_manifest(out, "moments", seed, src, {"p": args.p, "k_max": args.k_max})

@@ -26,7 +26,7 @@ __all__ = [
     "angle_count",
     "sample_spec",
     "build_butterfly",
-    "build_butterfly_batch",
+    "build_butterflies",
     "predicted_factorization",
     "ensemble_sample",
     "save_matrix_csv",
@@ -234,65 +234,49 @@ def _angle_blocks(spec: ButterflySpec) -> list[list[np.ndarray]]:
     return out
 
 
-def build_butterfly(spec: ButterflySpec) -> np.ndarray:
-    """Materialize B recursively: B = [[C A1, S A2], [-S A1, C A2]].
+def build_butterflies(flavor: str, shape: str, N: int, angles) -> np.ndarray:
+    """Stack (T, N, N) of butterfly matrices, one per row of ``angles``.
 
-    Scalar flavor uses (C, S) = (cos t, sin t) I; diagonal flavor uses
-    diagonal (C, S) built from size/2 angles. Simple shapes reuse one
-    subblock per level (A1 = A2).
+    ``angles`` has shape (T, angle_count) with each row in `ButterflySpec`
+    order. Built bottom-up: level d turns the stacked children of order
+    N >> (d + 1) into B = [[C A1, S A2], [-S A1, C A2]]. Scalar flavor uses
+    (C, S) = (cos t, sin t) I; diagonal flavor uses diagonal (C, S) built
+    from size/2 angles. Simple shapes reuse one child per level (A1 = A2);
+    node j of a nonsimple level has children 2j and 2j + 1. Each entry is a
+    product of one cosine or +-sine per level, multiplied from the bottom
+    level up; the Monte Carlo outputs are bit-reproducible only in that order.
     """
-    levels = _angle_blocks(spec)
+    if shape not in _SHAPES:
+        raise ValueError(f"unknown shape {shape!r}")
+    n = _log2_exact(N)
+    angles = np.asarray(angles, dtype=np.float64)
+    expect = angle_count(flavor, shape, N)
+    if angles.ndim != 2 or angles.shape[1] != expect:
+        raise ValueError(f"expected angles of shape (T, {expect}), got {angles.shape}")
+    T = angles.shape[0]
+    cos, sin = np.cos(angles), np.sin(angles)
+    nodes = [1 if shape == "simple" else 1 << d for d in range(n + 1)]
+    X = np.ones((T, nodes[n], 1, 1))
+    end = expect
+    for d in reversed(range(n)):
+        h = X.shape[-1]
+        start = end - nodes[d] * (1 if flavor == "scalar" else h)
+        c = cos[:, start:end].reshape(T, nodes[d], -1, 1)
+        s = sin[:, start:end].reshape(T, nodes[d], -1, 1)
+        end = start
+        A1, A2 = (X, X) if shape == "simple" else (X[:, 0::2], X[:, 1::2])
+        B = np.empty((T, nodes[d], 2 * h, 2 * h))
+        B[:, :, :h, :h] = c * A1
+        B[:, :, :h, h:] = s * A2
+        B[:, :, h:, :h] = -s * A1
+        B[:, :, h:, h:] = c * A2
+        X = B
+    return X[:, 0]
 
-    def rec(d: int, node: int) -> np.ndarray:
-        if d == spec.n:
-            return np.ones((1, 1))
-        block = levels[d][0 if spec.shape == "simple" else node]
-        if spec.shape == "simple":
-            A1 = rec(d + 1, 0)
-            A2 = A1
-        else:
-            A1 = rec(d + 1, 2 * node)
-            A2 = rec(d + 1, 2 * node + 1)
-        c, s = np.cos(block), np.sin(block)
-        if spec.flavor == "scalar":
-            top = np.hstack([c[0] * A1, s[0] * A2])
-            bot = np.hstack([-s[0] * A1, c[0] * A2])
-        else:
-            top = np.hstack([c[:, None] * A1, s[:, None] * A2])
-            bot = np.hstack([-s[:, None] * A1, c[:, None] * A2])
-        return np.vstack([top, bot])
 
-    return rec(0, 0)
-
-
-def build_butterfly_batch(flavor: str, shape: str, N: int, T: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """T iid random butterfly matrices, stacked (T, N, N), all angles uniform."""
-    def rec(size: int, count_nodes: int) -> np.ndarray:
-        if size == 1:
-            return np.ones((T, 1, 1))
-        if shape == "simple":
-            A1 = rec(size // 2, 1)
-            A2 = A1
-        else:
-            A1 = rec(size // 2, 1)
-            A2 = rec(size // 2, 1)
-        h = size // 2
-        if flavor == "scalar":
-            th = rng.uniform(0, 2 * math.pi, size=T)
-            c = np.cos(th)[:, None, None]
-            s = np.sin(th)[:, None, None]
-            top = np.concatenate([c * A1, s * A2], axis=2)
-            bot = np.concatenate([-s * A1, c * A2], axis=2)
-        else:
-            th = rng.uniform(0, 2 * math.pi, size=(T, h))
-            c = np.cos(th)[:, :, None]
-            s = np.sin(th)[:, :, None]
-            top = np.concatenate([c * A1, s * A2], axis=2)
-            bot = np.concatenate([-s * A1, c * A2], axis=2)
-        return np.concatenate([top, bot], axis=1)
-
-    return rec(N, 1)
+def build_butterfly(spec: ButterflySpec) -> np.ndarray:
+    """Materialize the butterfly matrix of one spec (see `build_butterflies`)."""
+    return build_butterflies(spec.flavor, spec.shape, spec.N, [spec.angles])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import threading
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .groups import group_order
 
@@ -56,6 +55,10 @@ def float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if max(len(a), len(b)) <= _FFT_THRESHOLD:
         return np.convolve(a, b)
+    # Imported here: scipy.signal costs about a second to import, and only
+    # float ladders past 4096 points reach this branch.
+    from scipy.signal import fftconvolve
+
     return np.clip(fftconvolve(a, b), 0.0, None)
 
 
@@ -147,26 +150,7 @@ class Pmf:
                 acc += Fraction(m) * (self.offset + i) ** k
         return acc / self.total
 
-    # -- conversions and arithmetic ----------------------------------------
-
-    def to_float(self) -> "Pmf":
-        if self.mode == "float":
-            return self
-        probs = self.probabilities()
-        arr = np.array([float(x) for x in probs])
-        s = arr.sum()
-        return Pmf(self.offset, arr / s, "float")
-
-    def convolve(self, other: "Pmf") -> "Pmf":
-        """Distribution of the sum of independent draws."""
-        if self.mode != other.mode:
-            raise ValueError("mode mismatch")
-        off = self.offset + other.offset
-        if self.mode == "count":
-            return Pmf(off, int_convolve(self.masses, other.masses), "count",
-                       total=self.total * other.total)
-        c = float_convolve(np.asarray(self.masses), np.asarray(other.masses))
-        return Pmf(off, _renormalized(c), "float")
+    # -- support -----------------------------------------------------------
 
     def trimmed(self) -> "Pmf":
         """Drop leading/trailing zero masses (support endpoints tighten)."""

@@ -23,8 +23,9 @@ from butterflylab.cycles import (
     x_star,
 )
 from butterflylab.gepp import (
+    angle_count,
+    build_butterflies,
     build_butterfly,
-    build_butterfly_batch,
     gepp,
     gepp_perm_batch,
     predicted_factorization,
@@ -199,7 +200,8 @@ def test_criterion_08_gepp_distributional():
                  for i, e in enumerate(enumerate_group(2, 3, simple=shape == "simple"))}
         rng = substream(71, 0 if shape == "simple" else 1)
         counts = np.zeros(n_cells)
-        batch = build_butterfly_batch("scalar", shape, 8, 10**5, rng)
+        angles = rng.uniform(0, 2 * math.pi, (10**5, angle_count("scalar", shape, 8)))
+        batch = build_butterflies("scalar", shape, 8, angles)
         perms = gepp_perm_batch(batch)
         for row in perms:
             counts[index[Permutation(row)]] += 1
@@ -312,7 +314,8 @@ def test_gepp_cycle_linkage():
     # cycle counts of elimination permutations of 1e3 random nonsimple
     # butterflies at N = 16 follow the depth-4 butterfly Stirling law
     rng = substream(71, 4)
-    batch = build_butterfly_batch("scalar", "nonsimple", 16, 10**3, rng)
+    angles = rng.uniform(0, 2 * math.pi, (10**3, angle_count("scalar", "nonsimple", 16)))
+    batch = build_butterflies("scalar", "nonsimple", 16, angles)
     perms = gepp_perm_batch(batch)
     draws = np.array([cycle_stats(Permutation(r)).total_cycles for r in perms])
     pmf = nonsimple_cycle_counts(2, 4)

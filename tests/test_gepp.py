@@ -9,8 +9,8 @@ from butterflylab.gepp import (
     SingularMatrixError,
     TieAngleError,
     angle_count,
+    build_butterflies,
     build_butterfly,
-    build_butterfly_batch,
     ensemble_sample,
     gepp,
     gepp_perm_batch,
@@ -129,6 +129,23 @@ class TestGepp:
                 continue
             assert Permutation(sig[i]) == res.perm
 
+    @pytest.mark.parametrize("kind", ["goe", "gue", "bernoulli"])
+    def test_stack_equals_batches_of_one(self, kind):
+        # Bernoulli matrices have exact pivot ties and singular draws; the
+        # stack must give each slice the permutation it gets on its own.
+        rng = substream(31, 22)
+        mats = np.stack([ensemble_sample(kind, 6, rng) for _ in range(200)])
+        if kind == "goe":
+            mats[0, :, 0] = 0.0  # zero pivot column: no swap, no elimination
+        sig = gepp_perm_batch(mats)
+        for i in range(len(mats)):
+            assert np.array_equal(sig[i], gepp_perm_batch(mats[i][None])[0])
+            try:
+                res = gepp(mats[i])
+            except SingularMatrixError:
+                continue
+            assert Permutation(sig[i]) == res.perm
+
 
 class TestIntermediateForms:
     def test_kron_block_elimination(self):
@@ -239,11 +256,56 @@ class TestButterflyConstruction:
 
     def test_batch_matches_single_distribution(self):
         rng = substream(31, 10)
-        batch = build_butterfly_batch("scalar", "nonsimple", 8, 64, rng)
+        angles = rng.uniform(0, 2 * math.pi, (64, angle_count("scalar", "nonsimple", 8)))
+        batch = build_butterflies("scalar", "nonsimple", 8, angles)
         assert batch.shape == (64, 8, 8)
         eye = np.eye(8)
         for B in batch[:8]:
             assert np.abs(B.T @ B - eye).max() < 1e-12
+
+    def test_stack_builder_matches_recursive_reference(self):
+        # The recursive construction B = [[C A1, S A2], [-S A1, C A2]],
+        # node by node; the stack builder must agree to the bit.
+        def reference(spec):
+            levels, pos = [], 0
+            for d in range(spec.n):
+                size = spec.N >> d
+                block = 1 if spec.flavor == "scalar" else size // 2
+                nodes = 1 if spec.shape == "simple" else 1 << d
+                levels.append([np.asarray(spec.angles[pos + j * block : pos + (j + 1) * block])
+                               for j in range(nodes)])
+                pos += nodes * block
+
+            def rec(d, node):
+                if d == spec.n:
+                    return np.ones((1, 1))
+                simple = spec.shape == "simple"
+                A1 = rec(d + 1, 0 if simple else 2 * node)
+                A2 = A1 if simple else rec(d + 1, 2 * node + 1)
+                block = levels[d][0 if simple else node]
+                c, s = np.cos(block)[:, None], np.sin(block)[:, None]
+                return np.vstack([np.hstack([c * A1, s * A2]), np.hstack([-s * A1, c * A2])])
+
+            return rec(0, 0)
+
+        rng = substream(31, 23)
+        for flavor in ("scalar", "diagonal"):
+            for shape in ("simple", "nonsimple"):
+                for N in (1, 2, 8, 64):
+                    specs = [sample_spec(flavor, shape, N, rng) for _ in range(3)]
+                    stack = build_butterflies(flavor, shape, N, [sp.angles for sp in specs])
+                    assert stack.shape == (3, N, N)
+                    for sp, B in zip(specs, stack):
+                        assert reference(sp).tobytes() == B.tobytes()
+                        assert build_butterfly(sp).tobytes() == B.tobytes()
+
+    def test_stack_builder_rejects_bad_angles(self):
+        with pytest.raises(ValueError):
+            build_butterflies("scalar", "simple", 8, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            build_butterflies("scalar", "simple", 8, np.zeros(3))
+        with pytest.raises(ValueError):
+            build_butterflies("scalar", "simple", 6, np.zeros((1, 3)))
 
     def test_wrong_angle_count_rejected(self):
         with pytest.raises(ValueError):
@@ -284,7 +346,6 @@ class TestPredictedFactorization:
             predicted_factorization(spec)
 
     def test_uniform_permutation_factor_at_n4(self):
-        from butterflylab.gepp import build_butterfly_batch, gepp_perm_batch
         from butterflylab.groups import enumerate_group, materialize
         from butterflylab.stats import chi_square
         for shape, cells in (("simple", 4), ("nonsimple", 8)):
@@ -292,7 +353,8 @@ class TestPredictedFactorization:
                      for i, e in enumerate(enumerate_group(2, 2, simple=shape == "simple"))}
             rng = substream(31, 20 if shape == "simple" else 21)
             counts = np.zeros(cells)
-            perms = gepp_perm_batch(build_butterfly_batch("scalar", shape, 4, 2 * 10**4, rng))
+            angles = rng.uniform(0, 2 * math.pi, (2 * 10**4, angle_count("scalar", shape, 4)))
+            perms = gepp_perm_batch(build_butterflies("scalar", shape, 4, angles))
             for row in perms:
                 counts[index[Permutation(row)]] += 1
             assert chi_square(counts, [1.0 / cells] * cells).p_value > 0.01

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from butterflylab import cycles, lis
-from butterflylab.pmf import Ladder, Pmf, int_convolve
+from butterflylab.pmf import Ladder, Pmf, float_convolve, int_convolve
 from butterflylab.rng import substream
 
 
@@ -66,26 +66,21 @@ def test_float_mode_sum_guard():
 
 
 def test_convolution_count_mode():
-    die = Pmf(1, [1] * 6, "count")
-    two = die.convolve(die)
-    assert two.offset == 2 and two.total == 36
+    two = Pmf(2, int_convolve([1] * 6, [1] * 6), "count")
+    assert two.total == 36
     assert two.p(7) == Fraction(6, 36)
     assert two.moment(1) == Fraction(7)
 
 
-def test_convolution_mode_mismatch():
-    with pytest.raises(ValueError):
-        Pmf(0, [1], "count").convolve(Pmf(0, [1.0], "float"))
-
-
 def test_float_convolution_matches_exact():
-    a = Pmf(0, [1, 2, 3, 4], "count")
-    b = Pmf(2, [5, 1], "count")
-    cf = a.to_float().convolve(b.to_float())
-    ce = a.convolve(b)
-    probs = np.array([float(x) for x in ce.probabilities()])
-    assert cf.offset == ce.offset
-    assert np.abs(np.asarray(cf.masses) - probs).max() < 1e-15
+    rng = substream(3, 0)
+    b = [5, 1]
+    for a in ([1, 2, 3, 4], [int(v) for v in rng.integers(0, 1000, 5000)]):  # direct, FFT
+        exact = int_convolve(a, b)
+        cf = float_convolve(np.array(a) / sum(a), np.array(b) / sum(b))
+        probs = np.array([float(Fraction(x, sum(exact))) for x in exact])
+        assert len(cf) == len(exact)
+        assert np.abs(cf - probs).max() < 1e-15
 
 
 def test_cdf():

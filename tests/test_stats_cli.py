@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from butterflylab import Permutation, cli, fisher_yates, gepp, groups, lis
 from butterflylab.cli import main
 from butterflylab.lis import nonsimple_lis_counts
 from butterflylab.pmf import Pmf
@@ -134,6 +136,16 @@ class TestCli:
         m6 = next(d for d in data if d["k"] == 6)
         assert Fraction(int(m6["numerator"]), int(m6["denominator"])) == Fraction(40435712, 2345265)
 
+    def test_moments_past_the_int_to_str_limit(self, tmp_path):
+        # m_136 of the p = 2 law has a numerator of more than 4300 digits.
+        limit = sys.get_int_max_str_digits()
+        out = run_cli(["moments", "--p", "2", "--k-max", "136"], tmp_path / "e136")
+        assert sys.get_int_max_str_digits() == limit
+        data = json.loads((out / "moments.json").read_text())
+        assert len(data) == 137
+        assert data[6]["numerator"] == "40435712" and data[6]["denominator"] == "2345265"
+        assert len(data[136]["numerator"]) > 4300 and data[136]["numerator"].isdigit()
+
     def test_density_and_fixed_points(self, tmp_path):
         out = run_cli(["density", "--p", "2", "--n", "10", "--t", "0.5:1.5:0.5"], tmp_path / "f")
         lines = (out / "density.csv").read_text().splitlines()
@@ -170,6 +182,38 @@ class TestCli:
             mean = float(line.split(",")[2])
             assert 1.0 <= mean <= 8.0
 
+    @pytest.mark.parametrize("budget", [64, cli.BATCH_ENTRIES])
+    def test_lis_mc_batches_match_per_trial_loop(self, tmp_path, monkeypatch, budget):
+        # At budget 64 the chunks hold 16, 4 and 1 matrices at N = 2, 4, 8:
+        # boundaries fall inside a row and the last chunk of N = 4 is partial.
+        monkeypatch.setattr(cli, "BATCH_ENTRIES", budget)
+        out = run_cli(["lis-mc", "--n", "1..3", "--trials", "10", "--seed", "4"], tmp_path / "b")
+        rows = []
+        for e, ens in enumerate(cli.ENSEMBLES):
+            for n in (1, 2, 3):
+                N = 2**n
+                vals = []
+                for t in range(10):
+                    rng = substream(4, e, N, t)
+                    if ens == "uniform":
+                        perm = fisher_yates(N, rng)
+                    elif ens in ("bs-scalar", "ns-scalar"):
+                        sample = groups.sample_simple if ens == "bs-scalar" else groups.sample_nonsimple
+                        perm = groups.materialize(sample(2, n, rng))
+                    else:
+                        if ens in ("bs-diag", "ns-diag"):
+                            shape = "simple" if ens == "bs-diag" else "nonsimple"
+                            A = gepp.build_butterfly(gepp.sample_spec("diagonal", shape, N, rng))
+                        else:
+                            A = gepp.ensemble_sample(ens, N, rng)
+                        perm = Permutation(gepp.gepp_perm_batch(A[None])[0])
+                    vals.append(lis.lis(perm))
+                vals = np.array(vals, dtype=float)
+                rows.append((ens, N, float(vals.mean()), float(vals.std(ddof=1)), 10))
+        ref = cli._write_rows(tmp_path / "ref", "lis_mc",
+                              ["ensemble", "N", "sample_mean", "sample_std", "trials"], rows, "csv")
+        assert (out / "lis_mc.csv").read_bytes() == ref.read_bytes()
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BUTTERFLYLAB_SEED", "12345")
         out = run_cli(["sample", "--kind", "simple", "--n", "2", "--trials", "2"], tmp_path / "j")
@@ -182,6 +226,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("ok") >= 10
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal takes about a second to import; only the FFT branch
+        # of pmf.float_convolve needs it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, butterflylab.cli; assert 'scipy.signal' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_entry_point(self, tmp_path):
         proc = subprocess.run(
