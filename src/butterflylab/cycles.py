@@ -6,6 +6,8 @@ eta ~ Bern(1/p), which drives everything here: the butterfly Stirling
 triangles s_B^(p)(n, k), the moment polynomials p_k^(p) with
 E Y_n^k = p_k(lambda_p^n) for lambda_p = 2 - 1/p, the limiting moments
 m_k^(p), density grids for the limit W^(p), and the Monte Carlo sampler.
+Both moment tables run one recursion: Miller's power rule for the p-th
+power of an exponential generating function.
 """
 from __future__ import annotations
 
@@ -36,12 +38,7 @@ __all__ = [
 EXACT_SIZE_CAP = 4096
 FLOAT_SIZE_CAP = 2**20
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
-
-
 def _require_prime(p: int) -> None:
-    if p in _SMALL_PRIMES:
-        return
     if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
         raise ValueError(f"{p} is not prime")
 
@@ -205,22 +202,27 @@ class MomentTable:
         return sum((c * x**j for j, c in enumerate(self.polys[k])), Fraction(0))
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _miller_terms(p: int, k: int):
+    """(j, w_j) for j = 1..k-1 of J.C.P. Miller's power rule.
+
+    For M(x) = sum m_i x^i / i! with m_0 = 1, beta_k = k! [x^k] M(x)^p obeys
+    beta_k = sum_{j=1..k} w_j m_j beta_{k-j} with w_j = ((p+1) j - k) C(k, j) / k
+    (Knuth, TAOCP vol. 2, 4.7, on exponential coefficients). The j = k term
+    is p m_k, the p compositions of k with one nonzero part, so the terms
+    yielded here sum to the multinomial sum over compositions of k into p
+    parts all below k.
+    """
+    for j in range(1, k):
+        yield j, Fraction(((p + 1) * j - k) * math.comb(k, j), k)
 
 
 def moment_polynomials(p: int, k_max: int) -> MomentTable:
     """Moment polynomials of the cycle recursion, exact rationals.
 
-    p_0 = 1, p_1(x) = x; for k >= 2 the source polynomial is
-    sum over compositions (i_1..i_p) of k with all parts < k of
-    multinomial(k; i) * prod p_{i_l}(x), and a_{kj} = r_{kj} / (p-1) *
+    p_0 = 1, p_1(x) = x; for k >= 2 the source polynomial r_k is the sum
+    over compositions (i_1..i_p) of k with all parts < k of
+    multinomial(k; i) * prod p_{i_l}(x), built by Miller's power rule
+    (`_miller_terms`) with polynomial entries, and a_{kj} = r_{kj} / (p-1) *
     (lam - 1)/(lam^j - lam) for j >= 2 with a_{k1} closing p_k(1) = 1.
     """
     _require_prime(p)
@@ -228,26 +230,19 @@ def moment_polynomials(p: int, k_max: int) -> MomentTable:
         raise ValueError("k_max >= 1")
     lam = lambda_p(p)
     polys: list[list[Fraction]] = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    fact = [math.factorial(i) for i in range(k_max + 1)]
+    powers = [[Fraction(1)], [Fraction(0), Fraction(p)]]  # k! [x^k] (sum p_i x^i / i!)^p
     for k in range(2, k_max + 1):
         r = [Fraction(0)] * (k + 1)
-        for comp in _compositions(k, p):
-            if max(comp) >= k:
-                continue
-            coeff = fact[k]
-            for c in comp:
-                coeff //= fact[c]
-            prod = [Fraction(1)]
-            for c in comp:
-                prod = _poly_mul(prod, polys[c])
-            for j, v in enumerate(prod):
+        for j, w in _miller_terms(p, k):
+            for i, v in enumerate(_poly_mul(polys[j], powers[k - j])):
                 if v:
-                    r[j] += coeff * v
+                    r[i] += w * v
         coeffs = [Fraction(0)] * (k + 1)
         for j in range(2, k + 1):
             coeffs[j] = r[j] * Fraction(1, p - 1) * (lam - 1) / (lam**j - lam)
         coeffs[1] = 1 - sum(coeffs[2:], Fraction(0))
         polys.append(coeffs)
+        powers.append([a + p * c for a, c in zip(r, coeffs)])
     return MomentTable(p=p, lam=lam, polys=tuple(tuple(c) for c in polys))
 
 
@@ -262,37 +257,25 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def limit_moments(p: int, k_max: int) -> list[Fraction]:
-    """m_0..m_k_max of the limit W^(p), by the multinomial recursion.
+    """m_0..m_k_max of the limit W^(p), by Miller's power rule.
 
     m_0 = m_1 = 1 and for k >= 2
     m_k = (lam-1) / ((p-1)(lam^k - lam)) * sum_{i_1+..+i_p = k, i_l < k}
-          multinomial(k; i) prod m_{i_l}.
-    For p = 2 this is the binomial sum over j = 1..k-1.
+          multinomial(k; i) prod m_{i_l},
+    where the sum is k! [x^k] M(x)^p less its p single-part terms, for
+    M(x) = sum m_i x^i / i!; Miller's power rule (`_miller_terms`) builds
+    it from k - 1 products, so m_0..m_K cost O(K^2) rational operations.
     """
     _require_prime(p)
     if k_max < 1:
         raise ValueError("k_max >= 1")
     lam = lambda_p(p)
     m = [Fraction(1), Fraction(1)]
-    fact = [math.factorial(i) for i in range(k_max + 1)]
+    powers = [Fraction(1), Fraction(p)]  # k! [x^k] M(x)^p
     for k in range(2, k_max + 1):
-        if p == 2:
-            acc = sum(
-                (Fraction(math.comb(k, j)) * m[j] * m[k - j] for j in range(1, k)),
-                Fraction(0),
-            )
-        else:
-            acc = Fraction(0)
-            for comp in _compositions(k, p):
-                if max(comp) >= k:
-                    continue
-                coeff = fact[k]
-                prod = Fraction(1)
-                for c in comp:
-                    coeff //= fact[c]
-                    prod *= m[c]
-                acc += coeff * prod
+        acc = sum((w * m[j] * powers[k - j] for j, w in _miller_terms(p, k)), Fraction(0))
         m.append(acc * (lam - 1) / ((p - 1) * (lam**k - lam)))
+        powers.append(acc + p * m[k])
     return m
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .pmf import Pmf
 
@@ -26,6 +25,10 @@ def chi_square(observed, expected) -> ChiSquareResult:
     mass must be positive and the supports must agree. The p-value is the
     regularized upper incomplete gamma Q(df/2, stat/2) with df = cells - 1.
     """
+    # Imported here: scipy.special costs about 0.3 s to import, and only
+    # this check needs it.
+    from scipy.special import gammaincc
+
     if isinstance(expected, Pmf):
         probs = [float(x) for x in expected.probabilities()]
         support = list(expected.support)
@@ -51,7 +54,7 @@ def chi_square(observed, expected) -> ChiSquareResult:
     return ChiSquareResult(statistic=stat, df=df, p_value=float(gammaincc(df / 2.0, stat / 2.0)))
 
 
-def merge_sparse_cells(values, probs, counts, min_expected: float = 5.0):
+def merge_sparse_cells(probs, counts, min_expected: float = 5.0):
     """Greedily merge adjacent cells until every expected count clears the bar.
 
     Returns (merged_probs, merged_counts). Keeps chi-square honest on laws

@@ -321,7 +321,7 @@ def test_gepp_cycle_linkage():
     pmf = nonsimple_cycle_counts(2, 4)
     probs = np.array([float(x) for x in pmf.probabilities()])
     counts = np.bincount(draws, minlength=17)[1:]
-    mp, mc = merge_sparse_cells(list(pmf.support), probs, counts)
+    mp, mc = merge_sparse_cells(probs, counts)
     res = chi_square(mc, mp)
     assert res.p_value > 0.01
     print(f"[acceptance] GEPP-to-cycle-law linkage PASS (chi-square p = {res.p_value:.3f})")

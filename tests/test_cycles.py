@@ -44,6 +44,68 @@ M_EXPECTED = {
 }
 
 
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _multinomial_terms(p, k):
+    """(multinomial(k; i), i) over compositions i of k into p parts all < k."""
+    for comp in _compositions(k, p):
+        if max(comp) < k:
+            coeff = math.factorial(k)
+            for c in comp:
+                coeff //= math.factorial(c)
+            yield coeff, comp
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reference_limit_moments(p, k_max):
+    """limit_moments by enumerating compositions, the slow oracle."""
+    lam = lambda_p(p)
+    m = [Fraction(1), Fraction(1)]
+    for k in range(2, k_max + 1):
+        acc = Fraction(0)
+        for coeff, comp in _multinomial_terms(p, k):
+            prod = Fraction(coeff)
+            for c in comp:
+                prod *= m[c]
+            acc += prod
+        m.append(acc * (lam - 1) / ((p - 1) * (lam**k - lam)))
+    return m
+
+
+def reference_moment_polynomials(p, k_max):
+    """moment_polynomials(...).polys by enumerating compositions."""
+    lam = lambda_p(p)
+    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for k in range(2, k_max + 1):
+        r = [Fraction(0)] * (k + 1)
+        for coeff, comp in _multinomial_terms(p, k):
+            prod = [Fraction(coeff)]
+            for c in comp:
+                prod = _poly_mul(prod, polys[c])
+            r = [a + b for a, b in zip(r, prod)]
+        coeffs = [Fraction(0)] * (k + 1)
+        for j in range(2, k + 1):
+            coeffs[j] = r[j] / (p - 1) * (lam - 1) / (lam**j - lam)
+        coeffs[1] = 1 - sum(coeffs[2:], Fraction(0))
+        polys.append(coeffs)
+    return tuple(tuple(c) for c in polys)
+
+
 class TestSimpleCycleDist:
     def test_binary_level_three(self):
         pmf = simple_cycle_dist(2, 3)
@@ -65,8 +127,11 @@ class TestSimpleCycleDist:
             assert all(census.get(k, 0) == pmf.mass(k) for k in pmf.support)
 
     def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            simple_cycle_dist(4, 2)
+        for p in (1, 4, 25):
+            with pytest.raises(ValueError):
+                simple_cycle_dist(p, 2)
+        for p in (2, 31):
+            assert simple_cycle_dist(p, 1).p(p) == Fraction(1, p)
 
 
 class TestSimpleCdDist:
@@ -211,9 +276,20 @@ class TestLimitMoments:
         assert limit_moments(2, 4)[4] == Fraction(3228, 885)
 
     def test_limits_match_polynomial_leading_coefficients(self):
-        table = moment_polynomials(2, 6)
-        ms = limit_moments(2, 6)
-        assert list(table.limits[1:]) == ms[1:]
+        for p in (2, 3, 5, 7):
+            table = moment_polynomials(p, 6)
+            ms = limit_moments(p, 6)
+            assert list(table.limits[1:]) == ms[1:]
+
+    @pytest.mark.parametrize("p, k_max", [(2, 12), (3, 10), (5, 8), (7, 6)])
+    def test_power_rule_matches_composition_enumeration(self, p, k_max):
+        assert limit_moments(p, k_max) == reference_limit_moments(p, k_max)
+        assert moment_polynomials(p, k_max).polys == reference_moment_polynomials(p, k_max)
+
+    def test_second_moment_closed_form(self):
+        # m_2 = p (p-1) (lam-1) / ((p-1)(lam^2 - lam)) = p^2 / (2p - 1)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            assert limit_moments(p, 2)[2] == Fraction(p * p, 2 * p - 1)
 
     def test_ternary_second_moment(self):
         assert limit_moments(3, 2)[2] == Fraction(9, 5)
@@ -381,7 +457,7 @@ class TestMonteCarlo:
         pmf = nonsimple_cycle_counts(2, 4)
         probs = np.array([float(x) for x in pmf.probabilities()])
         counts = np.bincount(draws, minlength=17)[1:]
-        mp, mc = merge_sparse_cells(list(pmf.support), probs, counts)
+        mp, mc = merge_sparse_cells(probs, counts)
         assert chi_square(mc, mp).p_value > 0.01
 
     def test_moments_near_limits_at_level_ten(self):
@@ -402,7 +478,7 @@ class TestMonteCarlo:
         pmf = nonsimple_cycle_counts(3, 2)
         probs = np.array([float(pmf.p(k)) for k in (1, 3, 5, 7, 9)])
         counts = np.array([(draws == k).sum() for k in (1, 3, 5, 7, 9)])
-        mp, mc = merge_sparse_cells([1, 3, 5, 7, 9], probs, counts)
+        mp, mc = merge_sparse_cells(probs, counts)
         assert chi_square(mc, mp).p_value > 0.01
 
     def test_lambda_values(self):

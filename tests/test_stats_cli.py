@@ -56,7 +56,7 @@ class TestChiSquare:
     def test_merge_sparse_cells(self):
         probs = [0.5, 0.45, 0.04, 0.009, 0.001]
         counts = [50, 45, 4, 1, 0]
-        mp, mc = merge_sparse_cells(range(5), probs, counts, min_expected=5.0)
+        mp, mc = merge_sparse_cells(probs, counts, min_expected=5.0)
         assert mp.sum() == pytest.approx(1.0)
         assert mc.sum() == 100
         assert (mp * 100 >= 5.0).all()
@@ -146,6 +146,16 @@ class TestCli:
         assert data[6]["numerator"] == "40435712" and data[6]["denominator"] == "2345265"
         assert len(data[136]["numerator"]) > 4300 and data[136]["numerator"].isdigit()
 
+    def test_moments_heptanary_to_thirty(self, tmp_path):
+        # k = 30 at p = 7 has about 1.9 million compositions into 7 parts;
+        # the power rule needs 29 terms for it.
+        out = run_cli(["moments", "--p", "7", "--k-max", "30"], tmp_path / "e7")
+        data = json.loads((out / "moments.json").read_text())
+        assert [d["k"] for d in data] == list(range(31))
+        m2 = data[2]
+        assert Fraction(int(m2["numerator"]), int(m2["denominator"])) == Fraction(49, 13)
+        assert all(d["p"] == 7 and d["float"] > 0 for d in data)
+
     def test_density_and_fixed_points(self, tmp_path):
         out = run_cli(["density", "--p", "2", "--n", "10", "--t", "0.5:1.5:0.5"], tmp_path / "f")
         lines = (out / "density.csv").read_text().splitlines()
@@ -228,11 +238,14 @@ class TestCli:
         assert out.count("ok") >= 10
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal takes about a second to import; only the FFT branch
-        # of pmf.float_convolve needs it.
+        # scipy.signal takes about a second to import and scipy.special about
+        # 0.3 s; only the FFT branch of pmf.float_convolve and
+        # stats.chi_square need them.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, butterflylab.cli; assert 'scipy.signal' not in sys.modules"
+        code = ("import sys, butterflylab.cli; "
+                "loaded = {'scipy.signal', 'scipy.special'} & set(sys.modules); "
+                "assert not loaded, loaded")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
