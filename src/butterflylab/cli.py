@@ -174,12 +174,11 @@ def _sample_lis(ensemble: str, N: int, trials: int, seed: int) -> tuple[float, f
         for t in range(trials):
             rng = substream(seed, e, N, t)
             if ensemble == "uniform":
-                perm = fisher_yates(N, rng)
+                vals[t] = lis.lis(fisher_yates(N, rng))
             elif ensemble == "bs-scalar":
-                perm = groups.materialize(groups.sample_simple(2, n, rng))
+                vals[t] = groups.lis(groups.sample_simple(2, n, rng))
             else:
-                perm = groups.materialize(groups.sample_nonsimple(2, n, rng))
-            vals[t] = lis.lis(perm)
+                vals[t] = groups.lis(groups.sample_nonsimple(2, n, rng))
     else:
         # Eliminate in chunks of at most BATCH_ENTRIES matrix entries; each
         # trial still draws from its own substream and lands in vals[t].
@@ -197,10 +196,14 @@ def cmd_lis_mc(args) -> int:
     ensembles = args.ensembles.split(",") if args.ensembles else list(ENSEMBLES)
     for e in ensembles:
         if e not in ENSEMBLES:
-            raise SystemExit(f"unknown ensemble {e!r}")
+            raise ValueError(f"unknown ensemble {e!r}")
+    ns = _parse_range(args.n)
+    for n in ns:
+        if 2**n > groups.MATERIALIZE_SIZE_CAP:
+            raise ValueError(f"N = 2^{n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
     rows = []
     for ens in ensembles:
-        for n in _parse_range(args.n):
+        for n in ns:
             N = 2**n
             if args.trials:
                 trials = args.trials

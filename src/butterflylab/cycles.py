@@ -273,7 +273,11 @@ def limit_moments(p: int, k_max: int) -> list[Fraction]:
     m = [Fraction(1), Fraction(1)]
     powers = [Fraction(1), Fraction(p)]  # k! [x^k] M(x)^p
     for k in range(2, k_max + 1):
-        acc = sum((w * m[j] * powers[k - j] for j, w in _miller_terms(p, k)), Fraction(0))
+        # One common denominator and one reduction per k; a running Fraction
+        # sum would take a gcd of thousands-of-digit integers per term.
+        terms = [w * m[j] * powers[k - j] for j, w in _miller_terms(p, k)]
+        den = math.lcm(*(t.denominator for t in terms))
+        acc = Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
         m.append(acc * (lam - 1) / ((p - 1) * (lam**k - lam)))
         powers.append(acc + p * m[k])
     return m

@@ -35,6 +35,10 @@ __all__ = [
 
 TIE_RTOL = 2.0**-40
 SINGULAR_FLOOR = 1e-300
+# Smallest order that `gepp_perm_batch` hands to LAPACK. From N = 256 on the
+# lis-mc chunks (cli.BATCH_ENTRIES // N**2) hold one matrix, so the numpy
+# loop no longer amortizes its per-step overhead over a stack.
+LAPACK_MIN_N = 256
 
 
 class SingularMatrixError(ValueError):
@@ -106,12 +110,41 @@ def gepp(A: np.ndarray, tie_rtol: float = TIE_RTOL, step_callback=None) -> GeppR
 def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
     """Permutation factors (0-based one-line arrays) for a stack of matrices.
 
-    Vectorized over the leading axis; returns shape (T, N). A zero pivot
-    column contributes no swap and no elimination (min-index convention),
-    so singular draws pass through instead of poisoning the batch. Used by
-    the Monte Carlo drivers and cross-checked against `gepp` in the tests.
+    Returns shape (T, N). Real stacks from N = `LAPACK_MIN_N` on are factored
+    by LAPACK ``getrf``, whose ``idamax`` pivot is the first maximal |entry|,
+    the same min-index rule; a matrix keeps that permutation only when every
+    multiplier has |l_jk| < 1 - TIE_RTOL, so no pivot was a near tie that
+    rounding could flip. The rejected matrices, orders below `LAPACK_MIN_N`
+    and complex stacks (``zgetrf`` pivots on |Re| + |Im|, not the modulus)
+    run `_eliminate`. Used by the Monte Carlo experiments and cross-checked
+    against `gepp` in the tests.
     """
     W = np.array(mats, dtype=complex) if np.iscomplexobj(mats) else np.array(mats, dtype=np.float64)
+    T, N, _ = W.shape
+    if T == 0 or N < LAPACK_MIN_N or np.iscomplexobj(W):
+        return _eliminate(W)
+    perm, ok = _getrf_perms(W)
+    if not ok.all():
+        perm[~ok] = _eliminate(W[~ok])
+    return perm
+
+
+def _getrf_perms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK permutations of a real stack, and which of them pass the tie guard."""
+    from scipy.linalg import lu  # about 0.3 s and 25 MB; only large N pays it
+
+    perm, L, _ = lu(W, p_indices=True, check_finite=False)
+    ok = np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL
+    return perm.astype(np.int64), ok
+
+
+def _eliminate(W: np.ndarray) -> np.ndarray:
+    """Numpy rank-1 elimination vectorized over the stack; overwrites W.
+
+    A zero pivot column contributes no swap and no elimination (min-index
+    convention), so singular draws pass through instead of poisoning the
+    batch.
+    """
     T, N, _ = W.shape
     rows = np.tile(np.arange(N), (T, 1))
     tix = np.arange(T)

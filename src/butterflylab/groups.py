@@ -36,6 +36,7 @@ __all__ = [
     "check_membership",
     "as_simple",
     "cycle_count",
+    "lis",
     "element_to_json",
     "element_from_json",
     "CapExceededError",
@@ -130,13 +131,13 @@ def group_order(m: int, n: int, simple: bool) -> int:
 def sample_simple(m: int, n: int, rng: np.random.Generator) -> SimpleButterfly:
     """Uniform element: digits iid uniform on {0,...,m-1}."""
     _check_base(m, n)
-    return SimpleButterfly(m, tuple(int(v) for v in rng.integers(0, m, size=n)))
+    return SimpleButterfly(m, tuple(rng.integers(0, m, size=n).tolist()))
 
 
 def sample_nonsimple(m: int, n: int, rng: np.random.Generator) -> NonsimpleButterfly:
     """Uniform element: all (m^n-1)/(m-1) exponents iid uniform."""
     _check_base(m, n)
-    return NonsimpleButterfly(m, n, tuple(int(v) for v in rng.integers(0, m, size=tree_size(m, n))))
+    return NonsimpleButterfly(m, n, tuple(rng.integers(0, m, size=tree_size(m, n)).tolist()))
 
 
 def apply(elem, k: int) -> int:
@@ -248,6 +249,33 @@ def cycle_count(elem) -> int:
             prod = _materialize_map(elem.subtree(i))[prod]
         total += _cycle_count_array(prod)
     return total
+
+
+def lis(elem) -> int:
+    """Longest increasing subsequence from the encoding, without materializing.
+
+    Input block i lands in output block t = i + e (mod m), so an increasing
+    subsequence runs through the output blocks e..m-1 or through 0..e-1:
+    L = max(sum_{t>=e} L_t, sum_{t<e} L_t) with L_t the LIS of child t, the
+    node at m*node + 1 + t. Evaluated bottom-up, one vectorized step per
+    level. A simple element has identical children, so its LIS is the
+    product of max(j, m - j) over its digits j.
+    """
+    if isinstance(elem, SimpleButterfly):
+        return math.prod(max(j, elem.m - j) for j in elem.digits)
+    if not isinstance(elem, NonsimpleButterfly):
+        raise TypeError(type(elem))
+    m = elem.m
+    ex = np.asarray(elem.exponents, dtype=np.int64)
+    L = np.ones(elem.N, dtype=np.int64)
+    for d in reversed(range(elem.n)):
+        nodes = m**d
+        lo = tree_size(m, d)
+        below = np.zeros((nodes, m + 1), dtype=np.int64)  # below[j, e] = sum_{t<e} L_t
+        np.cumsum(L.reshape(nodes, m), axis=1, out=below[:, 1:])
+        low = below[np.arange(nodes), ex[lo : lo + nodes]]
+        L = np.maximum(below[:, m] - low, low)
+    return int(L[0])
 
 
 def enumerate_group(m: int, n: int, simple: bool, cap: int = DEFAULT_ENUMERATION_CAP):

@@ -5,6 +5,7 @@ import pytest
 
 from butterflylab import Permutation, cycle_stats, fisher_yates, identity, kron
 from butterflylab.gepp import (
+    LAPACK_MIN_N,
     ButterflySpec,
     SingularMatrixError,
     TieAngleError,
@@ -21,6 +22,7 @@ from butterflylab.gepp import (
     sample_spec,
     save_matrix_csv,
 )
+from butterflylab.gepp import _eliminate, _getrf_perms
 from butterflylab.rng import substream
 
 P = Permutation.from_one_line
@@ -145,6 +147,53 @@ class TestGepp:
             except SingularMatrixError:
                 continue
             assert Permutation(sig[i]) == res.perm
+
+
+def _stack(kind: str, N: int, count: int, seed: int) -> np.ndarray:
+    rng = substream(seed, N)
+    if kind in ("bs-diag", "ns-diag"):
+        shape = "simple" if kind == "bs-diag" else "nonsimple"
+        angles = [sample_spec("diagonal", shape, N, rng).angles for _ in range(count)]
+        return build_butterflies("diagonal", shape, N, angles)
+    return np.stack([ensemble_sample(kind, N, rng) for _ in range(count)])
+
+
+class TestLapackBranch:
+    """From N = LAPACK_MIN_N, real stacks take getrf behind the tie guard;
+    the numpy elimination (`_eliminate`) is the oracle."""
+
+    @pytest.mark.parametrize("N", [LAPACK_MIN_N, 2 * LAPACK_MIN_N])
+    @pytest.mark.parametrize("kind", ["goe", "bs-diag", "ns-diag"])
+    def test_matches_elimination(self, kind, N):
+        mats = _stack(kind, N, 2, 43)
+        _, ok = _getrf_perms(mats)
+        assert ok.all()
+        sig = gepp_perm_batch(mats)
+        assert np.array_equal(sig, _eliminate(mats.copy()))
+        if N == LAPACK_MIN_N:
+            for i in range(len(mats)):
+                assert Permutation(sig[i]) == gepp(mats[i]).perm
+
+    def test_bernoulli_ties_fall_back(self):
+        mats = _stack("bernoulli", LAPACK_MIN_N, 3, 44)
+        _, ok = _getrf_perms(mats)
+        assert not ok.any()
+        assert np.array_equal(gepp_perm_batch(mats), _eliminate(mats.copy()))
+
+    def test_zero_pivot_column(self):
+        mats = _stack("goe", LAPACK_MIN_N, 1, 45)
+        mats[0, :, 0] = 0.0
+        assert np.array_equal(gepp_perm_batch(mats), _eliminate(mats.copy()))
+
+    def test_mixed_stack_keeps_row_order(self):
+        goe = _stack("goe", LAPACK_MIN_N, 2, 46)
+        bern = _stack("bernoulli", LAPACK_MIN_N, 2, 46)
+        mats = np.stack([goe[0], bern[0], goe[1], bern[1]])
+        _, ok = _getrf_perms(mats)
+        assert ok.tolist() == [True, False, True, False]
+        sig = gepp_perm_batch(mats)
+        for i in range(len(mats)):
+            assert np.array_equal(sig[i], _eliminate(mats[i][None].copy())[0])
 
 
 class TestIntermediateForms:

@@ -1,11 +1,18 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from butterflylab import Permutation, identity
-from butterflylab.groups import enumerate_group, materialize, sample_nonsimple
+from butterflylab import Permutation, groups, identity
+from butterflylab.groups import (
+    enumerate_group,
+    materialize,
+    sample_nonsimple,
+    sample_simple,
+    to_nonsimple,
+)
 from butterflylab.lis import (
     bounds,
     contraction_step,
@@ -71,6 +78,37 @@ class TestLis:
     def test_oracle_cap(self):
         with pytest.raises(ValueError):
             lis_oracle(identity(10**4 + 1))
+
+
+class TestTreeLis:
+    """`groups.lis` reads the LIS off the encoding; patience sort is the oracle."""
+
+    @pytest.mark.parametrize("m, n_max", [(2, 7), (3, 4), (5, 3)])
+    def test_agrees_with_patience(self, m, n_max):
+        rng = substream(41, m)
+        for n in range(n_max + 1):
+            for _ in range(20):
+                elem = sample_nonsimple(m, n, rng)
+                assert groups.lis(elem) == lis(materialize(elem))
+                simple = sample_simple(m, n, rng)
+                assert groups.lis(simple) == groups.lis(to_nonsimple(simple)) == lis(materialize(simple))
+
+    def test_census_b_2_4(self):
+        pmf = nonsimple_lis_counts(4)
+        census = Counter(groups.lis(elem) for elem in enumerate_group(2, 4, simple=False))
+        assert sum(census.values()) == pmf.total
+        assert all(census[k] == pmf.mass(k) for k in pmf.support)
+
+    @pytest.mark.parametrize("m, n", [(2, 5), (3, 4), (5, 3)])
+    def test_simple_law(self, m, n):
+        pmf = simple_lis_pmf(m, n)
+        census = Counter(groups.lis(elem) for elem in enumerate_group(m, n, simple=True))
+        assert sum(census.values()) == pmf.total
+        assert all(census[k] == pmf.mass(k) for k in pmf.support)
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            groups.lis(EXAMPLE)
 
 
 class TestSimpleLaws:

@@ -97,6 +97,8 @@ class TestCli:
         (["verify"], "abc"),
         (["cycles-table", "--p", "4"], None),
         (["lis-table", "--n", "13..13"], None),
+        (["lis-mc", "--ensembles", "goe,cauchy", "--n", "2..2"], None),
+        (["lis-mc", "--ensembles", "ns-scalar", "--n", "2,27", "--trials", "1"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -238,13 +240,14 @@ class TestCli:
         assert out.count("ok") >= 10
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal takes about a second to import and scipy.special about
-        # 0.3 s; only the FFT branch of pmf.float_convolve and
-        # stats.chi_square need them.
+        # scipy.signal takes about a second to import, scipy.special and
+        # scipy.linalg about 0.3 s each; only the FFT branch of
+        # pmf.float_convolve, stats.chi_square and the LAPACK branch of
+        # gepp.gepp_perm_batch need them.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, butterflylab.cli; "
-                "loaded = {'scipy.signal', 'scipy.special'} & set(sys.modules); "
+                "loaded = {'scipy.signal', 'scipy.special', 'scipy.linalg'} & set(sys.modules); "
                 "assert not loaded, loaded")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
