@@ -3,7 +3,7 @@
 Subpackages:
 
 * `permutations`: composition, Kronecker/direct-sum structure, cycle stats,
-  pivot-movement counts, uniform sampling.
+  uniform sampling.
 * `groups`: simple and nonsimple m-nary butterfly permutations (sampling,
   evaluation, enumeration, membership).
 * `gepp`: dense partial-pivoting elimination, butterfly matrix builders,
@@ -29,6 +29,5 @@ from .permutations import (  # noqa: F401
     identity,
     inverse,
     kron,
-    pivot_movements,
 )
 from .pmf import Pmf  # noqa: F401

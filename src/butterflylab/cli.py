@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,6 +68,8 @@ def _parse_range(text: str) -> list[int]:
 
 def _parse_grid(text: str) -> np.ndarray:
     lo, hi, step = (float(tok) for tok in text.split(":"))
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step:g}")
     return np.arange(lo, hi + step * 0.5, step)
 
 
@@ -122,6 +125,8 @@ def _write_manifest(out: Path, command: str, seed: int, seed_source: str, params
 def cmd_sample(args) -> int:
     seed, src = _resolve_seed(args)
     out = Path(args.out)
+    if args.m**args.n > groups.MATERIALIZE_SIZE_CAP:
+        raise ValueError(f"m^n = {args.m**args.n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
     lines = []
     for t in range(args.trials):
         rng = substream(seed, t)
@@ -315,6 +320,16 @@ def cmd_fixed_points(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _census(m: int, n: int, simple: bool, stat) -> Counter:
+    """Counter of stat(sigma) over every element sigma of a small group."""
+    return Counter(stat(groups.materialize(elem)) for elem in groups.enumerate_group(m, n, simple))
+
+
+def _is_law(census: Counter, pmf: Pmf) -> bool:
+    """True when the census equals the count-mode pmf on its nonzero support."""
+    return dict(census) == {k: c for k, c in zip(pmf.support, pmf.masses) if c}
+
+
 def _verify_checks(seed: int):
     rng = substream(seed, 0)
 
@@ -364,36 +379,29 @@ def _verify_checks(seed: int):
         return all(gepp.gepp(mats[i]).perm == Permutation(batch[i]) for i in range(20))
 
     def chk_lis_census():
-        pmf = lis.nonsimple_lis_counts(3, mode="exact")
-        census = {}
-        for elem in groups.enumerate_group(2, 3, simple=False):
-            k = lis.lis(groups.materialize(elem))
-            census[k] = census.get(k, 0) + 1
-        return all(census.get(k, 0) == pmf.mass(k) for k in pmf.support)
+        return _is_law(_census(2, 3, False, lis.lis), lis.nonsimple_lis_counts(3, mode="exact"))
 
     def chk_cycle_census():
-        pmf = cycles.nonsimple_cycle_counts(2, 3, mode="exact")
-        census = {}
-        for elem in groups.enumerate_group(2, 3, simple=False):
-            c = cycle_stats(groups.materialize(elem)).total_cycles
-            census[c] = census.get(c, 0) + 1
-        ok2 = all(census.get(k, 0) == pmf.mass(k) for k in pmf.support)
-        pmf3 = cycles.nonsimple_cycle_counts(3, 2, mode="exact")
-        census3 = {}
-        for elem in groups.enumerate_group(3, 2, simple=False):
-            c = cycle_stats(groups.materialize(elem)).total_cycles
-            census3[c] = census3.get(c, 0) + 1
-        return ok2 and all(census3.get(k, 0) == pmf3.mass(k) for k in pmf3.support)
+        return all(_is_law(_census(p, n, False, lambda q: cycle_stats(q).total_cycles),
+                           cycles.nonsimple_cycle_counts(p, n))
+                   for p, n in ((2, 3), (3, 2)))
 
     def chk_simple_lis_law():
-        pmf = lis.simple_lis_pmf(2, 4)
-        census = {}
-        for elem in groups.enumerate_group(2, 4, simple=True):
-            p = groups.materialize(elem)
-            if lis.lis(p) * lis.lds(p) != 16:
-                return False
-            census[lis.lis(p)] = census.get(lis.lis(p), 0) + 1
-        return all(census.get(k, 0) == pmf.mass(k) for k in pmf.support)
+        return (_census(2, 4, True, lambda p: lis.lis(p) * lis.lds(p)) == {16: 16}
+                and _is_law(_census(2, 4, True, lis.lis), lis.simple_lis_pmf(2, 4)))
+
+    def chk_simple_lds_law():
+        return all(_is_law(_census(m, n, True, lis.lds), lis.simple_lds_pmf(m, n))
+                   for m, n in ((2, 4), (3, 3)))
+
+    def chk_simple_cycle_law():
+        return _is_law(_census(3, 3, True, lambda p: cycle_stats(p).total_cycles),
+                       cycles.simple_cycle_dist(3, 3))
+
+    def chk_simple_cd_law():
+        return all(_is_law(_census(6, 2, True, lambda p: cycle_stats(p).by_length.get(d, 0)),
+                           cycles.simple_cd_dist(6, 2, d))
+                   for d in (1, 2, 3))
 
     def chk_membership_roundtrip():
         for _ in range(50):
@@ -410,15 +418,31 @@ def _verify_checks(seed: int):
         ms = cycles.limit_moments(2, 6)
         return ms[6] == Fraction(40435712, 2345265) and ms[2] == Fraction(4, 3)
 
+    def chk_moment_polynomials():
+        for p in (2, 3):
+            table = cycles.moment_polynomials(p, 4)
+            if list(table.limits) != cycles.limit_moments(p, 4):
+                return False
+            for n in range(4):
+                pmf = cycles.nonsimple_cycle_counts(p, n)
+                if any(table.moment(k, n) != pmf.moment(k) for k in range(1, 5)):
+                    return False
+        return True
+
     def chk_fixed_points():
-        fpf = sum(
-            1
-            for elem in groups.enumerate_group(2, 2, simple=False)
-            if cycle_stats(groups.materialize(elem)).fixed_points == 0
-        )
-        exact = cycles.no_fixed_point_prob(2, 2)
+        census = _census(2, 3, False, lambda p: cycle_stats(p).fixed_points)
+        law = Pmf(0, [census[k] for k in range(max(census) + 1)], "count")
         closed = abs(cycles.x_star(3) - (math.sqrt(3.0) - 1.0) / 2.0) < 1e-12
-        return Fraction(fpf, 8) == exact and closed
+        return (law.p(0) == cycles.no_fixed_point_prob(2, 3) and closed
+                and all(law.moment(k) == cycles.fixed_point_moments(2, 3, k) for k in (1, 2)))
+
+    def chk_w_monte_carlo():
+        # A fixed stream, independent of --seed: a 5 SE band is still missed
+        # by some streams, and an unlucky seed must not fail verify.
+        moments, ses = cycles.monte_carlo_w(2, 10, 4000, substream(DEFAULT_SEED, 1))
+        table = cycles.moment_polynomials(2, 4)
+        return all(abs(moments[k - 1] - float(table.moment(k, 10) / table.lam ** (10 * k)))
+                   <= 5 * ses[k - 1] for k in range(1, 5))
 
     def chk_chi_square_calibration():
         pmf = Pmf(0, [0.25, 0.25, 0.25, 0.25], "float")
@@ -434,9 +458,14 @@ def _verify_checks(seed: int):
         ("nonsimple-lis-census", chk_lis_census),
         ("nonsimple-cycle-census", chk_cycle_census),
         ("simple-lis-law", chk_simple_lis_law),
+        ("simple-lds-law", chk_simple_lds_law),
+        ("simple-cycle-law", chk_simple_cycle_law),
+        ("simple-cd-law", chk_simple_cd_law),
         ("membership-roundtrip", chk_membership_roundtrip),
         ("moment-engine", chk_moment_engine),
+        ("moment-polynomials", chk_moment_polynomials),
         ("fixed-points", chk_fixed_points),
+        ("w-monte-carlo", chk_w_monte_carlo),
         ("chi-square-calibration", chk_chi_square_calibration),
     ]
     return checks
@@ -544,7 +573,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, groups.CapExceededError) as exc:
+    except (ValueError, OSError, groups.CapExceededError) as exc:
         print(f"butterflylab: error: {exc}", file=sys.stderr)
         return 2
 

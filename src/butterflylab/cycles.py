@@ -288,15 +288,14 @@ def limit_moments(p: int, k_max: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def density_grid(p: int, n: int, t_values, counts: Pmf | None = None):
+def density_grid(p: int, n: int, t_values):
     """Plug-in estimates of the W^(p) density at finite depth n.
 
     f_hat(t) = P(Y_n = k(t)) * lam^n / (p-1) with
     k(t) = floor((t lam^n - 1)/(p-1)) (p-1) + 1, the support atom whose
     cell contains t lam^n.
     """
-    if counts is None:
-        counts = nonsimple_cycle_counts(p, n, mode="float")
+    counts = nonsimple_cycle_counts(p, n, mode="float")
     lam = float(lambda_p(p))
     scale = lam**n
     out = []
@@ -328,7 +327,7 @@ def no_fixed_point_prob(m: int, n: int) -> Fraction:
     return x
 
 
-def x_star(m: int, tol: float = 1e-14) -> float:
+def x_star(m: int) -> float:
     """The unique root in (0, 1) of q_m(x) = -1 + (m-1)(x + ... + x^(m-1)).
 
     Equivalently the interior fixed point of x -> 1/m + (1 - 1/m) x^m for
@@ -343,7 +342,7 @@ def x_star(m: int, tol: float = 1e-14) -> float:
     def q(x: float) -> float:
         return -1.0 + (m - 1) * sum(x**j for j in range(1, m))
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if q(mid) < 0:
             lo = mid
@@ -380,18 +379,17 @@ def sample_cycle_counts(p: int, n: int, trials: int, rng: np.random.Generator) -
     return counts
 
 
-def monte_carlo_w(p: int, n: int, trials: int, rng: np.random.Generator,
-                  k_max: int = 6):
+def monte_carlo_w(p: int, n: int, trials: int, rng: np.random.Generator):
     """Empirical moments of W_n = C(sigma_n) lambda_p^-n from `trials` draws.
 
-    Returns (moments, standard_errors) as arrays indexed k-1 for k = 1..k_max.
+    Returns (moments, standard_errors) as arrays indexed k-1 for k = 1..6.
     """
     if trials < 1:
         raise ValueError("trials >= 1")
     w = sample_cycle_counts(p, n, trials, rng) * float(lambda_p(p)) ** (-n)
-    moments = np.empty(k_max)
-    ses = np.empty(k_max)
-    for k in range(1, k_max + 1):
+    moments = np.empty(6)
+    ses = np.empty(6)
+    for k in range(1, 7):
         wk = w**k
         moments[k - 1] = wk.mean()
         ses[k - 1] = wk.std(ddof=1) / math.sqrt(trials) if trials > 1 else np.inf

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutations import Permutation, compose, cycle_count, dsum, identity, kron
+from .permutations import Permutation, compose, cycle_stats, dsum, identity, kron
 
 __all__ = [
     "GeppResult",
@@ -21,16 +21,12 @@ __all__ = [
     "TieAngleError",
     "gepp",
     "gepp_perm_batch",
-    "rotation",
-    "perfect_shuffle",
     "angle_count",
     "sample_spec",
     "build_butterfly",
     "build_butterflies",
     "predicted_factorization",
     "ensemble_sample",
-    "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 TIE_RTOL = 2.0**-40
@@ -60,7 +56,7 @@ class GeppResult:
     tie_encountered: bool
 
 
-def gepp(A: np.ndarray, tie_rtol: float = TIE_RTOL, step_callback=None) -> GeppResult:
+def gepp(A: np.ndarray, step_callback=None) -> GeppResult:
     """Partial-pivoting factorization of a square matrix.
 
     `step_callback(k, intermediate)` is invoked after elimination step k
@@ -76,18 +72,20 @@ def gepp(A: np.ndarray, tie_rtol: float = TIE_RTOL, step_callback=None) -> GeppR
     N = A.shape[0]
     rows = np.arange(N)
     tie = False
+    swaps = 0
     for k in range(N):
         col = np.abs(A[k:, k])
         j = int(np.argmax(col))
         mx = col[j]
         if mx < SINGULAR_FLOOR:
             raise SingularMatrixError(f"no usable pivot in column {k + 1}")
-        if k < N - 1 and int((col >= mx * (1.0 - tie_rtol)).sum()) > 1:
+        if k < N - 1 and int((col >= mx * (1.0 - TIE_RTOL)).sum()) > 1:
             tie = True
         ik = k + j
         if ik != k:
             A[[k, ik]] = A[[ik, k]]
             rows[[k, ik]] = rows[[ik, k]]
+            swaps += 1
         if k < N - 1:
             A[k + 1 :, k] /= A[k, k]
             A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
@@ -102,7 +100,7 @@ def gepp(A: np.ndarray, tie_rtol: float = TIE_RTOL, step_callback=None) -> GeppR
         perm=perm,
         lower=L,
         upper=U,
-        pivot_count=N - cycle_count(perm),
+        pivot_count=swaps,
         tie_encountered=tie,
     )
 
@@ -161,30 +159,6 @@ def _eliminate(W: np.ndarray) -> np.ndarray:
         W[:, k + 1 :, k + 1 :] -= mult[:, :, None] * W[:, None, k, k + 1 :]
         W[:, k + 1 :, k] = mult
     return np.argsort(rows, axis=1, kind="stable")
-
-
-def rotation(theta: float) -> np.ndarray:
-    """Clockwise rotation [[cos, sin], [-sin, cos]]."""
-    if not math.isfinite(theta):
-        raise ValueError("angle must be finite")
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def perfect_shuffle(N: int) -> Permutation:
-    """The shuffle q with q(2j-1) = j and q(2j) = N/2 + j (1-based).
-
-    Its matrix Q satisfies Q (X (x) Y) Q^T = Y (x) X for X of order N/2 and
-    Y of order 2; conjugating the direct sum of N/2 rotations by Q produces
-    the striped [[C, S], [-S, C]] block with diagonal C, S.
-    """
-    if N < 2 or N % 2:
-        raise ValueError("N must be even")
-    h = N // 2
-    q = np.empty(N, dtype=np.int64)
-    q[0::2] = np.arange(h)
-    q[1::2] = h + np.arange(h)
-    return Permutation(q)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +291,16 @@ def build_butterfly(spec: ButterflySpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pivot_data(theta: float, tie_rtol: float):
+def _pivot_data(theta: float):
     """(e, theta_hat) for the 2x2 rotation; rejects |tan theta| ~ 1."""
     t = math.tan(theta)
-    if abs(abs(t) - 1.0) <= tie_rtol * max(1.0, abs(t)):
+    if abs(abs(t) - 1.0) <= TIE_RTOL * max(1.0, abs(t)):
         raise TieAngleError(f"|tan({theta})| = 1 within tolerance")
     e = 1 if abs(t) > 1.0 else 0
     return e, (math.pi / 2 - theta if e else theta)
 
 
-def predicted_factorization(spec: ButterflySpec, tie_rtol: float = TIE_RTOL) -> GeppResult:
+def predicted_factorization(spec: ButterflySpec) -> GeppResult:
     """Closed-form GEPP factors of a scalar butterfly matrix, no elimination.
 
     For B = (R_theta (x) I)(A1 (+) A2) with child factorizations
@@ -354,7 +328,7 @@ def predicted_factorization(spec: ButterflySpec, tie_rtol: float = TIE_RTOL) -> 
         else:
             p1, L1, U1, A1 = rec(d + 1, 2 * node)
             p2, L2, U2, A2 = rec(d + 1, 2 * node + 1)
-        e, that = _pivot_data(theta, tie_rtol)
+        e, that = _pivot_data(theta)
         m = A1.shape[0]
         c, s = math.cos(that), math.sin(that)
         tn = math.tan(that)
@@ -370,7 +344,8 @@ def predicted_factorization(spec: ButterflySpec, tie_rtol: float = TIE_RTOL) -> 
 
     perm, L, U, _ = rec(0, 0)
     return GeppResult(perm=perm, lower=L, upper=U,
-                      pivot_count=spec.N - cycle_count(perm), tie_encountered=False)
+                      pivot_count=spec.N - cycle_stats(perm).total_cycles,
+                      tie_encountered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +353,12 @@ def predicted_factorization(spec: ButterflySpec, tie_rtol: float = TIE_RTOL) -> 
 # ---------------------------------------------------------------------------
 
 
-def ensemble_sample(kind: str, N: int, rng: np.random.Generator, q: float = 0.5) -> np.ndarray:
+def ensemble_sample(kind: str, N: int, rng: np.random.Generator) -> np.ndarray:
     """Standard random-matrix ensembles for the pivot experiments.
 
     goe: symmetric, N(0, 1 + delta_ij) entries. gue: Hermitian, N(0,1)
     diagonal and complex N(0, 1/2) + i N(0, 1/2) off-diagonal (pivoting uses
-    the complex modulus). bernoulli: iid {0,1} with P(1) = q. haar_so2:
-    direct sum of N/2 independent uniform rotations (Haar on SO(2) at N=2).
+    the complex modulus). bernoulli: iid {0,1} with P(1) = 1/2.
     """
     if kind == "goe":
         G = rng.normal(size=(N, N))
@@ -395,20 +369,5 @@ def ensemble_sample(kind: str, N: int, rng: np.random.Generator, q: float = 0.5)
         G = X + 1j * Y
         return (G + G.conj().T) / math.sqrt(2.0)
     if kind == "bernoulli":
-        return (rng.random((N, N)) < q).astype(np.float64)
-    if kind == "haar_so2":
-        if N % 2:
-            raise ValueError("haar_so2 needs even N")
-        out = np.zeros((N, N))
-        for j in range(N // 2):
-            out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = rotation(rng.uniform(0, 2 * math.pi))
-        return out
+        return (rng.random((N, N)) < 0.5).astype(np.float64)
     raise ValueError(f"unknown ensemble {kind!r}")
-
-
-def save_matrix_csv(path, A: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(A), delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))

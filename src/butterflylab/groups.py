@@ -16,13 +16,12 @@ everywhere; the block recursion it induces on 1-based indices is
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .permutations import Permutation, _cycle_count_array
+from .permutations import Permutation
 
 __all__ = [
     "SimpleButterfly",
@@ -30,19 +29,15 @@ __all__ = [
     "group_order",
     "sample_simple",
     "sample_nonsimple",
-    "apply",
     "materialize",
     "enumerate_group",
     "check_membership",
     "as_simple",
-    "cycle_count",
     "lis",
-    "element_to_json",
-    "element_from_json",
     "CapExceededError",
 ]
 
-DEFAULT_ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**6
 
 
 class CapExceededError(RuntimeError):
@@ -70,9 +65,9 @@ class SimpleButterfly:
 
     def __post_init__(self):
         _check_base(self.m, len(self.digits))
-        if any(not 0 <= d < self.m for d in self.digits):
+        if self.digits and (min(self.digits) < 0 or max(self.digits) >= self.m):
             raise ValueError("digits must lie in [0, m)")
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", tuple(map(int, self.digits)))
 
     @property
     def n(self) -> int:
@@ -97,29 +92,13 @@ class NonsimpleButterfly:
             raise ValueError(
                 f"need {tree_size(self.m, self.n)} exponents, got {len(self.exponents)}"
             )
-        if any(not 0 <= e < self.m for e in self.exponents):
+        if self.exponents and (min(self.exponents) < 0 or max(self.exponents) >= self.m):
             raise ValueError("exponents must lie in [0, m)")
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", tuple(map(int, self.exponents)))
 
     @property
     def N(self) -> int:
         return self.m**self.n
-
-    def root_exponent(self) -> int:
-        return self.exponents[0]
-
-    def subtree(self, child: int) -> "NonsimpleButterfly":
-        """Exponent tree of the given child block (0-based), depth n-1."""
-        m, exps = self.m, self.exponents
-        out: list[int] = []
-        level = [self.m * 0 + 1 + child]
-        for _ in range(self.n - 1):
-            nxt: list[int] = []
-            for idx in level:
-                out.append(exps[idx])
-                nxt.extend(m * idx + 1 + t for t in range(m))
-            level = nxt
-        return NonsimpleButterfly(m, self.n - 1, tuple(out))
 
 
 def group_order(m: int, n: int, simple: bool) -> int:
@@ -140,47 +119,14 @@ def sample_nonsimple(m: int, n: int, rng: np.random.Generator) -> NonsimpleButte
     return NonsimpleButterfly(m, n, tuple(rng.integers(0, m, size=tree_size(m, n)).tolist()))
 
 
-def apply(elem, k: int) -> int:
-    """Image of the 1-based index k under the encoded permutation, O(n) time."""
-    if isinstance(elem, SimpleButterfly):
-        m, N = elem.m, elem.N
-        if not 1 <= k <= N:
-            raise IndexError(k)
-        a = k - 1
-        out = 0
-        w = N // m
-        for j in elem.digits:
-            d, a = divmod(a, w)
-            out += ((d + j) % m) * w
-            w //= m
-        return out + 1
-    if isinstance(elem, NonsimpleButterfly):
-        m, N = elem.m, elem.N
-        if not 1 <= k <= N:
-            raise IndexError(k)
-        exps = elem.exponents
-        a = k - 1
-        out = 0
-        idx = 0
-        M = N // m
-        for _ in range(elem.n):
-            i, a = divmod(a, M)
-            t = (i + exps[idx]) % m
-            out += t * M
-            idx = m * idx + 1 + t
-            M //= m
-        return out + 1
-    raise TypeError(type(elem))
-
-
 MATERIALIZE_SIZE_CAP = 1 << 26
 
 
 def materialize(elem) -> Permutation:
-    """One-line array of the element; entry k equals apply(elem, k).
+    """One-line array of the element.
 
     Refuses sizes past 2^26. Group elements stay cheap in encoded form;
-    use `apply` or `cycle_count` instead of materializing huge ones.
+    use `lis` instead of materializing huge ones.
     """
     if elem.N > MATERIALIZE_SIZE_CAP:
         raise ValueError(f"m^n = {elem.N} exceeds the materialization cap {MATERIALIZE_SIZE_CAP}")
@@ -221,36 +167,6 @@ def _materialize_ns(m: int, n: int, exps: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def cycle_count(elem) -> int:
-    """C(sigma) from the encoding, without materializing the full permutation.
-
-    For e = 0 the blocks are disjoint, so cycles add. For e != 0 the block
-    orbit i -> tau^e(i) splits [m] into gcd(e, m) rings; each sigma-orbit
-    around a ring projects onto an orbit of the composite of the ring's
-    children, so C equals the sum of C(composite) over rings.
-    """
-    if isinstance(elem, SimpleButterfly):
-        return _cycle_count_array(_materialize_map(elem))
-    if not isinstance(elem, NonsimpleButterfly):
-        raise TypeError(type(elem))
-    m, n, e = elem.m, elem.n, elem.exponents[0] if elem.n else 0
-    if n == 0:
-        return 1
-    if e == 0:
-        return sum(cycle_count(elem.subtree(t)) for t in range(m))
-    g = math.gcd(e, m)
-    total = 0
-    M = m ** (n - 1)
-    for start in range(g):
-        prod = np.arange(M, dtype=np.int64)
-        i = start
-        for _ in range(m // g):
-            i = (i + e) % m
-            prod = _materialize_map(elem.subtree(i))[prod]
-        total += _cycle_count_array(prod)
-    return total
-
-
 def lis(elem) -> int:
     """Longest increasing subsequence from the encoding, without materializing.
 
@@ -278,11 +194,11 @@ def lis(elem) -> int:
     return int(L[0])
 
 
-def enumerate_group(m: int, n: int, simple: bool, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Yield every group element exactly once; refuses orders above ``cap``."""
+def enumerate_group(m: int, n: int, simple: bool):
+    """Yield every group element exactly once; refuses orders above ENUMERATION_CAP."""
     order = group_order(m, n, simple)
-    if order > cap:
-        raise CapExceededError(f"group order {order} exceeds cap {cap}")
+    if order > ENUMERATION_CAP:
+        raise CapExceededError(f"group order {order} exceeds cap {ENUMERATION_CAP}")
     if simple:
         for digits in itertools.product(range(m), repeat=n):
             yield SimpleButterfly(m, digits)
@@ -361,26 +277,3 @@ def to_nonsimple(elem: SimpleButterfly) -> NonsimpleButterfly:
     for d in range(n):
         exps.extend([elem.digits[d]] * m**d)
     return NonsimpleButterfly(m, n, tuple(exps))
-
-
-def element_to_json(elem) -> str:
-    if isinstance(elem, SimpleButterfly):
-        payload = {"m": elem.m, "n": elem.n, "kind": "simple", "exponents": list(elem.digits)}
-    elif isinstance(elem, NonsimpleButterfly):
-        payload = {"m": elem.m, "n": elem.n, "kind": "nonsimple", "exponents": list(elem.exponents)}
-    else:
-        raise TypeError(type(elem))
-    return json.dumps(payload, sort_keys=True)
-
-
-def element_from_json(text: str):
-    data = json.loads(text)
-    if data["kind"] == "simple":
-        elem = SimpleButterfly(data["m"], tuple(data["exponents"]))
-    elif data["kind"] == "nonsimple":
-        elem = NonsimpleButterfly(data["m"], data["n"], tuple(data["exponents"]))
-    else:
-        raise ValueError(f"unknown kind {data['kind']!r}")
-    if elem.n != data["n"]:
-        raise ValueError("inconsistent depth")
-    return elem

@@ -25,7 +25,6 @@ from .pmf import Ladder, Pmf, float_convolve, int_convolve
 __all__ = [
     "lis",
     "lds",
-    "lis_oracle",
     "simple_lis_pmf",
     "simple_lds_pmf",
     "BoundsTable",
@@ -33,14 +32,12 @@ __all__ = [
     "contraction_step",
     "nonsimple_lis_counts",
     "nonsimple_lis_moments",
-    "nonsimple_lis_cdf",
     "FitResult",
     "fit_exponent",
 ]
 
 EXACT_LEVEL_CAP = 12
 FLOAT_LEVEL_CAP = 20
-ORACLE_SIZE_CAP = 10**4
 
 
 def _patience(seq) -> int:
@@ -62,18 +59,6 @@ def lis(p: Permutation) -> int:
 def lds(p: Permutation) -> int:
     """Longest decreasing subsequence: LIS of the reversed one-line array."""
     return _patience(p.map[::-1])
-
-
-def lis_oracle(p: Permutation) -> int:
-    """Quadratic dynamic-programming LIS, independent of the patience path."""
-    if p.size > ORACLE_SIZE_CAP:
-        raise ValueError(f"oracle capped at size {ORACLE_SIZE_CAP}")
-    a = p.map
-    best = np.zeros(p.size, dtype=np.int64)
-    for i in range(p.size):
-        mask = a[:i] < a[i]
-        best[i] = 1 + (best[:i][mask].max() if mask.any() else 0)
-    return int(best.max())
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +200,8 @@ def _max_counts(ca: list[int], cb: list[int]) -> list[int]:
 
 def _step_exact(m: int, d: int, counts: list[int]) -> list[int]:
     """Depth d+1 LIS counts from depth d: the max/sum update summed over e."""
-    convs: list[list[int]] = [[1]]
-    for _j in range(m):
+    convs: list[list[int]] = [[1], counts]
+    for _j in range(m - 1):
         convs.append(int_convolve(convs[-1], counts))
     new = [0] * (m * (len(counts) - 1) + 1)
     for e in range(m):
@@ -277,11 +262,6 @@ def nonsimple_lis_moments(n: int, mode: str = "exact", m: int = 2):
     """(mean, second moment) of the depth-n nonsimple LIS."""
     pmf = nonsimple_lis_counts(n, mode=mode, m=m)
     return pmf.moment(1), pmf.moment(2)
-
-
-def nonsimple_lis_cdf(n: int, t: float, mode: str = "float", m: int = 2):
-    """P(L <= t) at depth n, consistent with the cumulative count sums."""
-    return nonsimple_lis_counts(n, mode=mode, m=m).cdf(t)
 
 
 # ---------------------------------------------------------------------------

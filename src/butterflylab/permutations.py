@@ -1,8 +1,8 @@
 """Core permutation arithmetic.
 
 A permutation sigma of [1..M] is stored 0-based as the array ``map`` with
-``map[k] = sigma(k+1) - 1``; all user-facing notation (one-line arrays, cycle
-output, text serialization) is 1-based. The permutation matrix convention is
+``map[k] = sigma(k+1) - 1``; all user-facing notation (one-line arrays, text
+serialization) is 1-based. The permutation matrix convention is
 the left-regular action, ``P_sigma e_k = e_{sigma(k)}``.
 """
 from __future__ import annotations
@@ -21,10 +21,7 @@ __all__ = [
     "kron",
     "dsum",
     "cycle_stats",
-    "pivot_movements",
     "fisher_yates",
-    "transposition_chain",
-    "from_transposition_chain",
 ]
 
 
@@ -77,9 +74,6 @@ class Permutation:
         """1-based one-line array (sigma(1), ..., sigma(M))."""
         return tuple(int(v) + 1 for v in self.map)
 
-    def inverse(self) -> "Permutation":
-        return inverse(self)
-
     def matrix(self) -> np.ndarray:
         """Permutation matrix P with P e_k = e_{sigma(k)}."""
         n = self.size
@@ -101,7 +95,8 @@ class Permutation:
         return Permutation([int(v) - 1 for v in values])
 
     @staticmethod
-    def from_matrix(P: np.ndarray, tol: float = 0.0) -> "Permutation":
+    def from_matrix(P: np.ndarray) -> "Permutation":
+        """Inverse of `matrix`: each column must be exactly one unit entry."""
         P = np.asarray(P)
         n = P.shape[0]
         if P.shape != (n, n):
@@ -110,26 +105,10 @@ class Permutation:
         for k in range(n):
             col = P[:, k]
             i = int(np.argmax(np.abs(col)))
-            if abs(col[i] - 1.0) > tol or np.abs(col).sum() - abs(col[i]) > tol:
+            if col[i] != 1.0 or np.abs(col).sum() != 1.0:
                 raise ValueError("not a permutation matrix")
             mapping[k] = i
         return Permutation(mapping)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles (1-based), each starting at its smallest element."""
-        seen = np.zeros(self.size, dtype=bool)
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j + 1)
-                j = int(self.map[j])
-            out.append(tuple(cyc))
-        return out
 
 
 @dataclass(frozen=True)
@@ -195,33 +174,6 @@ def cycle_stats(p: Permutation) -> CycleStats:
     )
 
 
-def cycle_count(p: Permutation) -> int:
-    """C(p) without building the length histogram (fast path)."""
-    return _cycle_count_array(p.map)
-
-
-def _cycle_count_array(m: np.ndarray) -> int:
-    seen = np.zeros(m.size, dtype=bool)
-    c = 0
-    for start in range(m.size):
-        if not seen[start]:
-            c += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = int(m[j])
-    return c
-
-
-def pivot_movements(p: Permutation) -> int:
-    """Number of GEPP pivot movements of the matrix with permutation factor p.
-
-    Equals M - C(p): in the chain (M i_M)...(1 i_1), step k keeps its pivot
-    exactly when k is the largest element of its cycle.
-    """
-    return p.size - cycle_count(p)
-
-
 def fisher_yates(M: int, rng: np.random.Generator) -> Permutation:
     """Uniform element of S_M from a seeded stream.
 
@@ -231,35 +183,3 @@ def fisher_yates(M: int, rng: np.random.Generator) -> Permutation:
     if M < 1:
         raise ValueError("M must be >= 1")
     return Permutation(rng.permutation(M))
-
-
-def transposition_chain(p: Permutation) -> list[int]:
-    """The unique i_k >= k with p = (M i_M) o ... o (2 i_2) o (1 i_1), 1-based.
-
-    Greedy peeling: i_k is the current preimage of k; composing with (k i_k)
-    on the right fixes position k.
-    """
-    cur = list(p.map)
-    n = len(cur)
-    iks = []
-    pos = {v: i for i, v in enumerate(cur)}
-    for k in range(n):
-        ik = pos[k]
-        iks.append(ik + 1)
-        vk = cur[k]
-        cur[k], cur[ik] = cur[ik], cur[k]
-        pos[vk] = ik
-        pos[k] = k
-    return iks
-
-
-def from_transposition_chain(iks: list[int]) -> Permutation:
-    """Inverse of `transposition_chain`; input is 1-based with iks[k-1] >= k."""
-    n = len(iks)
-    cur = list(range(n))
-    for k in range(n - 1, -1, -1):
-        ik = iks[k] - 1
-        if ik < k:
-            raise ValueError("chain must satisfy i_k >= k")
-        cur[k], cur[ik] = cur[ik], cur[k]
-    return Permutation(cur)

@@ -127,16 +127,6 @@ class Pmf:
             return [Fraction(v, self.total) for v in self.masses]
         return np.asarray(self.masses)
 
-    def cdf(self, t) -> "Fraction | float":
-        """P(X <= t)."""
-        k = int(np.floor(t))
-        i = min(k - self.offset, len(self.masses) - 1)
-        if i < 0:
-            return Fraction(0) if self.mode == "count" else 0.0
-        if self.mode == "count":
-            return Fraction(sum(self.masses[: i + 1]), self.total)
-        return float(np.asarray(self.masses)[: i + 1].sum())
-
     # -- moments -----------------------------------------------------------
 
     def moment(self, k: int):

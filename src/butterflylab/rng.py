@@ -1,21 +1,16 @@
 """Seeded, splittable random streams.
 
 All sampling in this package goes through numpy `Generator` objects backed by
-PCG64. `stream(seed)` gives the root stream for a run; `substream(seed, *key)`
-derives an independent stream from the same seed and an integer key path
-(e.g. a trial index), so Monte Carlo trials can be distributed across workers
-and aggregated in any order while staying bit-reproducible.
+PCG64. `substream(seed, *key)` derives an independent stream from a run's seed
+and an integer key path (e.g. a trial index), so Monte Carlo trials can be
+distributed across workers and aggregated in any order while staying
+bit-reproducible.
 """
 from __future__ import annotations
 
 import numpy as np
 
 DEFAULT_SEED = 20240917
-
-
-def stream(seed: int) -> np.random.Generator:
-    """Root generator for a run with the given 64-bit seed."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

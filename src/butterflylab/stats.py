@@ -54,8 +54,8 @@ def chi_square(observed, expected) -> ChiSquareResult:
     return ChiSquareResult(statistic=stat, df=df, p_value=float(gammaincc(df / 2.0, stat / 2.0)))
 
 
-def merge_sparse_cells(probs, counts, min_expected: float = 5.0):
-    """Greedily merge adjacent cells until every expected count clears the bar.
+def merge_sparse_cells(probs, counts):
+    """Greedily merge adjacent cells until every expected count reaches 5.
 
     Returns (merged_probs, merged_counts). Keeps chi-square honest on laws
     with long thin tails.
@@ -67,7 +67,7 @@ def merge_sparse_cells(probs, counts, min_expected: float = 5.0):
     for p_i, c_i in zip(probs, counts):
         acc_p += float(p_i)
         acc_c += float(c_i)
-        if acc_p * total >= min_expected:
+        if acc_p * total >= 5.0:
             out_p.append(acc_p)
             out_c.append(acc_c)
             acc_p = acc_c = 0.0

@@ -15,9 +15,7 @@ from butterflylab import (
     identity,
     inverse,
     kron,
-    pivot_movements,
 )
-from butterflylab.permutations import from_transposition_chain, transposition_chain
 from butterflylab.rng import substream
 from butterflylab.stats import chi_square
 
@@ -141,31 +139,6 @@ class TestCycleStats:
         p, q = pq
         conj = compose(q, compose(p, inverse(q)))
         assert cycle_stats(conj).total_cycles == cycle_stats(p).total_cycles
-
-
-class TestPivotMovements:
-    def test_identity_and_swap(self):
-        assert pivot_movements(identity(5)) == 0
-        assert pivot_movements(P((2, 1))) == 1
-
-    def test_example(self):
-        assert pivot_movements(EXAMPLE) == 3
-
-    def test_equals_chain_movement_count_exhaustive(self):
-        # against the greedy chain sigma = (M i_M)...(1 i_1): moved steps have i_k > k
-        for M in range(1, 7):
-            for word in itertools.permutations(range(M)):
-                p = Permutation(word)
-                iks = transposition_chain(p)
-                assert pivot_movements(p) == sum(1 for k, ik in enumerate(iks, 1) if ik > k)
-
-    def test_chain_roundtrip_exhaustive(self):
-        for M in range(1, 6):
-            for word in itertools.permutations(range(M)):
-                p = Permutation(word)
-                iks = transposition_chain(p)
-                assert all(ik >= k for k, ik in enumerate(iks, 1))
-                assert from_transposition_chain(iks) == p
 
 
 class TestMatrixRoundTrip:

@@ -83,13 +83,6 @@ def test_float_convolution_matches_exact():
         assert np.abs(cf - probs).max() < 1e-15
 
 
-def test_cdf():
-    pmf = Pmf(1, [1, 1, 2], "count")
-    assert pmf.cdf(0) == 0
-    assert pmf.cdf(2) == Fraction(1, 2)
-    assert pmf.cdf(10) == 1
-
-
 def test_trimmed():
     pmf = Pmf(0, [0, 0, 3, 1, 0], "count")
     t = pmf.trimmed()

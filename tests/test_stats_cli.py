@@ -56,7 +56,7 @@ class TestChiSquare:
     def test_merge_sparse_cells(self):
         probs = [0.5, 0.45, 0.04, 0.009, 0.001]
         counts = [50, 45, 4, 1, 0]
-        mp, mc = merge_sparse_cells(probs, counts, min_expected=5.0)
+        mp, mc = merge_sparse_cells(probs, counts)
         assert mp.sum() == pytest.approx(1.0)
         assert mc.sum() == 100
         assert (mp * 100 >= 5.0).all()
@@ -73,12 +73,14 @@ class TestCli:
         out = run_cli(["lis-table", "--n", "1..4", "--mode", "exact"], tmp_path / "a")
         rows = (out / "lis_counts.csv").read_text().splitlines()
         assert rows[0] == "n,k,mass,cdf"
-        table = {}
+        table, cdf = {}, {}
         for line in rows[1:]:
-            n, k, mass, _ = line.split(",")
+            n, k, mass, c = line.split(",")
             table[(int(n), int(k))] = int(mass)
+            cdf[(int(n), int(k))] = float(c)
         assert [table[(3, k)] for k in range(1, 9)] == [1, 25, 32, 35, 18, 12, 4, 1]
         assert table[(4, 2)] == 676
+        assert cdf[(3, 2)] == 26 / 128
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "lis-table"
         assert "butterflylab" in manifest["versions"]
@@ -99,6 +101,9 @@ class TestCli:
         (["lis-table", "--n", "13..13"], None),
         (["lis-mc", "--ensembles", "goe,cauchy", "--n", "2..2"], None),
         (["lis-mc", "--ensembles", "ns-scalar", "--n", "2,27", "--trials", "1"], None),
+        (["density", "--t", "0:4:0"], None),
+        (["fit", "--from", "/nonexistent.csv", "--n", "3..5"], None),
+        (["sample", "--kind", "uniform", "--n", "40"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -234,10 +239,26 @@ class TestCli:
         assert manifest["seed_source"] == "env"
 
     def test_verify_passes(self, capsys):
-        assert main(["verify", "--seed", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("ok") >= 10
+        for seed in range(5):
+            assert main(["verify", "--seed", str(seed)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 17 and all(line.startswith("ok   ") for line in lines)
+            for name in ("simple-lds-law", "simple-cycle-law", "simple-cd-law",
+                         "moment-polynomials", "fixed-points", "w-monte-carlo"):
+                assert f"ok   {name}" in lines
+
+    def test_census_comparison_is_exact(self):
+        census = cli._census(2, 3, False, lis.lis)
+        pmf = nonsimple_lis_counts(3)
+        assert cli._is_law(census, pmf)
+        moved = census.copy()
+        moved[2] -= 1
+        moved[3] += 1
+        assert not cli._is_law(moved, pmf)
+        outside = census.copy()
+        outside[9] += 1
+        outside[1] -= 1
+        assert not cli._is_law(outside, pmf)
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal takes about a second to import, scipy.special and
