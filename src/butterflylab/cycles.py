@@ -35,7 +35,7 @@ __all__ = [
     "monte_carlo_w",
 ]
 
-EXACT_SIZE_CAP = 4096
+EXACT_SIZE_CAP = 8192
 FLOAT_SIZE_CAP = 2**20
 
 def _require_prime(p: int) -> None:

@@ -112,14 +112,16 @@ def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
     by LAPACK ``getrf``, whose ``idamax`` pivot is the first maximal |entry|,
     the same min-index rule; a matrix keeps that permutation only when every
     multiplier has |l_jk| < 1 - TIE_RTOL, so no pivot was a near tie that
-    rounding could flip. The rejected matrices, orders below `LAPACK_MIN_N`
-    and complex stacks (``zgetrf`` pivots on |Re| + |Im|, not the modulus)
-    run `_eliminate`. Used by the Monte Carlo experiments and cross-checked
+    rounding could flip. Stacks with all-integer entries (the Bernoulli
+    ensemble) tie exactly and would fail that guard, so they skip LAPACK.
+    They, the rejected matrices, orders below `LAPACK_MIN_N` and complex
+    stacks (``zgetrf`` pivots on |Re| + |Im|, not the modulus) run
+    `_eliminate`. Used by the Monte Carlo experiments and cross-checked
     against `gepp` in the tests.
     """
     W = np.array(mats, dtype=complex) if np.iscomplexobj(mats) else np.array(mats, dtype=np.float64)
     T, N, _ = W.shape
-    if T == 0 or N < LAPACK_MIN_N or np.iscomplexobj(W):
+    if T == 0 or N < LAPACK_MIN_N or np.iscomplexobj(W) or np.array_equal(W, np.rint(W)):
         return _eliminate(W)
     perm, ok = _getrf_perms(W)
     if not ok.all():
@@ -128,12 +130,28 @@ def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def _getrf_perms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK permutations of a real stack, and which of them pass the tie guard."""
-    from scipy.linalg import lu  # about 0.3 s and 25 MB; only large N pays it
+    """LAPACK permutations of a real stack, and which of them pass the tie guard.
 
-    perm, L, _ = lu(W, p_indices=True, check_finite=False)
-    ok = np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL
-    return perm.astype(np.int64), ok
+    ``lu_factor`` leaves W intact and returns, per matrix, the pivot rows
+    ``piv`` (step k swapped rows k and piv[k]) and one column-major array
+    holding L's multipliers below the diagonal. Replaying the swaps gives the
+    row order, whose argsort is the permutation. The replay runs in Python
+    per matrix: from N = `LAPACK_MIN_N` on, lis-mc stacks hold one matrix, and
+    N list swaps cost less than N vectorized numpy steps.
+    """
+    from scipy.linalg import lu_factor  # about 0.3 s and 25 MB; only large N pays it
+
+    lu, piv = lu_factor(W, check_finite=False)
+    rows = np.empty(piv.shape, dtype=np.int64)
+    for t, swaps in enumerate(piv.tolist()):
+        order = list(range(len(swaps)))
+        for k, j in enumerate(swaps):
+            order[k], order[j] = order[j], order[k]
+        rows[t] = order
+    # Row k of the transpose is column k of the factor: contiguous reads.
+    np.abs(lu, out=lu)
+    ok = np.triu(lu.transpose(0, 2, 1), 1).max(axis=(1, 2)) < 1.0 - TIE_RTOL
+    return np.argsort(rows, axis=1, kind="stable"), ok
 
 
 def _eliminate(W: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ __all__ = [
     "fit_exponent",
 ]
 
-EXACT_LEVEL_CAP = 12
+EXACT_LEVEL_CAP = 13
 FLOAT_LEVEL_CAP = 20
 
 

@@ -8,7 +8,13 @@ Modes:
 
 Exact convolutions use Kronecker substitution (pack the coefficient list
 into one big integer, multiply once, unpack), which is far faster than
-schoolbook convolution once the counts run to thousands of bits.
+schoolbook convolution once the counts run to thousands of bits. Once both
+packed integers reach `_INT_FFT_BITS` bits, the multiply is a numpy float
+FFT on 8-bit limbs; every such product is checked modulo the prime
+2^61 - 1 and replaced by CPython's integer product if the check fails, so
+the counts stay exact. The 8.4M-bit square behind depth 12 then takes
+about 0.25 s instead of 3.5 s, which puts the exact caps at LIS depth 13
+and Stirling size p^n <= 8192.
 """
 from __future__ import annotations
 
@@ -22,6 +28,12 @@ from .groups import group_order
 __all__ = ["Pmf", "Ladder", "int_convolve", "float_convolve"]
 
 _FFT_THRESHOLD = 4096
+# Size of the smaller operand, in bits, from which `_multiply` takes the FFT.
+# Squares cross over between 2^15 and 2^16 bits: CPython's Karatsuba takes
+# 0.35 ms at 2^15 against 0.44 ms for the checked FFT, and 1.2 ms at 2^16
+# against 0.58 ms (one core, Python 3.11, numpy 2.4).
+_INT_FFT_BITS = 1 << 16
+_CHECK_PRIME = (1 << 61) - 1  # Mersenne prime modulus of the exactness check
 _FLOAT_MASS_TOL = 1e-9
 
 
@@ -30,8 +42,9 @@ def int_convolve(a: list[int], b: list[int]) -> list[int]:
 
     Packs each sequence into a single integer with one byte-aligned slot of
     w bytes per entry, 8w > log2(len * max_a * max_b) so slots of the
-    product cannot carry, multiplies once, then slices the product's bytes
-    back into slots. Packing and unpacking are linear in the total size.
+    product cannot carry, multiplies once (`_multiply`), then slices the
+    product's bytes back into slots. Packing and unpacking are linear in the
+    total size. Passing the same list twice packs it once and squares.
     """
     if not a or not b:
         return []
@@ -41,10 +54,77 @@ def int_convolve(a: list[int], b: list[int]) -> list[int]:
     bits = (ma * mb * min(len(a), len(b))).bit_length() + 1
     w = (bits + 7) // 8
     pa = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in a), "little")
-    pb = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in b), "little")
+    pb = pa if b is a else int.from_bytes(b"".join(v.to_bytes(w, "little") for v in b), "little")
     n = len(a) + len(b) - 1
-    raw = (pa * pb).to_bytes(n * w, "little")
+    raw = _multiply(pa, pb).to_bytes(n * w, "little")
     return [int.from_bytes(raw[i : i + w], "little") for i in range(0, n * w, w)]
+
+
+def _multiply(x: int, y: int) -> int:
+    """x * y for nonnegative integers, through `_fft_multiply` when both are large.
+
+    Below `_INT_FFT_BITS` bits, CPython's Karatsuba multiply is faster. An
+    FFT product is kept only if it agrees with (x mod P)(y mod P) mod P for
+    P = 2^61 - 1: one misrounded coefficient moves the product by c * 2^(8i)
+    with 0 < |c| < P, which the prime P does not divide. On a mismatch,
+    x * y is returned.
+    """
+    if min(x.bit_length(), y.bit_length()) < _INT_FFT_BITS:
+        return x * y
+    prod = _fft_multiply(x, y)
+    if prod % _CHECK_PRIME != (x % _CHECK_PRIME) * (y % _CHECK_PRIME) % _CHECK_PRIME:
+        return x * y
+    return prod
+
+
+def _fft_multiply(x: int, y: int) -> int:
+    """x * y by a float64 FFT on 8-bit limbs, with no exactness check.
+
+    Squares (y is x) take one forward transform. The transform length is
+    5-smooth. Each product coefficient is a sum of at most min(len) limb
+    products below 2^16 (under 2^41 for the depth-14 ladder squares), so it
+    is rounded to int64, and the integer is rebuilt from byte columns: byte
+    j of every coefficient, read as one little-endian integer, is shifted
+    by 8j bits and added, which does the carries in C.
+    """
+    import numpy.fft  # about 2 ms; only multiplies past the crossover load it
+
+    lx = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    ly = lx if y is x else np.frombuffer(y.to_bytes((y.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    n = len(lx) + len(ly) - 1
+    size = _smooth_len(n)
+    spec = np.fft.rfft(lx, size)
+    if y is x:
+        np.multiply(spec, spec, out=spec)
+    else:
+        np.multiply(spec, np.fft.rfft(ly, size), out=spec)
+    coef = np.fft.irfft(spec, size)
+    del spec
+    limbs = np.empty(size, dtype="<i8")
+    np.rint(coef, out=limbs, casting="unsafe")
+    del coef
+    cols = ((255 * 255 * min(len(lx), len(ly))).bit_length() + 7) // 8
+    byte_cols = limbs[:n].view(np.uint8).reshape(n, 8)
+    out = 0
+    for j in range(cols):
+        out += int.from_bytes(byte_cols[:, j].tobytes(), "little") << (8 * j)
+    return out
+
+
+def _smooth_len(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n: a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -219,9 +219,17 @@ class TestStirlingTriangles:
             rel = np.abs(np.asarray(flt.masses)[good] - probs[good]) / probs[good]
             assert rel.max() < 1e-11
 
+    def test_depth_13_float_matches_exact(self):
+        exact = nonsimple_cycle_counts(2, 13)
+        flt = np.asarray(nonsimple_cycle_counts(2, 13, mode="float").masses)
+        probs = np.array([v / exact.total for v in exact.masses])
+        good = probs >= np.finfo(float).tiny  # subnormals carry fewer bits
+        rel = np.abs(flt[good] - probs[good]) / probs[good]
+        assert rel.max() < 1e-11
+
     def test_cap(self):
         with pytest.raises(ValueError):
-            nonsimple_cycle_counts(2, 13)
+            nonsimple_cycle_counts(2, 14)
 
 
 class TestMomentPolynomials:

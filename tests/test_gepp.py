@@ -18,7 +18,8 @@ from butterflylab.gepp import (
     predicted_factorization,
     sample_spec,
 )
-from butterflylab.gepp import _eliminate, _getrf_perms
+from butterflylab import gepp as gepp_module
+from butterflylab.gepp import TIE_RTOL, _eliminate, _getrf_perms
 from butterflylab.rng import substream
 
 P = Permutation.from_one_line
@@ -193,6 +194,29 @@ class TestLapackBranch:
         if N == LAPACK_MIN_N:
             for i in range(len(mats)):
                 assert Permutation(sig[i]) == gepp(mats[i]).perm
+
+    @pytest.mark.parametrize("kind", ["goe", "ns-diag"])
+    def test_getrf_perms_match_lu(self, kind):
+        # scipy's `lu` with p_indices is the oracle for the replayed swaps,
+        # and its L for the tie guard read off the combined factor.
+        from scipy.linalg import lu
+
+        mats = _stack(kind, 2 * LAPACK_MIN_N, 3, 47)
+        before = mats.copy()
+        perm, ok = _getrf_perms(mats)
+        p, L, _ = lu(mats, p_indices=True, check_finite=False)
+        assert np.array_equal(mats, before)
+        assert np.array_equal(perm, p)
+        assert np.array_equal(ok, np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL)
+
+    def test_integer_stack_skips_lapack(self, monkeypatch):
+        mats = _stack("bernoulli", LAPACK_MIN_N, 2, 48)
+
+        def refuse(W):
+            raise AssertionError("integer stacks tie exactly; LAPACK is wasted on them")
+
+        monkeypatch.setattr(gepp_module, "_getrf_perms", refuse)
+        assert np.array_equal(gepp_perm_batch(mats), _eliminate(mats.copy()))
 
     def test_bernoulli_ties_fall_back(self):
         mats = _stack("bernoulli", LAPACK_MIN_N, 3, 44)

@@ -251,9 +251,19 @@ class TestNonsimpleCounts:
             mask = probs > 0
             assert rel[mask].max() < 1e-12
 
+    def test_depth_13_float_matches_exact(self):
+        # From depth 13 the float ladder convolves by FFT, whose error is
+        # absolute (about 1e-18 here): relative agreement holds on the bulk.
+        exact = nonsimple_lis_counts(13, mode="exact")
+        flt = np.asarray(nonsimple_lis_counts(13, mode="float").masses)
+        probs = np.array([v / exact.total for v in exact.masses])
+        assert np.abs(flt - probs).max() < 1e-12 * probs.max()
+        bulk = probs > 1e-6
+        assert (np.abs(flt - probs)[bulk] / probs[bulk]).max() < 1e-12
+
     def test_caps(self):
         with pytest.raises(ValueError):
-            nonsimple_lis_counts(13, mode="exact")
+            nonsimple_lis_counts(14, mode="exact")
         with pytest.raises(ValueError):
             nonsimple_lis_counts(21, mode="float")
 

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -7,6 +9,8 @@ import pytest
 
 from butterflylab import cycles, lis
 from butterflylab.pmf import Ladder, Pmf, float_convolve, int_convolve
+from butterflylab.pmf import _INT_FFT_BITS as CROSS
+from butterflylab.pmf import _fft_multiply, _multiply
 from butterflylab.rng import substream
 
 
@@ -44,6 +48,90 @@ def test_int_convolve_byte_boundaries(bits):
     assert int_convolve(a, b) == schoolbook(a, b)
     assert int_convolve(b, a) == schoolbook(b, a)
     assert int_convolve([0, 0], b) == [0] * 7
+
+
+def _operand(rng, bits):
+    return rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+@pytest.mark.parametrize("bits", [CROSS // 2, CROSS - 1, CROSS, CROSS + 1, 4 * CROSS + 13, 1 << 20])
+def test_multiply_random_operands(bits):
+    # Both sides of the crossover; above it the FFT itself must be exact,
+    # not merely rescued by the integer fallback.
+    rng = random.Random(bits)
+    x, y = _operand(rng, bits), _operand(rng, bits)
+    assert _multiply(x, y) == x * y
+    assert _multiply(x, x) == x * x
+    if bits >= CROSS:
+        assert _fft_multiply(x, y) == x * y
+        assert _fft_multiply(x, x) == x * x
+
+
+@pytest.mark.parametrize("bits", [CROSS, 1 << 20, 1 << 23])
+def test_multiply_all_ones_limbs(bits):
+    # Every limb 0xFF: the largest coefficients, sums of 255 * 255, the FFT
+    # meets at this length; 2^23 bits is the size of the depth-12 squares.
+    # (2^k - 1)^2 = 2^2k - 2^(k+1) + 1 stands in for x * y at that size,
+    # which would take CPython seconds.
+    x = (1 << bits) - 1
+    y = (1 << bits) - 1  # equal value, another object: the two-transform path
+    square = (1 << 2 * bits) - (1 << bits + 1) + 1
+    if bits <= 1 << 20:
+        assert square == x * y
+    assert _fft_multiply(x, x) == square
+    assert _fft_multiply(x, y) == square
+    assert _multiply(x, y) == square
+
+
+def test_multiply_unequal_lengths():
+    rng = random.Random(7)
+    big = _operand(rng, 16 * CROSS)
+    for bits in (1, 64, CROSS - 1, CROSS, 3 * CROSS + 5):
+        small = _operand(rng, bits)
+        assert _multiply(big, small) == big * small
+        assert _multiply(small, big) == small * big
+        if bits >= CROSS:
+            assert _fft_multiply(small, big) == small * big
+
+
+def test_multiply_zero_limbs():
+    rng = random.Random(11)
+    x = _operand(rng, 4 * CROSS)
+    sparse = (1 << (6 * CROSS)) | (1 << (3 * CROSS)) | 1  # runs of zero bytes
+    shifted = x << (2 * CROSS)  # trailing zero limbs
+    for y in (sparse, shifted, 1 << (5 * CROSS)):
+        assert _fft_multiply(x, y) == x * y
+        assert _multiply(y, x) == y * x
+    assert _multiply(x, 0) == 0
+    assert _multiply(0, x) == 0
+
+
+def test_multiply_check_mismatch_falls_back(monkeypatch):
+    rng = random.Random(13)
+    x, y = _operand(rng, 2 * CROSS), _operand(rng, 2 * CROSS)
+    irfft = np.fft.irfft
+
+    def off_by_one(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[5] += 1.0
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_one)
+    assert _fft_multiply(x, y) != x * y
+    assert _multiply(x, y) == x * y
+    assert _multiply(x, x) == x * x
+
+
+def _digest(masses):
+    return hashlib.sha256(",".join(map(str, masses)).encode()).hexdigest()
+
+
+def test_depth_12_exact_levels_pinned():
+    # SHA-256 of the counts as computed by CPython's integer multiply alone.
+    assert _digest(lis.nonsimple_lis_counts(12).masses) == (
+        "b661fc2aa3673028210a2a81805423a669d8158d13becbf6a5eafd9b3ec928ec")
+    assert _digest(cycles.nonsimple_cycle_counts(2, 12).masses) == (
+        "962fc85d213d3e9398042cca0c7defc1de845f7ad9367d03992396783f3a48c8")
 
 
 def test_count_mode_total_and_probability():

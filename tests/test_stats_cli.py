@@ -86,10 +86,10 @@ class TestCli:
         assert "butterflylab" in manifest["versions"]
 
     def test_lis_table_at_the_exact_cap(self, tmp_path):
-        # Counts at depths 11 and 12 overflow float(); the cdf divides exactly.
-        out = run_cli(["lis-table", "--n", "11..12"], tmp_path / "cap")
+        # Counts from depth 11 on overflow float(); the cdf divides exactly.
+        out = run_cli(["lis-table", "--n", "12..13"], tmp_path / "cap")
         rows = [line.split(",") for line in (out / "lis_counts.csv").read_text().splitlines()[1:]]
-        for n in (11, 12):
+        for n in (12, 13):
             got = [r for r in rows if r[0] == str(n)]
             pmf = nonsimple_lis_counts(n)
             assert [int(r[2]) for r in got] == pmf.masses
@@ -98,7 +98,7 @@ class TestCli:
     @pytest.mark.parametrize("args, env", [
         (["verify"], "abc"),
         (["cycles-table", "--p", "4"], None),
-        (["lis-table", "--n", "13..13"], None),
+        (["lis-table", "--n", "14..14"], None),
         (["lis-mc", "--ensembles", "goe,cauchy", "--n", "2..2"], None),
         (["lis-mc", "--ensembles", "ns-scalar", "--n", "2,27", "--trials", "1"], None),
         (["density", "--t", "0:4:0"], None),
@@ -264,11 +264,12 @@ class TestCli:
         # scipy.signal takes about a second to import, scipy.special and
         # scipy.linalg about 0.3 s each; only the FFT branch of
         # pmf.float_convolve, stats.chi_square and the LAPACK branch of
-        # gepp.gepp_perm_batch need them.
+        # gepp.gepp_perm_batch need them. numpy.fft is left to the FFT
+        # branch of pmf._multiply.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, butterflylab.cli; "
-                "loaded = {'scipy.signal', 'scipy.special', 'scipy.linalg'} & set(sys.modules); "
+                "loaded = {'scipy.signal', 'scipy.special', 'scipy.linalg', 'numpy.fft'} & set(sys.modules); "
                 "assert not loaded, loaded")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
