@@ -19,7 +19,7 @@ from butterflylab.gepp import (
     sample_spec,
 )
 from butterflylab import gepp as gepp_module
-from butterflylab.gepp import TIE_RTOL, _eliminate, _getrf_perms
+from butterflylab.gepp import PANEL_WIDTH, TIE_RTOL, _eliminate, _getrf_perms
 from butterflylab.rng import substream
 
 P = Permutation.from_one_line
@@ -179,9 +179,15 @@ def _stack(kind: str, N: int, count: int, seed: int) -> np.ndarray:
     return np.stack([ensemble_sample(kind, N, rng) for _ in range(count)])
 
 
+def full_width(mats) -> np.ndarray:
+    """Permutations from the rank-1 loop, `_eliminate` with one panel."""
+    W = np.array(mats)
+    return _eliminate(W, W.shape[-1])[0]
+
+
 class TestLapackBranch:
     """From N = LAPACK_MIN_N, real stacks take getrf behind the tie guard;
-    the numpy elimination (`_eliminate`) is the oracle."""
+    the full-width elimination is the oracle."""
 
     @pytest.mark.parametrize("N", [LAPACK_MIN_N, 2 * LAPACK_MIN_N])
     @pytest.mark.parametrize("kind", ["goe", "bs-diag", "ns-diag"])
@@ -190,7 +196,7 @@ class TestLapackBranch:
         _, ok = _getrf_perms(mats)
         assert ok.all()
         sig = gepp_perm_batch(mats)
-        assert np.array_equal(sig, _eliminate(mats.copy()))
+        assert np.array_equal(sig, full_width(mats))
         if N == LAPACK_MIN_N:
             for i in range(len(mats)):
                 assert Permutation(sig[i]) == gepp(mats[i]).perm
@@ -216,18 +222,18 @@ class TestLapackBranch:
             raise AssertionError("integer stacks tie exactly; LAPACK is wasted on them")
 
         monkeypatch.setattr(gepp_module, "_getrf_perms", refuse)
-        assert np.array_equal(gepp_perm_batch(mats), _eliminate(mats.copy()))
+        assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
 
     def test_bernoulli_ties_fall_back(self):
         mats = _stack("bernoulli", LAPACK_MIN_N, 3, 44)
         _, ok = _getrf_perms(mats)
         assert not ok.any()
-        assert np.array_equal(gepp_perm_batch(mats), _eliminate(mats.copy()))
+        assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
 
     def test_zero_pivot_column(self):
         mats = _stack("goe", LAPACK_MIN_N, 1, 45)
         mats[0, :, 0] = 0.0
-        assert np.array_equal(gepp_perm_batch(mats), _eliminate(mats.copy()))
+        assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
 
     def test_mixed_stack_keeps_row_order(self):
         goe = _stack("goe", LAPACK_MIN_N, 2, 46)
@@ -237,7 +243,147 @@ class TestLapackBranch:
         assert ok.tolist() == [True, False, True, False]
         sig = gepp_perm_batch(mats)
         for i in range(len(mats)):
-            assert np.array_equal(sig[i], _eliminate(mats[i][None].copy())[0])
+            assert np.array_equal(sig[i], full_width(mats[i][None])[0])
+
+
+def rank1_reference(W: np.ndarray) -> np.ndarray:
+    """Stacked rank-1 elimination, one full-width update per column; overwrites W."""
+    T, N, _ = W.shape
+    rows = np.tile(np.arange(N), (T, 1))
+    tix = np.arange(T)
+    for k in range(N - 1):
+        j = np.argmax(np.abs(W[:, k:, k]), axis=1) + k
+        rk, rj = W[tix, k].copy(), W[tix, j].copy()
+        W[tix, k], W[tix, j] = rj, rk
+        ok, oj = rows[tix, k].copy(), rows[tix, j].copy()
+        rows[tix, k], rows[tix, j] = oj, ok
+        piv = W[:, k, k]
+        safe = np.where(piv == 0, 1.0, piv)
+        mult = W[:, k + 1 :, k] / safe[:, None]
+        mult[piv == 0] = 0.0
+        W[:, k + 1 :, k + 1 :] -= mult[:, :, None] * W[:, None, k, k + 1 :]
+        W[:, k + 1 :, k] = mult
+    return np.argsort(rows, axis=1, kind="stable")
+
+
+def near_tie(N: int, k: int, seed: int, kind: str = "goe") -> np.ndarray:
+    """A row-shuffled random matrix whose step k has a near pivot tie.
+
+    On B = P A, with P the permutation GEPP finds for A, the first k steps
+    swap nothing and the reduced column k has its pivot in row k. The
+    Schur complement is linear in B[k+1:, k:], so shifting one entry of
+    column k below row k sets that row's reduced value to
+    (1 - 2^-42) times the pivot: a relative gap below 2^-40.
+    """
+    rng = substream(seed, N, k)
+    A = ensemble_sample(kind, N, rng)
+    B = gepp(A).perm.matrix() @ A
+    seen = {}
+    gepp(B, step_callback=lambda j, inter: seen.setdefault(j, inter[:, k].copy()))
+    col = seen[k]
+    i = k + 1 + int(rng.integers(N - k - 1))
+    B[i, k] += col[k] * (1.0 - 2.0**-42) - col[i]
+    return fisher_yates(N, rng).matrix() @ B
+
+
+class TestBlockedPath:
+    """Real stacks with PANEL_WIDTH < N < LAPACK_MIN_N and all complex stacks
+    above PANEL_WIDTH run the blocked elimination behind the multiplier
+    guard; the full-width elimination is the oracle."""
+
+    @pytest.mark.parametrize("N", [64, 128, 512])
+    @pytest.mark.parametrize("kind", ["goe", "gue", "bs-diag", "ns-diag"])
+    def test_matches_full_width(self, kind, N):
+        count = 1 if N == 512 else 4
+        mats = _stack(kind, N, count, 51)
+        perm, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
+        assert (lmax < 1.0 - TIE_RTOL).all()
+        expected = full_width(mats)
+        assert np.array_equal(perm, expected)
+        assert np.array_equal(gepp_perm_batch(mats), expected)
+
+    def test_complex_256(self):
+        mats = _stack("gue", LAPACK_MIN_N, 2, 52)
+        perm, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
+        assert (lmax < 1.0 - TIE_RTOL).all()
+        assert np.array_equal(perm, full_width(mats))
+        assert np.array_equal(gepp_perm_batch(mats), perm)
+
+    @pytest.mark.parametrize("kind", ["goe", "gue"])
+    def test_near_tie_in_second_panel_is_rejected(self, kind):
+        N, k = 2 * PANEL_WIDTH, PANEL_WIDTH + 5
+        A = near_tie(N, k, 53, kind)
+        _, lmax = _eliminate(A[None].copy(), PANEL_WIDTH)
+        assert lmax[0] >= 1.0 - TIE_RTOL
+        assert gepp(A).tie_encountered
+        assert np.array_equal(gepp_perm_batch(A[None]), full_width(A[None]))
+
+    def test_zero_pivot_column_in_later_panel(self):
+        mats = _stack("goe", 128, 2, 54)
+        mats[0, :, 2 * PANEL_WIDTH + 3] = 0.0
+        perm, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
+        assert (lmax < 1.0 - TIE_RTOL).all()
+        assert np.array_equal(perm, full_width(mats))
+        assert np.array_equal(gepp_perm_batch(mats), perm)
+
+    def test_mixed_stack_keeps_row_order(self):
+        N = 2 * PANEL_WIDTH
+        goe = _stack("goe", N, 2, 55)
+        mats = np.stack([goe[0], near_tie(N, N - 3, 55), goe[1], near_tie(N, 40, 56)])
+        _, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
+        assert (lmax < 1.0 - TIE_RTOL).tolist() == [True, False, True, False]
+        sig = gepp_perm_batch(mats)
+        for i in range(len(mats)):
+            assert np.array_equal(sig[i], full_width(mats[i][None])[0])
+
+    @pytest.mark.parametrize("N", [1, 2, 5, PANEL_WIDTH, 2 * PANEL_WIDTH])
+    @pytest.mark.parametrize("kind", ["goe", "gue", "bernoulli"])
+    def test_full_width_is_the_rank1_loop(self, kind, N):
+        # One panel runs the rank-1 loop operation for operation: the same
+        # permutations and the same bytes in the overwritten stack.
+        mats = np.stack([ensemble_sample(kind, N, substream(57, N, t)) for t in range(5)])
+        mats[1, :, N // 2] = 0.0
+        ref, W = mats.copy(), mats.copy()
+        expected = rank1_reference(ref)
+        assert np.array_equal(_eliminate(W, N)[0], expected)
+        assert W.tobytes() == ref.tobytes()
+        W = mats.copy()
+        assert np.array_equal(_eliminate(W, N + 7)[0], expected)
+        assert W.tobytes() == ref.tobytes()
+        if N <= PANEL_WIDTH or kind == "bernoulli":
+            assert np.array_equal(gepp_perm_batch(mats), expected)
+
+    @pytest.mark.parametrize(("kind", "N", "widths"), [
+        ("goe", PANEL_WIDTH, [PANEL_WIDTH]),
+        ("bernoulli", 2 * PANEL_WIDTH, [2 * PANEL_WIDTH]),
+        ("goe", 2 * PANEL_WIDTH, [PANEL_WIDTH]),
+        ("gue", 2 * PANEL_WIDTH, [PANEL_WIDTH]),
+        ("gue", 2 * LAPACK_MIN_N, [PANEL_WIDTH]),
+        ("goe", LAPACK_MIN_N, []),
+    ])
+    def test_routing(self, monkeypatch, kind, N, widths):
+        seen = []
+
+        def spy(W, width):
+            seen.append(width)
+            return _eliminate(W, width)
+
+        monkeypatch.setattr(gepp_module, "_eliminate", spy)
+        gepp_perm_batch(_stack(kind, N, 1, 58))
+        assert seen == widths
+
+    def test_rejected_rows_rerun_full_width(self, monkeypatch):
+        seen = []
+
+        def spy(W, width):
+            seen.append((len(W), width))
+            return _eliminate(W, width)
+
+        monkeypatch.setattr(gepp_module, "_eliminate", spy)
+        N = 2 * PANEL_WIDTH
+        mats = np.stack([near_tie(N, 40, 59), _stack("goe", N, 1, 59)[0]])
+        gepp_perm_batch(mats)
+        assert seen == [(2, PANEL_WIDTH), (1, N)]
 
 
 class TestIntermediateForms:

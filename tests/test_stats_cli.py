@@ -274,6 +274,22 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        # The manifest reads scipy's version from scipy/version.py, so the
+        # import and a subcommand that needs no scipy module load none.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, butterflylab.cli as c; "
+                "assert 'scipy' not in sys.modules; "
+                f"c.main(['bounds', '--m', '2', '--out', {str(tmp_path / 'b')!r}]); "
+                "assert 'scipy' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        import scipy
+
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
+
     def test_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "butterflylab.cli", "bounds", "--m", "2",
