@@ -49,7 +49,7 @@ def _fmt(x) -> str:
 
 @contextlib.contextmanager
 def _unlimited_int_digits():
-    """Lift Python's int-to-str digit limit; exact moments outgrow it."""
+    """Lift Python's int-to-str digit limit; exact counts and moments outgrow it."""
     if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
         yield
         return
@@ -89,17 +89,18 @@ def _resolve_seed(args) -> tuple[int, str]:
 
 def _write_rows(out: Path, name: str, header: list[str], rows, fmt: str) -> Path:
     out.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        path = out / f"{name}.json"
-        payload = [dict(zip(header, [_fmt(v) for v in row])) for row in rows]
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    else:
-        path = out / f"{name}.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+    with _unlimited_int_digits():
+        if fmt == "json":
+            path = out / f"{name}.json"
+            payload = [dict(zip(header, [_fmt(v) for v in row])) for row in rows]
+            path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        else:
+            path = out / f"{name}.csv"
+            with path.open("w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                for row in rows:
+                    w.writerow([_fmt(v) for v in row])
     return path
 
 

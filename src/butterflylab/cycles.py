@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import group_order, tree_size
-from .pmf import Ladder, Pmf, float_convolve, int_convolve
+from .pmf import Ladder, Pmf, check_level_size, float_convolve, int_convolve
 
 __all__ = [
     "simple_cycle_dist",
@@ -35,8 +35,6 @@ __all__ = [
     "monte_carlo_w",
 ]
 
-EXACT_SIZE_CAP = 8192
-FLOAT_SIZE_CAP = 2**20
 
 def _require_prime(p: int) -> None:
     if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
@@ -161,9 +159,7 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
     _require_prime(p)
     if n < 0:
         raise ValueError("n >= 0")
-    cap = EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP
-    if p**n > cap:
-        raise ValueError(f"p^n = {p**n} exceeds the {mode} cap {cap}")
+    check_level_size(p, n, mode)
     if mode == "exact":
         masses = [0] * (p**n)
         masses[:: p - 1] = _EXACT_LADDER.level(p, n)

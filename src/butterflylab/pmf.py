@@ -13,8 +13,13 @@ packed integers reach `_INT_FFT_BITS` bits, the multiply is a numpy float
 FFT on 8-bit limbs; every such product is checked modulo the prime
 2^61 - 1 and replaced by CPython's integer product if the check fails, so
 the counts stay exact. The 8.4M-bit square behind depth 12 then takes
-about 0.25 s instead of 3.5 s, which puts the exact caps at LIS depth 13
-and Stirling size p^n <= 8192.
+about 0.25 s instead of 3.5 s. Float convolutions are direct up to 4096
+points and run through the same numpy FFT (`_fft_convolve`) beyond, so one
+FFT serves both precisions.
+
+The LIS and Stirling ladders cap a level's support size m^n at
+`EXACT_SIZE_CAP` = 8192 (depth 13 for m = 2, 8 for m = 3) and
+`FLOAT_SIZE_CAP` = 2^20 (depth 20 for m = 2, 12 for m = 3).
 """
 from __future__ import annotations
 
@@ -80,35 +85,37 @@ def _multiply(x: int, y: int) -> int:
 def _fft_multiply(x: int, y: int) -> int:
     """x * y by a float64 FFT on 8-bit limbs, with no exactness check.
 
-    Squares (y is x) take one forward transform. The transform length is
-    5-smooth. Each product coefficient is a sum of at most min(len) limb
-    products below 2^16 (under 2^41 for the depth-14 ladder squares), so it
-    is rounded to int64, and the integer is rebuilt from byte columns: byte
-    j of every coefficient, read as one little-endian integer, is shifted
-    by 8j bits and added, which does the carries in C.
+    Each coefficient of the limb convolution is a sum of at most min(len)
+    limb products below 2^16 (under 2^41 for the depth-14 ladder squares),
+    so it is rounded to int64, and the integer is rebuilt from byte
+    columns: byte j of every coefficient, read as one little-endian
+    integer, is shifted by 8j bits and added, which does the carries in C.
     """
-    import numpy.fft  # about 2 ms; only multiplies past the crossover load it
-
     lx = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     ly = lx if y is x else np.frombuffer(y.to_bytes((y.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    n = len(lx) + len(ly) - 1
-    size = _smooth_len(n)
-    spec = np.fft.rfft(lx, size)
-    if y is x:
-        np.multiply(spec, spec, out=spec)
-    else:
-        np.multiply(spec, np.fft.rfft(ly, size), out=spec)
-    coef = np.fft.irfft(spec, size)
-    del spec
-    limbs = np.empty(size, dtype="<i8")
+    coef = _fft_convolve(lx, ly)
+    limbs = np.empty(len(coef), dtype="<i8")
     np.rint(coef, out=limbs, casting="unsafe")
     del coef
     cols = ((255 * 255 * min(len(lx), len(ly))).bit_length() + 7) // 8
-    byte_cols = limbs[:n].view(np.uint8).reshape(n, 8)
+    byte_cols = limbs.view(np.uint8).reshape(-1, 8)
     out = 0
     for j in range(cols):
         out += int.from_bytes(byte_cols[:, j].tobytes(), "little") << (8 * j)
     return out
+
+
+def _fft_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Full convolution of real arrays by numpy rfft at a 5-smooth length;
+    squares (y is x) take one forward transform."""
+    n = len(x) + len(y) - 1
+    size = _smooth_len(n)
+    spec = np.fft.rfft(x, size)
+    if y is x:
+        np.multiply(spec, spec, out=spec)
+    else:
+        np.multiply(spec, np.fft.rfft(y, size), out=spec)
+    return np.fft.irfft(spec, size)[:n]
 
 
 def _smooth_len(n: int) -> int:
@@ -130,16 +137,12 @@ def _smooth_len(n: int) -> int:
 def float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Convolution of nonnegative float64 arrays.
 
-    Direct up to 4096 points; FFT beyond, with its round-off negatives
-    clipped to 0 (callers renormalize through the drift guard).
+    Direct up to 4096 points; `_fft_convolve` beyond, with its round-off
+    negatives clipped to 0 (callers renormalize through the drift guard).
     """
     if max(len(a), len(b)) <= _FFT_THRESHOLD:
         return np.convolve(a, b)
-    # Imported here: scipy.signal costs about a second to import, and only
-    # float ladders past 4096 points reach this branch.
-    from scipy.signal import fftconvolve
-
-    return np.clip(fftconvolve(a, b), 0.0, None)
+    return np.clip(_fft_convolve(a, b), 0.0, None)
 
 
 def _renormalized(masses: np.ndarray) -> np.ndarray:
@@ -231,6 +234,22 @@ class Pmf:
         while hi > lo and not self.masses[hi - 1]:
             hi -= 1
         return Pmf(self.offset + lo, self.masses[lo:hi], self.mode, total=self.total)
+
+
+# Largest support size m^n of a ladder level, per precision.
+EXACT_SIZE_CAP = 8192
+FLOAT_SIZE_CAP = 2**20
+
+
+def check_level_size(m: int, n: int, mode: str) -> None:
+    """Refuse a level whose support size m^n exceeds its mode's cap.
+
+    For m >= 2, n >= cap.bit_length() already means m^n > cap, so a huge n
+    is refused without building m^n.
+    """
+    cap = EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP
+    if n >= cap.bit_length() or m**n > cap:
+        raise ValueError(f"{m}^{n} exceeds the {mode} cap {cap}")
 
 
 class Ladder:

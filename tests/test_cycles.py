@@ -230,6 +230,10 @@ class TestStirlingTriangles:
     def test_cap(self):
         with pytest.raises(ValueError):
             nonsimple_cycle_counts(2, 14)
+        # A huge depth is refused by its size alone: 3^(10^6) is never built
+        # or printed (its 477,122 digits pass the int-to-str limit).
+        with pytest.raises(ValueError, match="exceeds the float cap"):
+            nonsimple_cycle_counts(3, 10**6, mode="float")
 
 
 class TestMomentPolynomials:

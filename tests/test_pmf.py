@@ -162,11 +162,14 @@ def test_convolution_count_mode():
 
 def test_float_convolution_matches_exact():
     rng = substream(3, 0)
-    b = [5, 1]
-    for a in ([1, 2, 3, 4], [int(v) for v in rng.integers(0, 1000, 5000)]):  # direct, FFT
+    big = [int(v) for v in rng.integers(0, 1000, 5000)]
+    # direct, FFT, and the FFT square (one array passed twice), which the
+    # float ladders take
+    for a, b in (([1, 2, 3, 4], [5, 1]), (big, [5, 1]), (big, big)):
         exact = int_convolve(a, b)
-        cf = float_convolve(np.array(a) / sum(a), np.array(b) / sum(b))
-        probs = np.array([float(Fraction(x, sum(exact))) for x in exact])
+        x = np.array(a) / sum(a)
+        cf = float_convolve(x, x if b is a else np.array(b) / sum(b))
+        probs = np.array([float(Fraction(v, sum(exact))) for v in exact])
         assert len(cf) == len(exact)
         assert np.abs(cf - probs).max() < 1e-15
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from butterflylab import Permutation, cli, fisher_yates, gepp, groups, lis
+from butterflylab import Permutation, cli, cycles, fisher_yates, gepp, groups, lis
 from butterflylab.cli import main
 from butterflylab.lis import nonsimple_lis_counts
 from butterflylab.pmf import Pmf
@@ -99,6 +99,7 @@ class TestCli:
         (["verify"], "abc"),
         (["cycles-table", "--p", "4"], None),
         (["lis-table", "--n", "14..14"], None),
+        (["lis-table", "--m", "3", "--n", "9..9"], None),
         (["lis-mc", "--ensembles", "goe,cauchy", "--n", "2..2"], None),
         (["lis-mc", "--ensembles", "ns-scalar", "--n", "2,27", "--trials", "1"], None),
         (["density", "--t", "0:4:0"], None),
@@ -172,6 +173,15 @@ class TestCli:
         assert lines[0] == "m,n,p_no_fixed_point,p_no_fixed_point_float,x_star"
         row2 = lines[1].split(",")
         assert row2[2] == str(Fraction(no_fp_2_4_num(), 2**16))
+
+    @pytest.mark.parametrize("m, n", [(7, 6), (2, 14)])
+    def test_fixed_points_past_the_digit_limit(self, tmp_path, m, n):
+        # Denominators of 16,571 and 4,933 digits: past Python's default
+        # 4300-digit limit on int-to-str conversion, in both directions.
+        out = run_cli(["fixed-points", "--m", str(m), "--n", str(n)], tmp_path)
+        row = (out / "fixed_points.csv").read_text().splitlines()[1].split(",")
+        with cli._unlimited_int_digits():
+            assert Fraction(row[2]) == cycles.no_fixed_point_prob(m, n)
 
     def test_sample_deterministic(self, tmp_path):
         a = run_cli(["sample", "--kind", "nonsimple", "--n", "3", "--trials", "5", "--seed", "7"],
@@ -261,11 +271,11 @@ class TestCli:
         assert not cli._is_law(outside, pmf)
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal takes about a second to import, scipy.special and
-        # scipy.linalg about 0.3 s each; only the FFT branch of
-        # pmf.float_convolve, stats.chi_square and the LAPACK branch of
-        # gepp.gepp_perm_batch need them. numpy.fft is left to the FFT
-        # branch of pmf._multiply.
+        # scipy.special and scipy.linalg take about 0.3 s each to import;
+        # only stats.chi_square and the LAPACK branch of gepp.gepp_perm_batch
+        # need them. numpy.fft is left to pmf._fft_convolve, the one FFT
+        # convolution behind both the big-integer multiply and the float
+        # ladders; the library never imports scipy.signal.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, butterflylab.cli; "
@@ -273,6 +283,21 @@ class TestCli:
                 "assert not loaded, loaded")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_float_fft_ladders_leave_scipy_signal_unloaded(self, tmp_path):
+        # fit from depth 13 and density from depth 14 take the FFT branch of
+        # pmf.float_convolve, which runs on numpy.fft.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, butterflylab.cli as c; "
+                f"c.main(['fit', '--mode', 'float', '--n', '12..14', '--out', {str(tmp_path / 'f')!r}]); "
+                f"c.main(['density', '--p', '2', '--n', '14', '--out', {str(tmp_path / 'd')!r}]); "
+                "assert 'numpy.fft' in sys.modules; "
+                "assert 'scipy.signal' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "f" / "fit.json").read_text())["n_values"] == [12, 13, 14]
+        assert (tmp_path / "d" / "density.csv").is_file()
 
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
         # The manifest reads scipy's version from scipy/version.py, so the
