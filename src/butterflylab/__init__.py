@@ -27,7 +27,6 @@ from .permutations import (  # noqa: F401
     dsum,
     fisher_yates,
     identity,
-    inverse,
     kron,
 )
 from .pmf import Pmf  # noqa: F401

@@ -141,8 +141,8 @@ def _write_manifest(out: Path, command: str, seed: int, seed_source: str, params
 def cmd_sample(args) -> int:
     seed, src = _resolve_seed(args)
     out = Path(args.out)
-    if args.m**args.n > groups.MATERIALIZE_SIZE_CAP:
-        raise ValueError(f"m^n = {args.m**args.n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
+    if groups.exceeds_cap(args.m, args.n, groups.MATERIALIZE_SIZE_CAP):
+        raise ValueError(f"m^n = {args.m}^{args.n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
     lines = []
     for t in range(args.trials):
         rng = substream(seed, t)
@@ -220,7 +220,7 @@ def cmd_lis_mc(args) -> int:
             raise ValueError(f"unknown ensemble {e!r}")
     ns = _parse_range(args.n)
     for n in ns:
-        if 2**n > groups.MATERIALIZE_SIZE_CAP:
+        if groups.exceeds_cap(2, n, groups.MATERIALIZE_SIZE_CAP):
             raise ValueError(f"N = 2^{n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
     rows = []
     for ens in ensembles:
@@ -425,8 +425,7 @@ def _verify_checks(seed: int):
             rec = groups.check_membership(groups.materialize(elem), 3)
             if rec is None:
                 return False
-            back = rec if isinstance(rec, groups.NonsimpleButterfly) else groups.to_nonsimple(rec)
-            if groups.materialize(back) != groups.materialize(elem):
+            if groups.materialize(rec) != groups.materialize(elem):
                 return False
         return True
 
@@ -515,6 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default {DEFAULT_SEED}; env {SEED_ENV} overrides)")
         p.add_argument("--out", default="out", help="output directory")
+
+    def common_rows(p):
+        # Only the subcommands that write through _write_rows read --format.
+        common(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("sample", help="emit sampled permutations, one per line")
@@ -526,14 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("lis-table", help="exact/float LIS count triangle, moments, cdf")
-    common(p)
+    common_rows(p)
     p.add_argument("--n", default="1..4", help="depth or range, e.g. 1..4")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.set_defaults(fn=cmd_lis_table)
 
     p = sub.add_parser("lis-mc", help="sample-mean LIS curves over the comparison ensembles")
-    common(p)
+    common_rows(p)
     p.add_argument("--ensembles", default="", help=f"comma list from {','.join(ENSEMBLES)}")
     p.add_argument("--n", default="2..8")
     p.add_argument("--trials", type=int, default=0, help="override per-ensemble defaults")
@@ -547,12 +550,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("bounds", help="alpha/beta/beta*/mu/nu/N0 table")
-    common(p)
+    common_rows(p)
     p.add_argument("--m", default="2..11", help="bases, range or comma list")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("cycles-table", help="butterfly Stirling count triangle")
-    common(p)
+    common_rows(p)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--n", default="1..4")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
@@ -565,14 +568,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("density", help="plug-in density grid for the cycle limit")
-    common(p)
+    common_rows(p)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--t", default="0.0:4.0:0.05", help="grid lo:hi:step")
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("fixed-points", help="no-fixed-point probabilities and q_m roots")
-    common(p)
+    common_rows(p)
     p.add_argument("--m", default="2..7")
     p.add_argument("--n", type=int, default=4,
                    help="depth (exact iterates have degree m^n; keep small)")

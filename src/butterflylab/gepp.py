@@ -4,6 +4,9 @@ Matrices are plain row-major numpy arrays (float64, or complex128 for the
 complex-modulus pivoting used by the GUE experiment). The pivot rule is
 ``i_k = min(argmax_{j>=k} |A^(k)_{jk}|)``; the returned permutation sigma
 satisfies ``P_sigma A = L U`` with ``P_sigma e_k = e_{sigma(k)}``.
+
+`gepp` and `gepp_perm_batch` run one elimination loop, `_eliminate`; a
+pivot is a near tie only when some multiplier has |l_jk| >= 1 - TIE_RTOL.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutations import Permutation, compose, cycle_stats, dsum, identity, kron
+from .permutations import Permutation, compose, dsum, identity, kron
 
 __all__ = [
     "GeppResult",
@@ -51,22 +54,19 @@ class TieAngleError(ValueError):
 
 @dataclass(frozen=True)
 class GeppResult:
-    """Factorization P_sigma A = L U plus the pivot-movement count."""
+    """Factorization P_sigma A = L U."""
 
     perm: Permutation
     lower: np.ndarray
     upper: np.ndarray
-    pivot_count: int
-    tie_encountered: bool
 
 
-def gepp(A: np.ndarray, step_callback=None) -> GeppResult:
-    """Partial-pivoting factorization of a square matrix.
+def gepp(A: np.ndarray) -> GeppResult:
+    """Partial-pivoting factors of a square matrix, read off `_eliminate` at full width.
 
-    `step_callback(k, intermediate)` is invoked after elimination step k
-    (1-based) with the intermediate form A^(k+1): the working matrix with
-    the already-used multipliers zeroed out. Off by default; it copies the
-    matrix each step.
+    Raises `SingularMatrixError` at the first k with |U[k, k]| < `SINGULAR_FLOOR`:
+    that is the column maximum step k pivoted on, and with every multiplier
+    at most 1 in modulus the steps after a tiny pivot cannot overflow.
     """
     A = np.array(A, dtype=complex) if np.iscomplexobj(A) else np.array(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -74,31 +74,11 @@ def gepp(A: np.ndarray, step_callback=None) -> GeppResult:
     if not np.isfinite(A).all():
         raise ValueError("matrix has NaN or Inf entries")
     N = A.shape[0]
-    rows = np.arange(N)
-    tie = False
-    swaps = 0
-    for k in range(N):
-        col = np.abs(A[k:, k])
-        mx = col.max()
-        if mx < SINGULAR_FLOOR:
-            raise SingularMatrixError(f"no usable pivot in column {k + 1}")
-        if k < N - 1:
-            tie = tie or int((col >= mx * (1.0 - TIE_RTOL)).sum()) > 1
-            swaps += int(_column_step(A[None], rows[None], k, N)[0]) != k
-        if step_callback is not None:
-            inter = np.triu(A)
-            inter[k + 1 :, k + 1 :] = A[k + 1 :, k + 1 :]
-            step_callback(k + 1, inter)
-    L = np.tril(A, -1) + np.eye(N)
-    U = np.triu(A)
-    perm = Permutation(np.argsort(rows, kind="stable"))
-    return GeppResult(
-        perm=perm,
-        lower=L,
-        upper=U,
-        pivot_count=swaps,
-        tie_encountered=tie,
-    )
+    perm = Permutation(_eliminate(A[None], N)[0][0])
+    small = np.flatnonzero(np.abs(np.diagonal(A)) < SINGULAR_FLOOR)
+    if small.size:
+        raise SingularMatrixError(f"no usable pivot in column {small[0] + 1}")
+    return GeppResult(perm, np.tril(A, -1) + np.eye(N), np.triu(A))
 
 
 def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
@@ -276,24 +256,6 @@ def sample_spec(flavor: str, shape: str, N: int, rng: np.random.Generator) -> Bu
     return ButterflySpec(N, flavor, shape, tuple(rng.uniform(0.0, 2.0 * math.pi, size=count)))
 
 
-def _angle_blocks(spec: ButterflySpec) -> list[list[np.ndarray]]:
-    """Per-level list of per-node angle blocks (simple levels hold one block)."""
-    n = spec.n
-    out: list[list[np.ndarray]] = []
-    pos = 0
-    for d in range(n):
-        size = spec.N >> d
-        block = 1 if spec.flavor == "scalar" else size // 2
-        nodes = 1 if spec.shape == "simple" else 1 << d
-        level = []
-        for _ in range(nodes):
-            level.append(np.asarray(spec.angles[pos : pos + block]))
-            pos += block
-        out.append(level)
-    assert pos == len(spec.angles)
-    return out
-
-
 def build_butterflies(flavor: str, shape: str, N: int, angles) -> np.ndarray:
     """Stack (T, N, N) of butterfly matrices, one per row of ``angles``.
 
@@ -368,13 +330,12 @@ def predicted_factorization(spec: ButterflySpec) -> GeppResult:
     """
     if spec.flavor != "scalar":
         raise ValueError("closed-form factorization covers the scalar flavor only")
-    levels = _angle_blocks(spec)
 
     def rec(d: int, node: int):
         if d == spec.n:
             one = np.ones((1, 1))
             return identity(1), one, one, one
-        theta = float(levels[d][0 if spec.shape == "simple" else node][0])
+        theta = spec.angles[d if spec.shape == "simple" else (1 << d) - 1 + node]
         if spec.shape == "simple":
             p1, L1, U1, A1 = rec(d + 1, 0)
             p2, L2, U2, A2 = p1, L1, U1, A1
@@ -396,9 +357,7 @@ def predicted_factorization(spec: ButterflySpec) -> GeppResult:
         return perm, L, U, B
 
     perm, L, U, _ = rec(0, 0)
-    return GeppResult(perm=perm, lower=L, upper=U,
-                      pivot_count=spec.N - cycle_stats(perm).total_cycles,
-                      tie_encountered=False)
+    return GeppResult(perm, L, U)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ __all__ = [
     "check_membership",
     "as_simple",
     "lis",
+    "exceeds_cap",
     "CapExceededError",
 ]
 
@@ -120,6 +121,14 @@ def sample_nonsimple(m: int, n: int, rng: np.random.Generator) -> NonsimpleButte
 
 
 MATERIALIZE_SIZE_CAP = 1 << 26
+
+
+def exceeds_cap(m: int, n: int, cap: int) -> bool:
+    """True when m^n > cap, without building m^n for a huge n.
+
+    For |m| >= 2, n >= cap.bit_length() already means |m|^n > cap.
+    """
+    return (abs(m) >= 2 and n >= cap.bit_length()) or m**n > cap
 
 
 def materialize(elem) -> Permutation:
@@ -268,12 +277,3 @@ def as_simple(elem: NonsimpleButterfly) -> SimpleButterfly | None:
             return None
         digits.append(level[0])
     return SimpleButterfly(m, tuple(digits))
-
-
-def to_nonsimple(elem: SimpleButterfly) -> NonsimpleButterfly:
-    """Simple elements as members of the enclosing nonsimple group."""
-    m, n = elem.m, elem.n
-    exps: list[int] = []
-    for d in range(n):
-        exps.extend([elem.digits[d]] * m**d)
-    return NonsimpleButterfly(m, n, tuple(exps))

@@ -17,7 +17,6 @@ __all__ = [
     "CycleStats",
     "identity",
     "compose",
-    "inverse",
     "kron",
     "dsum",
     "cycle_stats",
@@ -62,17 +61,13 @@ class Permutation:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Permutation({self.one_line()})"
+        return f"Permutation({self.to_text()})"
 
     def __call__(self, k: int) -> int:
         """Image of the 1-based index k."""
         if not 1 <= k <= self.size:
             raise IndexError(k)
         return int(self.map[k - 1]) + 1
-
-    def one_line(self) -> tuple[int, ...]:
-        """1-based one-line array (sigma(1), ..., sigma(M))."""
-        return tuple(int(v) + 1 for v in self.map)
 
     def matrix(self) -> np.ndarray:
         """Permutation matrix P with P e_k = e_{sigma(k)}."""
@@ -84,15 +79,6 @@ class Permutation:
     def to_text(self) -> str:
         """Comma-separated 1-based one-line form, e.g. "4,8,5,1,3,6,7,2"."""
         return ",".join(str(v + 1) for v in self.map)
-
-    @staticmethod
-    def from_text(text: str) -> "Permutation":
-        vals = [int(tok) - 1 for tok in text.strip().split(",")]
-        return Permutation(vals)
-
-    @staticmethod
-    def from_one_line(values) -> "Permutation":
-        return Permutation([int(v) - 1 for v in values])
 
     @staticmethod
     def from_matrix(P: np.ndarray) -> "Permutation":
@@ -132,10 +118,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.size != q.size:
         raise ValueError(f"length mismatch: {p.size} vs {q.size}")
     return Permutation(p.map[q.map])
-
-
-def inverse(p: Permutation) -> Permutation:
-    return Permutation(np.argsort(p.map, kind="stable"))
 
 
 def kron(p: Permutation, q: Permutation) -> Permutation:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import group_order
+from .groups import exceeds_cap, group_order
 
 __all__ = ["Pmf", "Ladder", "int_convolve", "float_convolve"]
 
@@ -242,13 +242,9 @@ FLOAT_SIZE_CAP = 2**20
 
 
 def check_level_size(m: int, n: int, mode: str) -> None:
-    """Refuse a level whose support size m^n exceeds its mode's cap.
-
-    For m >= 2, n >= cap.bit_length() already means m^n > cap, so a huge n
-    is refused without building m^n.
-    """
+    """Refuse a level whose support size m^n exceeds its mode's cap."""
     cap = EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP
-    if n >= cap.bit_length() or m**n > cap:
+    if exceeds_cap(m, n, cap):
         raise ValueError(f"{m}^{n} exceeds the {mode} cap {cap}")
 
 

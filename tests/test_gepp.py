@@ -19,10 +19,12 @@ from butterflylab.gepp import (
     sample_spec,
 )
 from butterflylab import gepp as gepp_module
-from butterflylab.gepp import PANEL_WIDTH, TIE_RTOL, _eliminate, _getrf_perms
+from butterflylab.gepp import PANEL_WIDTH, TIE_RTOL, _column_step, _eliminate, _getrf_perms
 from butterflylab.rng import substream
 
-P = Permutation.from_one_line
+
+def P(one_line) -> Permutation:
+    return Permutation([int(v) - 1 for v in one_line])
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -53,11 +55,34 @@ def reconstruction_error(A, res):
     return np.abs(res.perm.matrix() @ A - res.lower @ res.upper).max()
 
 
+def eliminate_steps(A, k: int) -> tuple[np.ndarray, list[int]]:
+    """The working matrix after elimination steps 0..k-1, and each step's pivot row.
+
+    Runs `_column_step` k times at full width on a one-matrix stack, as
+    `gepp` does; column k of the result is that column of A^(k+1).
+    """
+    W = np.array(A)[None]
+    rows = np.arange(len(A))[None]
+    return W[0], [int(_column_step(W, rows, j, len(A))[0]) for j in range(k)]
+
+
+def swap_count(A) -> int:
+    """Row swaps of the full-width elimination: steps whose pivot row j != k."""
+    _, pivots = eliminate_steps(A, len(A) - 1)
+    return sum(j != k for k, j in enumerate(pivots))
+
+
+def max_multiplier(A) -> float:
+    """Largest |l_jk| of the full-width elimination, the quantity the tie rule bounds."""
+    return float(_eliminate(np.array(A)[None], len(A))[1][0])
+
+
 class TestGepp:
     def test_identity(self):
         res = gepp(np.eye(5))
         assert res.perm == identity(5)
-        assert res.pivot_count == 0
+        assert np.array_equal(res.lower, np.eye(5)) and np.array_equal(res.upper, np.eye(5))
+        assert swap_count(np.eye(5)) == 0
 
     def test_permutation_matrix_recovery(self):
         rng = substream(31, 0)
@@ -66,7 +91,7 @@ class TestGepp:
             pi = fisher_yates(M, rng)
             res = gepp(pi.matrix().T)
             assert res.perm == pi
-            assert res.pivot_count == M - cycle_stats(pi).total_cycles
+            assert swap_count(pi.matrix().T) == M - cycle_stats(pi).total_cycles
             assert np.array_equal(res.upper, np.eye(M))
 
     def test_reconstruction_and_multiplier_bound(self):
@@ -76,10 +101,9 @@ class TestGepp:
             A = rng.normal(size=(N, N))
             res = gepp(A)
             assert reconstruction_error(A, res) <= 1e-10 * N * np.abs(A).max()
-            assert np.abs(np.tril(res.lower, -1)).max() <= 1.0
-            if not res.tie_encountered:
-                assert np.abs(np.tril(res.lower, -1)).max() < 1.0
-            assert res.pivot_count == N - cycle_stats(res.perm).total_cycles
+            lmax = np.abs(np.tril(res.lower, -1)).max()
+            assert lmax == max_multiplier(A) < 1.0 - TIE_RTOL
+            assert swap_count(A) == N - cycle_stats(res.perm).total_cycles
 
     def test_diagonal_butterfly_worked_example(self):
         # B = Q2 (R(pi/3) (+) I2) Q2 (I2 (x) R(pi/4)) has factor perm (1 3 2)
@@ -116,6 +140,48 @@ class TestGepp:
         with pytest.raises(SingularMatrixError):
             gepp(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    def test_zero_column_names_its_column(self, j):
+        A = ensemble_sample("goe", 7, substream(31, 24, j))
+        A[:, j] = 0.0
+        with pytest.raises(SingularMatrixError, match=rf"no usable pivot in column {j + 1}$"):
+            gepp(A)
+
+    @pytest.mark.parametrize("kind", ["goe", "gue", "bernoulli", "permutation"])
+    def test_factors_are_the_rank1_loop(self, kind):
+        # gepp reads L, U and sigma off one full-width `_eliminate`; the
+        # stacked rank-1 reference must give the same bytes.
+        checked = 0
+        for N in (1, 2, 5, 17, 40):
+            for t in range(4):
+                rng = substream(31, 25, N, t)
+                if kind == "permutation":
+                    A = fisher_yates(N, rng).matrix().T
+                else:
+                    A = ensemble_sample(kind, N, rng)
+                try:
+                    res = gepp(A)
+                except SingularMatrixError:
+                    continue
+                W = A[None].astype(res.upper.dtype)
+                perm = rank1_reference(W)[0]
+                assert res.perm.map.tobytes() == perm.tobytes()
+                assert res.lower.tobytes() == (np.tril(W[0], -1) + np.eye(N)).tobytes()
+                assert res.upper.tobytes() == np.triu(W[0]).tobytes()
+                checked += 1
+        assert checked >= 10
+
+    def test_one_full_width_elimination(self, monkeypatch):
+        seen = []
+
+        def spy(W, width):
+            seen.append(W.shape + (width,))
+            return _eliminate(W, width)
+
+        monkeypatch.setattr(gepp_module, "_eliminate", spy)
+        gepp(ensemble_sample("gue", 2 * PANEL_WIDTH + 3, substream(31, 26)))
+        assert seen == [(1, 2 * PANEL_WIDTH + 3, 2 * PANEL_WIDTH + 3, 2 * PANEL_WIDTH + 3)]
+
     def test_rejects_nan(self):
         A = np.eye(3)
         A[1, 1] = np.nan
@@ -123,8 +189,8 @@ class TestGepp:
             gepp(A)
 
     def test_tie_flag(self):
-        assert gepp(np.array([[1.0, 2.0], [1.0, 1.0]])).tie_encountered
-        assert not gepp(np.array([[2.0, 1.0], [1.0, 1.0]])).tie_encountered
+        assert max_multiplier(np.array([[1.0, 2.0], [1.0, 1.0]])) >= 1.0 - TIE_RTOL
+        assert max_multiplier(np.array([[2.0, 1.0], [1.0, 1.0]])) < 1.0 - TIE_RTOL
 
     def test_batch_agrees_with_scalar(self):
         rng = substream(31, 2)
@@ -278,9 +344,7 @@ def near_tie(N: int, k: int, seed: int, kind: str = "goe") -> np.ndarray:
     rng = substream(seed, N, k)
     A = ensemble_sample(kind, N, rng)
     B = gepp(A).perm.matrix() @ A
-    seen = {}
-    gepp(B, step_callback=lambda j, inter: seen.setdefault(j, inter[:, k].copy()))
-    col = seen[k]
+    col = eliminate_steps(B, k)[0][:, k]
     i = k + 1 + int(rng.integers(N - k - 1))
     B[i, k] += col[k] * (1.0 - 2.0**-42) - col[i]
     return fisher_yates(N, rng).matrix() @ B
@@ -315,7 +379,7 @@ class TestBlockedPath:
         A = near_tie(N, k, 53, kind)
         _, lmax = _eliminate(A[None].copy(), PANEL_WIDTH)
         assert lmax[0] >= 1.0 - TIE_RTOL
-        assert gepp(A).tie_encountered
+        assert np.abs(np.tril(gepp(A).lower, -1)).max() >= 1.0 - TIE_RTOL
         assert np.array_equal(gepp_perm_batch(A[None]), full_width(A[None]))
 
     def test_zero_pivot_column_in_later_panel(self):
@@ -373,6 +437,9 @@ class TestBlockedPath:
         assert seen == widths
 
     def test_rejected_rows_rerun_full_width(self, monkeypatch):
+        # Built first: near_tie runs gepp, which the spy would record.
+        N = 2 * PANEL_WIDTH
+        mats = np.stack([near_tie(N, 40, 59), _stack("goe", N, 1, 59)[0]])
         seen = []
 
         def spy(W, width):
@@ -380,8 +447,6 @@ class TestBlockedPath:
             return _eliminate(W, width)
 
         monkeypatch.setattr(gepp_module, "_eliminate", spy)
-        N = 2 * PANEL_WIDTH
-        mats = np.stack([near_tie(N, 40, 59), _stack("goe", N, 1, 59)[0]])
         gepp_perm_batch(mats)
         assert seen == [(2, PANEL_WIDTH), (1, N)]
 
@@ -398,9 +463,9 @@ class TestIntermediateForms:
             sigma = fisher_yates(nn, rng)
             Q = fisher_yates(mm, rng).matrix()
             C = np.kron(sigma.matrix().T, Q)
-            captured = {}
-            gepp(C, step_callback=lambda k, inter: captured.__setitem__(k, inter))
-            M = captured[mm]
+            W, _ = eliminate_steps(C, mm)
+            M = np.triu(W)  # A^(mm+1): the used multipliers zeroed out
+            M[mm:, mm:] = W[mm:, mm:]
             i1 = int(np.nonzero(sigma.map == 0)[0][0])  # block row holding block column one
             expected = np.zeros_like(C)
             expected[:mm, :mm] = np.eye(mm)
@@ -425,7 +490,7 @@ class TestRotationAndShuffle:
     def test_rotation_pivot_movement(self):
         res = gepp(rotation(math.pi / 3))
         assert res.perm == P((2, 1))
-        assert res.pivot_count == 1
+        assert swap_count(rotation(math.pi / 3)) == 1
 
     def test_shuffle_small(self):
         assert perfect_shuffle(2) == identity(2)

@@ -13,12 +13,19 @@ from butterflylab.groups import (
     materialize,
     sample_nonsimple,
     sample_simple,
-    to_nonsimple,
 )
 from butterflylab.rng import substream
 from butterflylab.stats import chi_square
 
-P = Permutation.from_one_line
+
+def P(one_line) -> Permutation:
+    return Permutation([int(v) - 1 for v in one_line])
+
+
+def to_nonsimple(elem: SimpleButterfly) -> NonsimpleButterfly:
+    """The simple element as a member of the enclosing nonsimple group."""
+    exps = tuple(d for i, d in enumerate(elem.digits) for _ in range(elem.m**i))
+    return NonsimpleButterfly(elem.m, elem.n, exps)
 
 
 def apply(elem, k: int) -> int:

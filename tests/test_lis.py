@@ -11,7 +11,6 @@ from butterflylab.groups import (
     materialize,
     sample_nonsimple,
     sample_simple,
-    to_nonsimple,
 )
 from butterflylab.lis import (
     bounds,
@@ -26,7 +25,17 @@ from butterflylab.lis import (
 )
 from butterflylab.rng import substream
 
-P = Permutation.from_one_line
+
+def P(one_line) -> Permutation:
+    return Permutation([int(v) - 1 for v in one_line])
+
+
+def to_nonsimple(elem: groups.SimpleButterfly) -> groups.NonsimpleButterfly:
+    """The simple element as a member of the enclosing nonsimple group."""
+    exps = tuple(d for i, d in enumerate(elem.digits) for _ in range(elem.m**i))
+    return groups.NonsimpleButterfly(elem.m, elem.n, exps)
+
+
 EXAMPLE = P((4, 8, 5, 1, 3, 6, 7, 2))
 ORACLE_SIZE_CAP = 10**4
 

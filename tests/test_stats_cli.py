@@ -105,6 +105,7 @@ class TestCli:
         (["density", "--t", "0:4:0"], None),
         (["fit", "--from", "/nonexistent.csv", "--n", "3..5"], None),
         (["sample", "--kind", "uniform", "--n", "40"], None),
+        (["sample", "--kind", "simple", "--m", "3", "--n", "2000000"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -114,6 +115,20 @@ class TestCli:
         assert main([*args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("butterflylab: error: ") and err.count("\n") == 1
+
+    def test_sample_cap_is_checked_before_building_m_to_the_n(self, tmp_path, capsys):
+        # 3^2000000 has about 954,000 digits: it must not be built or printed.
+        args = ["sample", "--kind", "simple", "--m", "3", "--n", "2000000", "--out", str(tmp_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"butterflylab: error: m^n = 3^2000000 exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}\n"
+
+    def test_format_only_on_row_writers(self, tmp_path, capsys):
+        # fit writes fit.json directly; a --format it would ignore is refused.
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--format", "json", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_bounds_table(self, tmp_path):
         out = run_cli(["bounds", "--m", "2..11"], tmp_path / "b")
