@@ -1,9 +1,12 @@
 """Experiment command line: reproduces the tables and figure data as CSV/JSON.
 
-Every run writes its outputs plus a deterministic ``manifest.json`` (seed,
-parameters, versions) into --out. Identical seed and configuration give
-byte-identical files; per-trial substreams are derived from (seed, trial),
-so aggregation order never matters.
+Each ``cmd_*`` only computes and returns its files; ``main`` resolves the
+seed, writes those files into --out and then a deterministic
+``manifest.json`` (command, seed, versions, and as parameters every flag of
+the subcommand except --seed, --out and --format). ``verify`` writes only the
+manifest. Identical seed and flags give byte-identical files; per-trial
+substreams are derived from (seed, trial), so aggregation order never
+matters.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ from .rng import DEFAULT_SEED, substream
 SEED_ENV = "BUTTERFLYLAB_SEED"
 
 ENSEMBLES = ("bs-scalar", "ns-scalar", "bs-diag", "ns-diag", "uniform", "goe", "gue", "bernoulli")
+# Sampled directly as permutations; the other ensembles go through GEPP.
+_PERMUTATION_ENSEMBLES = ("uniform", "bs-scalar", "ns-scalar")
 _BUTTERFLY_SHAPES = {"bs-diag": "simple", "ns-diag": "nonsimple"}
 
 # Matrix entries per gepp_perm_batch call in lis-mc: 16384 trials at N = 4,
@@ -88,19 +93,17 @@ def _resolve_seed(args) -> tuple[int, str]:
 
 
 def _write_rows(out: Path, name: str, header: list[str], rows, fmt: str) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
-    with _unlimited_int_digits():
-        if fmt == "json":
-            path = out / f"{name}.json"
-            payload = [dict(zip(header, [_fmt(v) for v in row])) for row in rows]
-            path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        else:
-            path = out / f"{name}.csv"
-            with path.open("w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                for row in rows:
-                    w.writerow([_fmt(v) for v in row])
+    if fmt == "json":
+        path = out / f"{name}.json"
+        payload = [dict(zip(header, [_fmt(v) for v in row])) for row in rows]
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    else:
+        path = out / f"{name}.csv"
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([_fmt(v) for v in row])
     return path
 
 
@@ -117,11 +120,14 @@ def _scipy_version() -> str:
     return namespace["version"]
 
 
-def _write_manifest(out: Path, command: str, seed: int, seed_source: str, params: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+# Parsed attributes that are not parameters of the computation.
+_NOT_PARAMETERS = ("command", "fn", "seed", "out", "format")
+
+
+def _write_manifest(out: Path, args, seed: int, seed_source: str) -> None:
     manifest = {
-        "command": command,
-        "parameters": {k: v for k, v in sorted(params.items())},
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
         "seed": seed,
         "seed_source": seed_source,
         "versions": {
@@ -138,9 +144,7 @@ def _write_manifest(out: Path, command: str, seed: int, seed_source: str, params
 # ---------------------------------------------------------------------------
 
 
-def cmd_sample(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
+def cmd_sample(args, seed: int) -> dict:
     if groups.exceeds_cap(args.m, args.n, groups.MATERIALIZE_SIZE_CAP):
         raise ValueError(f"m^n = {args.m}^{args.n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
     lines = []
@@ -153,16 +157,10 @@ def cmd_sample(args) -> int:
         else:
             perm = groups.materialize(groups.sample_nonsimple(args.m, args.n, rng))
         lines.append(perm.to_text())
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "permutations.txt").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "sample", seed, src,
-                    {"kind": args.kind, "m": args.m, "n": args.n, "trials": args.trials})
-    return 0
+    return {"permutations.txt": "\n".join(lines) + "\n"}
 
 
-def cmd_lis_table(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
+def cmd_lis_table(args, seed: int) -> dict:
     count_rows, moment_rows = [], []
     for n in _parse_range(args.n):
         pmf = lis.nonsimple_lis_counts(n, mode=args.mode, m=args.m)
@@ -172,10 +170,8 @@ def cmd_lis_table(args) -> int:
             count_rows.append((n, k, mass, cum))
         m1, m2 = pmf.moment(1), pmf.moment(2)
         moment_rows.append((n, float(m1), float(m2), args.mode))
-    _write_rows(out, "lis_counts", ["n", "k", "mass", "cdf"], count_rows, args.format)
-    _write_rows(out, "lis_moments", ["n", "mean", "second_moment", "mode"], moment_rows, args.format)
-    _write_manifest(out, "lis-table", seed, src, {"n": args.n, "mode": args.mode, "m": args.m})
-    return 0
+    return {"lis_counts": (["n", "k", "mass", "cdf"], count_rows),
+            "lis_moments": (["n", "mean", "second_moment", "mode"], moment_rows)}
 
 
 def _gepp_inputs(ensemble: str, N: int, rngs) -> np.ndarray:
@@ -191,7 +187,7 @@ def _sample_lis(ensemble: str, N: int, trials: int, seed: int) -> tuple[float, f
     vals = np.empty(trials)
     n = N.bit_length() - 1
     e = ENSEMBLES.index(ensemble)
-    if ensemble in ("uniform", "bs-scalar", "ns-scalar"):
+    if ensemble in _PERMUTATION_ENSEMBLES:
         for t in range(trials):
             rng = substream(seed, e, N, t)
             if ensemble == "uniform":
@@ -211,10 +207,8 @@ def _sample_lis(ensemble: str, N: int, trials: int, seed: int) -> tuple[float, f
     return float(vals.mean()), float(vals.std(ddof=1)) if trials > 1 else 0.0
 
 
-def cmd_lis_mc(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
-    ensembles = args.ensembles.split(",") if args.ensembles else list(ENSEMBLES)
+def cmd_lis_mc(args, seed: int) -> dict:
+    ensembles = args.ensembles.split(",")
     for e in ensembles:
         if e not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {e!r}")
@@ -228,45 +222,37 @@ def cmd_lis_mc(args) -> int:
             N = 2**n
             if args.trials:
                 trials = args.trials
-            elif ens in ("uniform", "bs-scalar", "ns-scalar"):
+            elif ens in _PERMUTATION_ENSEMBLES:
                 trials = 1000
             else:
                 trials = 100 if n <= 12 else 10
             mean, std = _sample_lis(ens, N, trials, seed)
             rows.append((ens, N, mean, std, trials))
-    _write_rows(out, "lis_mc", ["ensemble", "N", "sample_mean", "sample_std", "trials"], rows, args.format)
-    _write_manifest(out, "lis-mc", seed, src,
-                    {"ensembles": ",".join(ensembles), "n": args.n, "trials": args.trials})
-    return 0
+    return {"lis_mc": (["ensemble", "N", "sample_mean", "sample_std", "trials"], rows)}
 
 
-def cmd_fit(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
+def cmd_fit(args, seed: int) -> dict:
     ns = _parse_range(args.n)
     if args.source:
-        points = []
         with open(args.source, newline="") as fh:
-            for row in csv.DictReader(fh):
-                if int(row["n"]) in ns:
-                    points.append((2.0 ** int(row["n"]), float(row["mean"])))
+            reader = csv.DictReader(fh)
+            for column in ("n", "mean"):
+                if column not in (reader.fieldnames or ()):
+                    raise ValueError(f"{args.source} has no {column!r} column")
+            points = [(2.0 ** int(row["n"]), float(row["mean"]))
+                      for row in reader if int(row["n"]) in ns]
     else:
         points = [(2.0**n, float(lis.nonsimple_lis_counts(n, mode=args.mode).moment(1))) for n in ns]
     res = lis.fit_exponent(points)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "fit.json").write_text(json.dumps({
+    return {"fit.json": json.dumps({
         "alpha_hat": res.alpha_hat,
         "intercept": res.intercept,
         "r_squared": res.r_squared,
         "n_values": ns,
-    }, indent=1, sort_keys=True) + "\n")
-    _write_manifest(out, "fit", seed, src, {"n": args.n, "mode": args.mode, "source": args.source or ""})
-    return 0
+    }, indent=1, sort_keys=True) + "\n"}
 
 
-def cmd_bounds(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
+def cmd_bounds(args, seed: int) -> dict:
     rows = []
     for m in _parse_range(args.m):
         b = lis.bounds(m)
@@ -274,61 +260,36 @@ def cmd_bounds(args) -> int:
                      b.beta_star if b.beta_star is not None else "",
                      b.c_star if b.c_star is not None else "",
                      b.mu, b.nu, b.n0))
-    _write_rows(out, "bounds", ["m", "alpha", "beta", "beta_star", "c_star", "mu", "nu", "n0"],
-                rows, args.format)
-    _write_manifest(out, "bounds", seed, src, {"m": args.m})
-    return 0
+    return {"bounds": (["m", "alpha", "beta", "beta_star", "c_star", "mu", "nu", "n0"], rows)}
 
 
-def cmd_cycles_table(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
+def cmd_cycles_table(args, seed: int) -> dict:
     rows = []
     for n in _parse_range(args.n):
         pmf = cycles.nonsimple_cycle_counts(args.p, n, mode=args.mode)
         for k, mass in zip(pmf.support, pmf.masses):
             if (k - 1) % (args.p - 1) == 0:
                 rows.append((args.p, n, k, mass))
-    _write_rows(out, "cycle_counts", ["p", "n", "k", "mass"], rows, args.format)
-    _write_manifest(out, "cycles-table", seed, src, {"p": args.p, "n": args.n, "mode": args.mode})
-    return 0
+    return {"cycle_counts": (["p", "n", "k", "mass"], rows)}
 
 
-def cmd_moments(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
-    ms = cycles.limit_moments(args.p, args.k_max)
-    with _unlimited_int_digits():
-        payload = [{"p": args.p, "k": k, "numerator": str(m.numerator),
-                    "denominator": str(m.denominator), "float": float(m)}
-                   for k, m in enumerate(ms)]
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "moments.json").write_text(json.dumps(payload, indent=1) + "\n")
-    _write_manifest(out, "moments", seed, src, {"p": args.p, "k_max": args.k_max})
-    return 0
+def cmd_moments(args, seed: int) -> dict:
+    payload = [{"p": args.p, "k": k, "numerator": str(m.numerator),
+                "denominator": str(m.denominator), "float": float(m)}
+               for k, m in enumerate(cycles.limit_moments(args.p, args.k_max))]
+    return {"moments.json": json.dumps(payload, indent=1) + "\n"}
 
 
-def cmd_density(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
-    grid = cycles.density_grid(args.p, args.n, _parse_grid(args.t))
-    _write_rows(out, "density", ["t", "f"], grid, args.format)
-    _write_manifest(out, "density", seed, src, {"p": args.p, "n": args.n, "t": args.t})
-    return 0
+def cmd_density(args, seed: int) -> dict:
+    return {"density": (["t", "f"], cycles.density_grid(args.p, args.n, _parse_grid(args.t)))}
 
 
-def cmd_fixed_points(args) -> int:
-    seed, src = _resolve_seed(args)
-    out = Path(args.out)
+def cmd_fixed_points(args, seed: int) -> dict:
     rows = []
     for m in _parse_range(args.m):
         p = cycles.no_fixed_point_prob(m, args.n)
         rows.append((m, args.n, p, float(p), cycles.x_star(m)))
-    _write_rows(out, "fixed_points",
-                ["m", "n", "p_no_fixed_point", "p_no_fixed_point_float", "x_star"],
-                rows, args.format)
-    _write_manifest(out, "fixed-points", seed, src, {"m": args.m, "n": args.n})
-    return 0
+    return {"fixed_points": (["m", "n", "p_no_fixed_point", "p_no_fixed_point_float", "x_star"], rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -486,20 +447,22 @@ def _verify_checks(seed: int):
     return checks
 
 
-def cmd_verify(args) -> int:
-    seed, _src = _resolve_seed(args)
-    failures = 0
+class ChecksFailed(Exception):
+    """Raised by verify when a check fails; main still writes the manifest."""
+
+
+def cmd_verify(args, seed: int) -> dict:
+    failed = False
     for name, fn in _verify_checks(seed):
         try:
-            ok = fn()
+            ok, note = fn(), ""
         except Exception as exc:  # noqa: BLE001
-            ok = False
-            print(f"FAIL {name}: {exc}")
-            failures += 1
-            continue
-        print(("ok   " if ok else "FAIL ") + name)
-        failures += 0 if ok else 1
-    return 1 if failures else 0
+            ok, note = False, f": {exc}"
+        print(("ok   " if ok else "FAIL ") + name + note)
+        failed = failed or not ok
+    if failed:
+        raise ChecksFailed
+    return {}
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lis-mc", help="sample-mean LIS curves over the comparison ensembles")
     common_rows(p)
-    p.add_argument("--ensembles", default="", help=f"comma list from {','.join(ENSEMBLES)}")
+    p.add_argument("--ensembles", default="", type=lambda text: text or ",".join(ENSEMBLES),
+                   help=f"comma list from {','.join(ENSEMBLES)} (default all)")
     p.add_argument("--n", default="2..8")
     p.add_argument("--trials", type=int, default=0, help="override per-ensemble defaults")
     p.set_defaults(fn=cmd_lis_mc)
@@ -591,7 +555,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        seed, seed_source = _resolve_seed(args)
+        with _unlimited_int_digits():
+            try:
+                files, status = args.fn(args, seed), 0
+            except ChecksFailed:
+                files, status = {}, 1
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, data in files.items():
+                if isinstance(data, str):
+                    (out / name).write_text(data)
+                else:
+                    _write_rows(out, name, *data, args.format)
+            _write_manifest(out, args, seed, seed_source)
+        return status
     except (ValueError, OSError, groups.CapExceededError) as exc:
         print(f"butterflylab: error: {exc}", file=sys.stderr)
         return 2

@@ -51,9 +51,6 @@ class Permutation:
     def size(self) -> int:
         return int(self.map.size)
 
-    def __len__(self) -> int:
-        return self.size
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and np.array_equal(self.map, other.map)
 
@@ -62,12 +59,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.to_text()})"
-
-    def __call__(self, k: int) -> int:
-        """Image of the 1-based index k."""
-        if not 1 <= k <= self.size:
-            raise IndexError(k)
-        return int(self.map[k - 1]) + 1
 
     def matrix(self) -> np.ndarray:
         """Permutation matrix P with P e_k = e_{sigma(k)}."""

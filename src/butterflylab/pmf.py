@@ -183,9 +183,6 @@ class Pmf:
 
     # -- basic accessors ---------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.masses)
-
     @property
     def support(self) -> range:
         return range(self.offset, self.offset + len(self.masses))

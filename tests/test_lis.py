@@ -276,8 +276,8 @@ class TestNonsimpleCounts:
             nonsimple_lis_counts(14, mode="exact")
         with pytest.raises(ValueError):
             nonsimple_lis_counts(21, mode="float")
-        assert len(nonsimple_lis_counts(8, mode="exact", m=3)) == 3**8
-        assert len(nonsimple_lis_counts(12, mode="float", m=3)) == 3**12
+        assert len(nonsimple_lis_counts(8, mode="exact", m=3).masses) == 3**8
+        assert len(nonsimple_lis_counts(12, mode="float", m=3).masses) == 3**12
         with pytest.raises(ValueError, match="exceeds the exact cap"):
             nonsimple_lis_counts(9, mode="exact", m=3)
         with pytest.raises(ValueError, match="exceeds the float cap"):

@@ -69,7 +69,7 @@ class TestCompose:
     def test_matches_pointwise_evaluation(self, pq):
         p, q = pq
         r = compose(p, q)
-        assert all(r(k) == p(q(k)) for k in range(1, p.size + 1))
+        assert all(r.map[k] == p.map[q.map[k]] for k in range(p.size))
 
 
 class TestInverse:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from butterflylab.lis import nonsimple_lis_counts
 from butterflylab.pmf import Pmf
 from butterflylab.rng import substream
 from butterflylab.stats import chi_square, merge_sparse_cells
+from test_reachability import RUNS
 
 
 class TestChiSquare:
@@ -104,6 +106,7 @@ class TestCli:
         (["lis-mc", "--ensembles", "ns-scalar", "--n", "2,27", "--trials", "1"], None),
         (["density", "--t", "0:4:0"], None),
         (["fit", "--from", "/nonexistent.csv", "--n", "3..5"], None),
+        (["fit", "--from", "{tmp}/lis_counts.csv", "--n", "1..4"], None),
         (["sample", "--kind", "uniform", "--n", "40"], None),
         (["sample", "--kind", "simple", "--m", "3", "--n", "2000000"], None),
     ])
@@ -112,9 +115,17 @@ class TestCli:
             monkeypatch.delenv("BUTTERFLYLAB_SEED", raising=False)
         else:
             monkeypatch.setenv("BUTTERFLYLAB_SEED", env)
+        (tmp_path / "lis_counts.csv").write_text("n,k,mass,cdf\n1,1,2,1.0\n")
+        args = [a.format(tmp=tmp_path) for a in args]
         assert main([*args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("butterflylab: error: ") and err.count("\n") == 1
+
+    def test_fit_from_names_the_missing_column(self, tmp_path, capsys):
+        source = tmp_path / "bounds.csv"
+        source.write_text("m,mean\n2,0.5\n")
+        assert main(["fit", "--from", str(source), "--n", "1..4", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"butterflylab: error: {source} has no 'n' column\n"
 
     def test_sample_cap_is_checked_before_building_m_to_the_n(self, tmp_path, capsys):
         # 3^2000000 has about 954,000 digits: it must not be built or printed.
@@ -252,6 +263,7 @@ class TestCli:
                     vals.append(lis.lis(perm))
                 vals = np.array(vals, dtype=float)
                 rows.append((ens, N, float(vals.mean()), float(vals.std(ddof=1)), 10))
+        (tmp_path / "ref").mkdir()
         ref = cli._write_rows(tmp_path / "ref", "lis_mc",
                               ["ensemble", "N", "sample_mean", "sample_std", "trials"], rows, "csv")
         assert (out / "lis_mc.csv").read_bytes() == ref.read_bytes()
@@ -263,14 +275,40 @@ class TestCli:
         assert manifest["seed"] == 12345
         assert manifest["seed_source"] == "env"
 
-    def test_verify_passes(self, capsys):
+    def test_verify_passes(self, tmp_path, capsys):
         for seed in range(5):
-            assert main(["verify", "--seed", str(seed)]) == 0
+            assert main(["verify", "--seed", str(seed), "--out", str(tmp_path)]) == 0
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == 17 and all(line.startswith("ok   ") for line in lines)
             for name in ("simple-lds-law", "simple-cycle-law", "simple-cd-law",
                          "moment-polynomials", "fixed-points", "w-monte-carlo"):
                 assert f"ok   {name}" in lines
+
+    def test_verify_failure_exits_1_and_still_writes_the_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_verify_checks", lambda seed: [("ok-check", lambda: True),
+                                                                 ("bad-check", lambda: False)])
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == "ok   ok-check\nFAIL bad-check\n"
+        assert json.loads((tmp_path / "manifest.json").read_text())["command"] == "verify"
+
+    @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
+    def test_manifest_records_the_subcommands_flags(self, tmp_path, capsys, argv):
+        run_cli(argv, tmp_path)
+        capsys.readouterr()
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for a in subparsers.choices[argv[0]]._actions if a.option_strings}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert set(manifest["parameters"]) == flags - {"help", "seed", "out", "format"}
+
+    def test_lis_mc_manifest_records_the_expanded_ensembles(self, tmp_path):
+        args = ["lis-mc", "--n", "2", "--trials", "2"]
+        runs = [args, [*args, "--ensembles", ""], [*args, "--ensembles", ",".join(cli.ENSEMBLES)]]
+        manifests = {(run_cli(argv, tmp_path / str(i)) / "manifest.json").read_bytes()
+                     for i, argv in enumerate(runs)}
+        assert len(manifests) == 1
+        assert json.loads(manifests.pop())["parameters"]["ensembles"] == ",".join(cli.ENSEMBLES)
 
     def test_census_comparison_is_exact(self):
         census = cli._census(2, 3, False, lis.lis)
