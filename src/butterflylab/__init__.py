@@ -1,6 +1,6 @@
 """Butterfly permutation groups and their LIS / cycle-count statistics.
 
-Subpackages:
+Modules:
 
 * `permutations`: composition, Kronecker/direct-sum structure, cycle stats,
   uniform sampling.
@@ -12,13 +12,18 @@ Subpackages:
   constants, exponent regression.
 * `cycles`: butterfly Stirling triangles, moment polynomials and limits,
   density grids, fixed-point statistics, Monte Carlo.
-* `stats`, `rng`, `cli`: chi-square helper, seeded streams, experiments.
+* `pmf`: exact and float integer-supported laws, convolutions, memoized
+  level ladders.
+* `rng`, `cli`: seeded streams, the experiment subcommands.
+
+The chi-square goodness-of-fit helper lives with the tests, in
+`tests/chisq.py`.
 """
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import cycles, gepp, groups, lis, permutations, pmf, rng, stats  # noqa: F401
+from . import cycles, gepp, groups, lis, permutations, pmf, rng  # noqa: F401
 from .permutations import (  # noqa: F401
     CycleStats,
     Permutation,

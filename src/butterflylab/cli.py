@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cycles, gepp, groups, lis, stats
+from . import __version__, cycles, gepp, groups, lis
 from .permutations import Permutation, compose, cycle_stats, fisher_yates, kron
 from .pmf import Pmf
 from .rng import DEFAULT_SEED, substream
@@ -420,11 +420,6 @@ def _verify_checks(seed: int):
         return all(abs(moments[k - 1] - float(table.moment(k, 10) / table.lam ** (10 * k)))
                    <= 5 * ses[k - 1] for k in range(1, 5))
 
-    def chk_chi_square_calibration():
-        pmf = Pmf(0, [0.25, 0.25, 0.25, 0.25], "float")
-        res = stats.chi_square({0: 250, 1: 250, 2: 250, 3: 250}, pmf)
-        return res.statistic == 0.0 and abs(res.p_value - 1.0) < 1e-12
-
     checks = [
         ("kron-mixed-product", chk_kron_mixed_product),
         ("perm-matrix-roundtrip", chk_matrix_roundtrip),
@@ -442,7 +437,6 @@ def _verify_checks(seed: int):
         ("moment-polynomials", chk_moment_polynomials),
         ("fixed-points", chk_fixed_points),
         ("w-monte-carlo", chk_w_monte_carlo),
-        ("chi-square-calibration", chk_chi_square_calibration),
     ]
     return checks
 

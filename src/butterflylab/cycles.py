@@ -64,7 +64,7 @@ def simple_cycle_dist(p: int, n: int) -> Pmf:
     masses = [0] * (N - N // p + 1)
     masses[0] = N - 1
     masses[-1] = 1
-    return Pmf(N // p, masses, "count", total=N).trimmed()
+    return Pmf(N // p, masses, "count", total=N)
 
 
 def _mobius(n: int) -> int:
@@ -105,7 +105,7 @@ def simple_cd_dist(m: int, n: int, d: int) -> Pmf:
     masses = [0] * (N // d + 1)
     masses[0] = m**n - hit
     masses[-1] = hit
-    return Pmf(0, masses, "count", total=m**n).trimmed()
+    return Pmf(0, masses, "count", total=m**n)
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,11 @@ def check_membership(p: Permutation, m: int):
 
     Returns a `SimpleButterfly` when all sibling subtrees agree, a
     `NonsimpleButterfly` for other members, and None for non-members.
-    The block-destination map at each level must be exactly a power of the
-    standard m-cycle; any other block pattern disqualifies.
+    Index k reads, level by level, its input digit i and the output digit t
+    of p(k); under a member, t = i + e (mod m) for the exponent e of the node
+    that the output digits above select. Each node takes (t - i) mod m from
+    its indices, and p is a member exactly when the tree so read
+    materializes to p.
     """
     N = p.size
     n = 0
@@ -233,35 +236,23 @@ def check_membership(p: Permutation, m: int):
             raise ValueError(f"length {N} is not a power of {m}")
         t //= m
         n += 1
-    exps = _recover(np.asarray(p.map), m)
-    if exps is None:
+    tree = np.zeros(tree_size(m, n), dtype=np.int64)
+    node = np.zeros(N, dtype=np.int64)
+    inp = np.arange(N, dtype=np.int64)
+    out = p.map
+    M = N
+    for _ in range(n):
+        M //= m
+        i, inp = np.divmod(inp, M)
+        t, out = np.divmod(out, M)
+        tree[node] = (t - i) % m
+        node = m * node + 1 + t
+    exps = tuple(tree.tolist())
+    if not np.array_equal(_materialize_ns(m, n, exps), p.map):
         return None
-    ns = NonsimpleButterfly(m, n, tuple(exps))
+    ns = NonsimpleButterfly(m, n, exps)
     simple = as_simple(ns)
     return simple if simple is not None else ns
-
-
-def _recover(arr: np.ndarray, m: int) -> list[int] | None:
-    """Breadth-first exponent recovery; None if some level is not a tau power."""
-    queue: list[np.ndarray] = [arr]
-    out: list[int] = []
-    while queue and queue[0].size > 1:
-        nxt: list[np.ndarray] = []
-        for blockarr in queue:
-            M = blockarr.size // m
-            dest = blockarr // M
-            e = int(dest[0]) % m
-            children: list[np.ndarray | None] = [None] * m
-            for i in range(m):
-                t = (i + e) % m
-                seg = blockarr[i * M : (i + 1) * M]
-                if not (dest[i * M : (i + 1) * M] == t).all():
-                    return None
-                children[t] = seg - t * M
-            out.append(e)
-            nxt.extend(children)  # type: ignore[arg-type]
-        queue = nxt
-    return out
 
 
 def as_simple(elem: NonsimpleButterfly) -> SimpleButterfly | None:

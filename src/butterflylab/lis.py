@@ -31,7 +31,6 @@ __all__ = [
     "bounds",
     "contraction_step",
     "nonsimple_lis_counts",
-    "nonsimple_lis_moments",
     "FitResult",
     "fit_exponent",
 ]
@@ -258,12 +257,6 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     if mode == "float":
         return Pmf(1, _FLOAT_LADDER.level(m, n)[1:], "float")
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def nonsimple_lis_moments(n: int, mode: str = "exact", m: int = 2):
-    """(mean, second moment) of the depth-n nonsimple LIS."""
-    pmf = nonsimple_lis_counts(n, mode=mode, m=m)
-    return pmf.moment(1), pmf.moment(2)
 
 
 # ---------------------------------------------------------------------------

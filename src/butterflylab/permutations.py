@@ -27,7 +27,7 @@ __all__ = [
 class Permutation:
     """Immutable permutation in one-line form (0-based internally)."""
 
-    __slots__ = ("map", "_hash")
+    __slots__ = ("map",)
 
     def __init__(self, mapping) -> None:
         arr = np.asarray(mapping, dtype=np.int64).copy()
@@ -42,7 +42,6 @@ class Permutation:
             raise ValueError("not a bijection")
         arr.setflags(write=False)
         object.__setattr__(self, "map", arr)
-        object.__setattr__(self, "_hash", hash(arr.tobytes()))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Permutation is immutable")
@@ -55,7 +54,7 @@ class Permutation:
         return isinstance(other, Permutation) and np.array_equal(self.map, other.map)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.map.tobytes())
 
     def __repr__(self) -> str:
         return f"Permutation({self.to_text()})"

@@ -201,12 +201,6 @@ class Pmf:
             return Fraction(m, self.total)
         return m
 
-    def probabilities(self):
-        """All probabilities over the stored range."""
-        if self.mode == "count":
-            return [Fraction(v, self.total) for v in self.masses]
-        return np.asarray(self.masses)
-
     # -- moments -----------------------------------------------------------
 
     def moment(self, k: int):
@@ -214,23 +208,8 @@ class Pmf:
         if self.mode == "float":
             vals = np.arange(self.offset, self.offset + len(self.masses), dtype=np.float64)
             return float(np.asarray(self.masses) @ vals**k)
-        acc = Fraction(0)
-        for i, m in enumerate(self.masses):
-            if m:
-                acc += Fraction(m) * (self.offset + i) ** k
-        return acc / self.total
-
-    # -- support -----------------------------------------------------------
-
-    def trimmed(self) -> "Pmf":
-        """Drop leading/trailing zero masses (support endpoints tighten)."""
-        lo = 0
-        hi = len(self.masses)
-        while lo < hi and not self.masses[lo]:
-            lo += 1
-        while hi > lo and not self.masses[hi - 1]:
-            hi -= 1
-        return Pmf(self.offset + lo, self.masses[lo:hi], self.mode, total=self.total)
+        acc = sum(m * (self.offset + i) ** k for i, m in enumerate(self.masses))
+        return Fraction(acc, self.total)
 
 
 # Largest support size m^n of a ladder level, per precision.

@@ -1,11 +1,12 @@
-"""Goodness-of-fit helpers for the experiment drivers and tests."""
+"""Pearson chi-square for the distributional tests; no subcommand needs it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc
 
-from .pmf import Pmf
+from butterflylab.pmf import Pmf
 
 __all__ = ["ChiSquareResult", "chi_square", "merge_sparse_cells"]
 
@@ -21,16 +22,13 @@ def chi_square(observed, expected) -> ChiSquareResult:
     """Pearson chi-square of observed counts against expected probabilities.
 
     `observed` maps cell -> count (or is a sequence aligned with `expected`);
-    `expected` is a Pmf or a same-length probability sequence. Every expected
-    mass must be positive and the supports must agree. The p-value is the
-    regularized upper incomplete gamma Q(df/2, stat/2) with df = cells - 1.
+    `expected` is a count-mode Pmf or a same-length probability sequence.
+    Every expected mass must be positive and the supports must agree. The
+    p-value is the regularized upper incomplete gamma Q(df/2, stat/2) with
+    df = cells - 1.
     """
-    # Imported here: scipy.special costs about 0.3 s to import, and only
-    # this check needs it.
-    from scipy.special import gammaincc
-
     if isinstance(expected, Pmf):
-        probs = [float(x) for x in expected.probabilities()]
+        probs = [v / expected.total for v in expected.masses]
         support = list(expected.support)
     else:
         probs = [float(x) for x in expected]

@@ -21,7 +21,7 @@ from butterflylab.cycles import (
 )
 from butterflylab.groups import enumerate_group, materialize
 from butterflylab.rng import substream
-from butterflylab.stats import chi_square, merge_sparse_cells
+from chisq import chi_square, merge_sparse_cells
 
 S_TRIANGLE = {
     1: [1, 1],
@@ -214,7 +214,7 @@ class TestStirlingTriangles:
         for p, n in ((2, 8), (3, 4), (5, 3)):
             exact = nonsimple_cycle_counts(p, n)
             flt = nonsimple_cycle_counts(p, n, mode="float")
-            probs = np.array([float(x) for x in exact.probabilities()])
+            probs = np.array([v / exact.total for v in exact.masses])
             good = probs > 0
             rel = np.abs(np.asarray(flt.masses)[good] - probs[good]) / probs[good]
             assert rel.max() < 1e-11
@@ -467,7 +467,7 @@ class TestMonteCarlo:
         rng = substream(51, 1)
         draws = sample_cycle_counts(2, 4, 20000, rng)
         pmf = nonsimple_cycle_counts(2, 4)
-        probs = np.array([float(x) for x in pmf.probabilities()])
+        probs = np.array([v / pmf.total for v in pmf.masses])
         counts = np.bincount(draws, minlength=17)[1:]
         mp, mc = merge_sparse_cells(probs, counts)
         assert chi_square(mc, mp).p_value > 0.01

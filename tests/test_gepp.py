@@ -651,7 +651,7 @@ class TestPredictedFactorization:
 
     def test_uniform_permutation_factor_at_n4(self):
         from butterflylab.groups import enumerate_group, materialize
-        from butterflylab.stats import chi_square
+        from chisq import chi_square
         for shape, cells in (("simple", 4), ("nonsimple", 8)):
             index = {materialize(e): i
                      for i, e in enumerate(enumerate_group(2, 2, simple=shape == "simple"))}

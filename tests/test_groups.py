@@ -15,7 +15,7 @@ from butterflylab.groups import (
     sample_simple,
 )
 from butterflylab.rng import substream
-from butterflylab.stats import chi_square
+from chisq import chi_square
 
 
 def P(one_line) -> Permutation:
@@ -173,6 +173,17 @@ class TestMembership:
         for p in list(members)[::8]:
             assert check_membership(p, 2) is not None
         assert hits < 40  # ~16 expected (5000 * 128/40320)
+
+    def test_census_of_s8(self):
+        # the enumerated depth-3 group is the oracle for every permutation of 8
+        import itertools
+        members = {materialize(e) for e in enumerate_group(2, 3, simple=False)}
+        found = set()
+        for word in itertools.permutations(range(8)):
+            p = Permutation(word)
+            if check_membership(p, 2) is not None:
+                found.add(p)
+        assert found == members
 
     def test_round_trip_random(self):
         rng = substream(21, 1)

@@ -16,7 +16,7 @@ from butterflylab import (
     kron,
 )
 from butterflylab.rng import substream
-from butterflylab.stats import chi_square
+from chisq import chi_square
 
 
 def P(one_line) -> Permutation:

@@ -174,12 +174,6 @@ def test_float_convolution_matches_exact():
         assert np.abs(cf - probs).max() < 1e-15
 
 
-def test_trimmed():
-    pmf = Pmf(0, [0, 0, 3, 1, 0], "count")
-    t = pmf.trimmed()
-    assert t.offset == 2 and list(t.masses) == [3, 1]
-
-
 def test_ladder_checks_each_level():
     def size(m, d):
         return d + 1

@@ -15,7 +15,7 @@ from butterflylab.cli import main
 from butterflylab.lis import nonsimple_lis_counts
 from butterflylab.pmf import Pmf
 from butterflylab.rng import substream
-from butterflylab.stats import chi_square, merge_sparse_cells
+from chisq import chi_square, merge_sparse_cells
 from test_reachability import RUNS
 
 
@@ -279,7 +279,7 @@ class TestCli:
         for seed in range(5):
             assert main(["verify", "--seed", str(seed), "--out", str(tmp_path)]) == 0
             lines = capsys.readouterr().out.splitlines()
-            assert len(lines) == 17 and all(line.startswith("ok   ") for line in lines)
+            assert len(lines) == 16 and all(line.startswith("ok   ") for line in lines)
             for name in ("simple-lds-law", "simple-cycle-law", "simple-cd-law",
                          "moment-polynomials", "fixed-points", "w-monte-carlo"):
                 assert f"ok   {name}" in lines
@@ -324,11 +324,11 @@ class TestCli:
         assert not cli._is_law(outside, pmf)
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.special and scipy.linalg take about 0.3 s each to import;
-        # only stats.chi_square and the LAPACK branch of gepp.gepp_perm_batch
-        # need them. numpy.fft is left to pmf._fft_convolve, the one FFT
-        # convolution behind both the big-integer multiply and the float
-        # ladders; the library never imports scipy.signal.
+        # scipy.linalg takes about 0.3 s to import, and only the LAPACK branch
+        # of gepp.gepp_perm_batch needs it; the library never imports
+        # scipy.special or scipy.signal. numpy.fft is left to
+        # pmf._fft_convolve, the one FFT convolution behind both the
+        # big-integer multiply and the float ladders.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, butterflylab.cli; "
@@ -354,12 +354,14 @@ class TestCli:
 
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
         # The manifest reads scipy's version from scipy/version.py, so the
-        # import and a subcommand that needs no scipy module load none.
+        # import and the subcommands that need no scipy module, verify among
+        # them, load none.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, butterflylab.cli as c; "
                 "assert 'scipy' not in sys.modules; "
                 f"c.main(['bounds', '--m', '2', '--out', {str(tmp_path / 'b')!r}]); "
+                f"c.main(['verify', '--out', {str(tmp_path / 'v')!r}]); "
                 "assert 'scipy' not in sys.modules")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
