@@ -98,12 +98,14 @@ def _write_rows(out: Path, name: str, header: list[str], rows, fmt: str) -> Path
         payload = [dict(zip(header, [_fmt(v) for v in row])) for row in rows]
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     else:
+        # The bytes csv.writer would write: no field holds a comma, quote or
+        # line break, and every row has two fields or more, so none is quoted.
+        # Lines stream through the file buffer rather than one joined string,
+        # which for the 2^20 rows of a depth-20 float table held 80 MB more.
         path = out / f"{name}.csv"
         with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\r\n" for row in rows)
     return path
 
 

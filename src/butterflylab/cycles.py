@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import group_order, tree_size
-from .pmf import Ladder, Pmf, check_level_size, float_convolve, int_convolve
+from .pmf import Ladder, Pmf, Window, check_level_size, float_powers, int_convolve, trim
 
 __all__ = [
     "simple_cycle_dist",
@@ -125,15 +125,17 @@ def _step_exact(p: int, d: int, comp: list[int]) -> list[int]:
     return new
 
 
-def _step_float(p: int, d: int, comp: np.ndarray) -> np.ndarray:
-    """`_step_exact` on probabilities: eta ~ Bern(1/p) weights the branch."""
-    conv = comp
-    for _ in range(p - 1):
-        conv = float_convolve(conv, comp)
-    new = np.zeros(len(conv) + 1)
+def _step_float(p: int, d: int, level: Window) -> Window:
+    """`_step_exact` on a window of probabilities: eta ~ Bern(1/p) weights
+    the branch. A level whose convolutions took the FFT is trimmed
+    (`pmf.trim`)."""
+    powers, fft = float_powers(level.masses, p)
+    comp, conv = level.masses, powers[-1]
+    lo, shift = level.offset, (p - 1) * level.offset + 1  # conv starts at p * lo + 1
+    new = np.zeros(max(len(comp), shift + len(conv)))
     new[: len(comp)] += (1 - 1 / p) * comp
-    new[1:] += conv / p
-    return new
+    new[shift : shift + len(conv)] += conv / p
+    return trim(lo, new) if fft else Window(lo, new)
 
 
 def _level_size(p: int, d: int) -> int:
@@ -141,7 +143,7 @@ def _level_size(p: int, d: int) -> int:
 
 
 _EXACT_LADDER = Ladder([1], _step_exact, _level_size)
-_FLOAT_LADDER = Ladder(np.array([1.0]), _step_float, _level_size)
+_FLOAT_LADDER = Ladder(Window(0, np.array([1.0])), _step_float, _level_size)
 
 
 def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
@@ -154,7 +156,10 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
 
     (the p-fold self-convolution for the branching case). Exact mode keeps
     big-integer counts summing to the group order; float mode normalizes,
-    with an FFT path and a 1e-9 mass-drift guard on large supports.
+    with an FFT path and a 1e-9 mass-drift guard on large supports. A
+    float level made through the FFT (the first is depth 14 at p = 2, 9 at
+    p = 3) keeps only its window of masses at or above `pmf.TRIM_FLOOR` =
+    1e-13 of the peak; masses outside it are 0.
     """
     _require_prime(p)
     if n < 0:
@@ -165,9 +170,10 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
         masses[:: p - 1] = _EXACT_LADDER.level(p, n)
         return Pmf(1, masses, "count", total=group_order(p, n, simple=False))
     if mode == "float":
+        window = _FLOAT_LADDER.level(p, n)
         masses = np.zeros(p**n)
-        masses[:: p - 1] = _FLOAT_LADDER.level(p, n)
-        return Pmf(1, masses / masses.sum(), "float")
+        masses[(p - 1) * window.offset :: p - 1][: len(window.masses)] = window.masses
+        return Pmf(1, masses, "float")
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .groups import group_order
 from .permutations import Permutation
-from .pmf import Ladder, Pmf, check_level_size, float_convolve, int_convolve
+from .pmf import Ladder, Pmf, Window, check_level_size, float_powers, int_convolve, trim
 
 __all__ = [
     "lis",
@@ -208,23 +208,40 @@ def _step_exact(m: int, d: int, counts: list[int]) -> list[int]:
     return new
 
 
-def _step_float(m: int, d: int, cur: np.ndarray) -> np.ndarray:
-    """`_step_exact` on probabilities: the same update averaged over e."""
-    convs = [np.array([1.0]), cur]
-    for _j in range(m - 1):
-        convs.append(float_convolve(convs[-1], cur))
-    new = np.zeros(m * (len(cur) - 1) + 1)
-    for e in range(m):
-        ca, cb = convs[m - e], convs[e]
-        L = max(len(ca), len(cb))
-        ca = np.pad(ca, (0, L - len(ca)))
-        cb = np.pad(cb, (0, L - len(cb)))
-        Fa = np.cumsum(ca)
-        Fb = np.cumsum(cb)
-        part = ca * Fb + np.concatenate(([0.0], Fa[:-1])) * cb
-        new[: len(part)] += part
+def _on_grid(x: np.ndarray, start: int, n: int, fill: float) -> np.ndarray:
+    """x[start:start + n], padded with ``fill`` to length n."""
+    out = np.full(n, fill)
+    seg = x[start : start + n]
+    out[: len(seg)] = seg
+    return out
+
+
+def _max_law(oa: int, a: np.ndarray, ob: int, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """(offset, masses) of max(S_a, S_b) for independent S_a, S_b with
+    masses a from value oa and b from value ob: `_max_counts` on floats."""
+    lo = max(oa, ob)
+    n = max(oa + len(a), ob + len(b)) - lo
+    cdf_a = np.concatenate(([0.0], np.cumsum(a)))  # P(S_a < oa + i)
+    cdf_b = np.concatenate(([0.0], np.cumsum(b)))
+    Fa = _on_grid(cdf_a, lo - oa, n + 1, cdf_a[-1])  # P(S_a < k), k = lo..lo+n
+    Fb = _on_grid(cdf_b, lo - ob, n + 1, cdf_b[-1])
+    pa = _on_grid(a, lo - oa, n, 0.0)
+    pb = _on_grid(b, lo - ob, n, 0.0)
+    return lo, pa * Fb[1:] + Fa[:-1] * pb
+
+
+def _step_float(m: int, d: int, level: Window) -> Window:
+    """`_step_exact` on a window of probabilities: the same update averaged
+    over e. A level whose convolutions took the FFT is trimmed (`pmf.trim`)."""
+    powers, fft = float_powers(level.masses, m)
+    sums = [(0, np.array([1.0]))] + [(j * level.offset, x) for j, x in enumerate(powers, 1)]
+    parts = [_max_law(*sums[m - e], *sums[e]) for e in range(m)]
+    lo = min(o for o, _ in parts)
+    new = np.zeros(max(o + len(x) for o, x in parts) - lo)
+    for o, x in parts:
+        new[o - lo : o - lo + len(x)] += x
     new /= float(m)
-    return new
+    return trim(lo, new) if fft else Window(lo, new)
 
 
 def _level_size(m: int, d: int) -> int:
@@ -232,7 +249,7 @@ def _level_size(m: int, d: int) -> int:
 
 
 _EXACT_LADDER = Ladder([0, 1], _step_exact, _level_size)  # depth 0: L = 1
-_FLOAT_LADDER = Ladder(np.array([0.0, 1.0]), _step_float, _level_size)
+_FLOAT_LADDER = Ladder(Window(1, np.array([1.0])), _step_float, _level_size)
 
 
 def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
@@ -244,10 +261,12 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     Both refuse m^n above their size cap (`pmf.EXACT_SIZE_CAP`,
     `pmf.FLOAT_SIZE_CAP`).
 
-    The FFT's error is absolute, about 1e-18 per mass, so float tails are
-    unreliable from depth 13 on at m = 2 (9 at m = 3): against the exact
-    depth-13 law the relative error is 1.4e-13 on masses above 1e-6, 1e-4
-    on masses above 1e-15, and unbounded below that.
+    The FFT's error is absolute, about 1e-18 per mass, so a float level
+    made through it (the first is depth 14 at m = 2, 8 at m = 3) keeps only
+    its window of masses at or above `pmf.TRIM_FLOOR` = 1e-13 of the peak;
+    masses outside it are 0. Against the exact depth-8 law at m = 3 the
+    relative error is 6e-14 on masses above 1e-6, and the absolute error
+    1e-13 of the peak.
     """
     if m < 2 or n < 0:
         raise ValueError("need m >= 2, n >= 0")
@@ -255,7 +274,10 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     if mode == "exact":
         return Pmf(1, _EXACT_LADDER.level(m, n)[1:], "count", total=group_order(m, n, simple=False))
     if mode == "float":
-        return Pmf(1, _FLOAT_LADDER.level(m, n)[1:], "float")
+        window = _FLOAT_LADDER.level(m, n)
+        masses = np.zeros(_level_size(m, n))  # index = value, as in the ladder
+        masses[window.offset : window.offset + len(window.masses)] = window.masses
+        return Pmf(1, masses[1:], "float")
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -68,7 +68,7 @@ class Permutation:
 
     def to_text(self) -> str:
         """Comma-separated 1-based one-line form, e.g. "4,8,5,1,3,6,7,2"."""
-        return ",".join(str(v + 1) for v in self.map)
+        return ",".join(map(str, (self.map + 1).tolist()))
 
     @staticmethod
     def from_matrix(P: np.ndarray) -> "Permutation":

@@ -266,8 +266,8 @@ class TestNonsimpleCounts:
             assert rel[mask].max() < 1e-12
 
     def test_depth_13_float_matches_exact(self):
-        # From depth 13 the float ladder convolves by FFT, whose error is
-        # absolute (about 1e-18 here): relative agreement holds on the bulk.
+        # An FFT's error is absolute (about 1e-18 here), so relative agreement
+        # is asked of the bulk only.
         exact = nonsimple_lis_counts(13, mode="exact")
         flt = np.asarray(nonsimple_lis_counts(13, mode="float").masses)
         probs = np.array([v / exact.total for v in exact.masses])

@@ -193,6 +193,9 @@ class TestSerialization:
     def test_text_round_trip(self):
         assert EXAMPLE.to_text() == "4,8,5,1,3,6,7,2"
         assert from_text("4,8,5,1,3,6,7,2") == EXAMPLE
+        big = fisher_yates(5000, substream(7, 0))
+        assert big.to_text() == ",".join(str(v + 1) for v in big.map)
+        assert from_text(big.to_text()) == big
 
     def test_rejects_bad_text(self):
         with pytest.raises(ValueError):

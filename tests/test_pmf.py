@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from butterflylab import cycles, lis
-from butterflylab.pmf import Ladder, Pmf, float_convolve, int_convolve
+from butterflylab.pmf import (TRIM_FLOOR, Ladder, Pmf, Window, float_convolve, float_powers,
+                              int_convolve, trim)
 from butterflylab.pmf import _INT_FFT_BITS as CROSS
 from butterflylab.pmf import _fft_multiply, _multiply
 from butterflylab.rng import substream
@@ -183,10 +184,48 @@ def test_ladder_checks_each_level():
     with pytest.raises(ArithmeticError, match="group order"):
         Ladder([1], lambda m, d, level: level + [0], size).level(2, 1)
     with pytest.raises(FloatingPointError):
-        Ladder(np.array([1.0]), lambda m, d, level: np.array([0.5, 0.4]), size).level(2, 1)
+        Ladder(Window(0, np.array([1.0])), lambda m, d, level: Window(0, np.array([0.5, 0.4])),
+               size).level(2, 1)
+    with pytest.raises(ArithmeticError, match="window"):
+        Ladder(Window(0, np.array([1.0])), lambda m, d, level: Window(1, np.array([0.5, 0.5])),
+               size).level(2, 1)
+    # The cut mass counts against the drift guard: 6e-10 cut passes, and
+    # 6e-10 cut plus 6e-10 lost to drift does not.
+    def cuts(lost):
+        return Ladder(Window(0, np.array([1.0])),
+                      lambda m, d, level: Window(0, np.array([0.5, 0.5 - lost]), 6e-10), size)
+
+    assert cuts(6e-10).level(2, 1).cut == 6e-10
+    with pytest.raises(FloatingPointError, match="drift"):
+        cuts(1.2e-9).level(2, 1)
+    # Each level cuts 4e-10 and passes alone; the third brings the total to 1.2e-9.
+    cutting = Ladder(Window(0, np.array([1.0])),
+                     lambda m, d, level: Window(0, np.append(level.masses, 0.0) * (1 - 4e-10), 4e-10),
+                     size)
+    assert cutting.level(2, 2).cut == 4e-10
+    with pytest.raises(FloatingPointError, match="trimmed mass"):
+        cutting.level(2, 3)
     # Group orders 1, 2, 2^3: level d puts all of them on one atom.
     ok = Ladder([1], lambda m, d, level: [0] * (d + 1) + [m ** (2 ** (d + 1) - 1)], size)
     assert ok.level(2, 2) == [0, 0, 8]
+
+
+def test_trim_cuts_only_the_tails_below_the_floor():
+    # Peak 0.5: a mass at the floor stays, and so does a tiny interior one.
+    masses = np.array([1e-20, 0.0, TRIM_FLOOR * 0.5, 0.5, 1e-16, 0.5, TRIM_FLOOR * 0.4, 0.0])
+    w = trim(10, masses)
+    assert w.offset == 12
+    assert list(w.masses) == [TRIM_FLOOR * 0.5, 0.5, 1e-16, 0.5]
+    assert w.cut == 1e-20 + TRIM_FLOOR * 0.4
+
+
+def test_float_powers_report_the_fft():
+    # The FFT runs once an operand passes 4096 points.
+    assert not float_powers(np.full(4096, 1 / 4096), 2)[1]
+    assert float_powers(np.full(4097, 1 / 4097), 2)[1]
+    powers, fft = float_powers(np.full(2049, 1 / 2049), 3)  # 2049 * 2049, then 4097 * 2049
+    assert fft and [len(x) for x in powers] == [2049, 4097, 6145]
+    assert not float_powers(np.full(9000, 1 / 9000), 1)[1]
 
 
 @pytest.mark.parametrize("module, law, depth", [

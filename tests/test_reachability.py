@@ -37,7 +37,7 @@ RUNS = [
     ["sample", "--n", "3", "--trials", "2"],
     ["lis-table", "--n", "1..3"],
     ["lis-mc", "--n", "2..3", "--trials", "3"],
-    ["fit", "--n", "3..5"],
+    ["fit", "--n", "3..14"],  # depth 14 is the first LIS level made by FFT, so trimmed
     ["bounds", "--m", "2..3"],
     ["cycles-table", "--p", "3", "--n", "1..2"],
     ["moments", "--p", "2", "--k-max", "4"],

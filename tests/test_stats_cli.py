@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -68,6 +70,19 @@ def run_cli(args, tmp):
     rc = main([*args, "--out", str(tmp)])
     assert rc == 0
     return tmp
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer writes for the header and the rows formatted by cli._fmt."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([cli._fmt(v) for v in row])
+    return buf.getvalue().encode()
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 class TestCli:
@@ -338,7 +353,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
     def test_float_fft_ladders_leave_scipy_signal_unloaded(self, tmp_path):
-        # fit from depth 13 and density from depth 14 take the FFT branch of
+        # fit and density at depth 14 take the FFT branch of
         # pmf.float_convolve, which runs on numpy.fft.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -369,6 +384,69 @@ class TestCli:
 
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest["versions"]["scipy"] == scipy.__version__
+
+    def test_rows_match_csv_writer(self, tmp_path):
+        header = ["big", "fraction", "float", "negative", "blank"]
+        rows = [(3**9000, Fraction(-2**200, 3**150), 0.1, -2.5e-300, ""),
+                (0, Fraction(1, 2), 1e300, -0.0, ""),
+                (-7, Fraction(5), np.float64(6.5e-27), float("-inf"), "")]
+        with cli._unlimited_int_digits():
+            path = cli._write_rows(tmp_path, "rows", header, rows, "csv")
+            assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["lis-table", "--n", "1..6"],
+        ["lis-table", "--m", "3", "--mode", "float", "--n", "1..4"],
+        ["lis-mc", "--ensembles", "uniform,goe", "--n", "2..3", "--trials", "3"],
+        ["bounds", "--m", "2..5"],
+        ["cycles-table", "--p", "3", "--n", "1..4"],
+        ["cycles-table", "--p", "2", "--mode", "float", "--n", "1..6"],
+        ["density", "--p", "2", "--n", "8"],
+        ["fixed-points", "--m", "2..4", "--n", "3"],
+    ])
+    def test_subcommand_rows_match_csv_writer(self, tmp_path, argv):
+        args = cli.build_parser().parse_args(argv)
+        files = args.fn(args, 0)
+        assert files
+        for name, (header, rows) in files.items():
+            path = cli._write_rows(tmp_path, name, header, rows, "csv")
+            assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+    def test_float_outputs_match_the_benchmark_reference(self, tmp_path):
+        # The float fit and density the benchmark checks, to its 1e-9
+        # relative tolerance. Trimming the ladder tails at 1e-12 of the peak
+        # instead of pmf.TRIM_FLOOR moves density.csv past it at t = 3.95, 4.
+        reference = json.loads(REFERENCE.read_text())["float"]
+        argv = ["fit", "--mode", "float", "--n", "3..20"]
+        got = json.loads((run_cli(argv, tmp_path / "fit") / "fit.json").read_text())
+        want = reference[" ".join(argv) + "/fit.json"]
+        assert got.keys() == want.keys() and got["n_values"] == want["n_values"]
+        for key in ("alpha_hat", "intercept", "r_squared"):
+            assert math.isclose(got[key], want[key], rel_tol=1e-9), key
+        argv = ["density", "--p", "2", "--n", "20"]
+        with (run_cli(argv, tmp_path / "density") / "density.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        want = reference[" ".join(argv) + "/density.csv"]
+        assert header == want["header"] and len(rows) == len(want["rows"])
+        for row, want_row in zip(rows, want["rows"]):
+            assert all(math.isclose(float(v), w, rel_tol=1e-9) for v, w in zip(row, want_row)), row
+
+    @pytest.mark.parametrize("argv, name, module, k_first", [
+        (["cycles-table", "--p", "2", "--mode", "float", "--n", "14..14"], "cycle_counts.csv",
+         cycles, lambda offset: offset + 1),  # compressed index j holds k = j + 1
+        (["lis-table", "--mode", "float", "--n", "14..14"], "lis_counts.csv",
+         lis, lambda offset: offset),  # index = value
+    ])
+    def test_float_tables_print_0_outside_the_window(self, tmp_path, argv, name, module, k_first):
+        with (run_cli(argv, tmp_path) / name).open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 2**14
+        window = module._FLOAT_LADDER.level(2, 14)
+        lo = k_first(window.offset)
+        inside = range(lo, lo + len(window.masses))
+        masses = {int(row[header.index("k")]): row[header.index("mass")] for row in rows}
+        assert all(v == "0" for k, v in masses.items() if k not in inside)
+        assert sum(v != "0" for v in masses.values()) == len(window.masses) < 2**14
 
     def test_entry_point(self, tmp_path):
         proc = subprocess.run(
