@@ -42,6 +42,10 @@ _BUTTERFLY_SHAPES = {"bs-diag": "simple", "ns-diag": "nonsimple"}
 # a median wall_s of 3.00 s against 3.65 s for 1 << 16, and peak RSS was
 # 57.7 MB for both.
 BATCH_ENTRIES = 1 << 18
+# Largest order lis-mc eliminates. One trial at N = 2^11 peaks at 293 MB of
+# RSS for gue and 164 MB for bernoulli; at 2^12 one GUE matrix is 268 MB,
+# and the input stack and its working copy hold three of them.
+GEPP_MAX_N = 1 << 11
 
 
 def _fmt(x) -> str:
@@ -215,19 +219,20 @@ def cmd_lis_mc(args, seed: int) -> dict:
         if e not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {e!r}")
     ns = _parse_range(args.n)
+    gepp_ensembles = [e for e in ensembles if e not in _PERMUTATION_ENSEMBLES]
     for n in ns:
         if groups.exceeds_cap(2, n, groups.MATERIALIZE_SIZE_CAP):
             raise ValueError(f"N = 2^{n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
+        if gepp_ensembles and groups.exceeds_cap(2, n, GEPP_MAX_N):
+            raise ValueError(f"N = 2^{n} exceeds the GEPP size cap {GEPP_MAX_N} for {gepp_ensembles[0]}")
     rows = []
     for ens in ensembles:
         for n in ns:
             N = 2**n
             if args.trials:
                 trials = args.trials
-            elif ens in _PERMUTATION_ENSEMBLES:
-                trials = 1000
             else:
-                trials = 100 if n <= 12 else 10
+                trials = 1000 if ens in _PERMUTATION_ENSEMBLES else 100
             mean, std = _sample_lis(ens, N, trials, seed)
             rows.append((ens, N, mean, std, trials))
     return {"lis_mc": (["ensemble", "N", "sample_mean", "sample_std", "trials"], rows)}

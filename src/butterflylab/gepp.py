@@ -7,10 +7,16 @@ satisfies ``P_sigma A = L U`` with ``P_sigma e_k = e_{sigma(k)}``.
 
 `gepp` and `gepp_perm_batch` run one elimination loop, `_eliminate`; a
 pivot is a near tie only when some multiplier has |l_jk| >= 1 - TIE_RTOL.
+Real stacks in `gepp_perm_batch` go to LAPACK ``dgetrf``, bound with ctypes
+from the OpenBLAS that numpy already has loaded, so no scipy module is
+imported.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +40,6 @@ __all__ = [
 
 TIE_RTOL = 2.0**-40
 SINGULAR_FLOOR = 1e-300
-# Smallest order that `gepp_perm_batch` hands to LAPACK. Smaller real
-# stacks take the blocked elimination, which needs no scipy import.
-LAPACK_MIN_N = 256
 # Columns per panel of the blocked elimination. On one GUE matrix at
 # N = 512 (1 BLAS thread) widths 16 to 32 all run 4x faster than the rank-1
 # loop; on stacks of 16 to 64 matrices at N = 64 and 128, widths 8 to 32
@@ -87,15 +90,17 @@ def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
     Returns shape (T, N). Three paths give the same permutations:
 
     - full width, `_eliminate(W, N)`: the rank-1 loop, one column at a time.
-      It takes empty stacks, orders up to `PANEL_WIDTH`, and stacks with
-      all-integer entries (the Bernoulli ensemble), whose exact pivot ties
-      only this path resolves by the min-index rule.
-    - blocked, `_eliminate(W, PANEL_WIDTH)`: complex stacks of any larger
-      order, and real ones below `LAPACK_MIN_N`.
-    - LAPACK ``getrf`` (`_getrf_perms`): real stacks from `LAPACK_MIN_N` on;
-      ``idamax`` takes the first maximal |entry|, the same min-index rule
-      (``zgetrf`` pivots on |Re| + |Im|, not the modulus, so complex stacks
-      stay blocked).
+      It takes empty stacks and stacks with all-integer entries (the
+      Bernoulli ensemble) at every order, whose exact pivot ties only this
+      path resolves by the min-index rule, and complex stacks up to order
+      `PANEL_WIDTH`.
+    - LAPACK ``dgetrf`` (`_getrf_perms`): every other real stack, at every
+      order. ``idamax`` takes the first maximal |entry|, the same min-index
+      rule.
+    - blocked, `_eliminate(W, PANEL_WIDTH)`: complex stacks above
+      `PANEL_WIDTH` (``zgetrf`` pivots on |Re| + |Im|, not the modulus).
+      Real stacks take the complex route when numpy's OpenBLAS exports no
+      ILP64 ``dgetrf`` (`_dgetrf` returns None).
 
     The blocked and LAPACK paths round differently from the rank-1 loop, so
     a matrix keeps their permutation only when every multiplier has
@@ -105,42 +110,92 @@ def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(mats)
     real = not np.iscomplexobj(A)
-    W = A.astype(np.float64 if real else complex)
-    T, N, _ = W.shape
-    if T == 0 or N <= PANEL_WIDTH or (real and np.array_equal(W, np.rint(W))):
-        return _eliminate(W, N)[0]
-    if real and N >= LAPACK_MIN_N:
-        perm, ok = _getrf_perms(W)
+    T, N, _ = A.shape
+    dtype = np.float64 if real else complex
+    if T == 0 or (real and np.array_equal(A, np.rint(A))):
+        return _eliminate(A.astype(dtype), N)[0]
+    if real and _dgetrf() is not None:
+        perm, ok = _getrf_perms(A)
+    elif N <= PANEL_WIDTH:
+        return _eliminate(A.astype(dtype), N)[0]
     else:
-        perm, lmax = _eliminate(W, PANEL_WIDTH)
+        perm, lmax = _eliminate(A.astype(dtype), PANEL_WIDTH)
         ok = lmax < 1.0 - TIE_RTOL
     if not ok.all():
-        perm[~ok] = _eliminate(A[~ok].astype(W.dtype), N)[0]
+        perm[~ok] = _eliminate(A[~ok].astype(dtype), N)[0]
     return perm
 
 
-def _getrf_perms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_DGETRF_LOCK = threading.Lock()
+
+
+def _dgetrf():
+    """numpy's LAPACK ``dgetrf`` as a ctypes function, or None; looked up once.
+
+    Thread-safe: concurrent first callers wait for one lookup.
+    """
+    with _DGETRF_LOCK:
+        return _find_dgetrf()
+
+
+@functools.cache
+def _find_dgetrf():
+    """ILP64 ``dgetrf`` from the libraries numpy's linalg extension links.
+
+    dlsym on the extension's handle also searches its dependencies: numpy
+    >= 2 wheels bundle scipy-openblas with prefixed ILP64 names, numpy 1.x
+    ``openblas64_`` wheels export suffixed ones. An LP64 system BLAS
+    exports neither, and its 32-bit integers would not match the c_int64
+    arguments.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_dgetrf_64_", "dgetrf_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            i64 = ctypes.POINTER(ctypes.c_int64)
+            fn.argtypes = [i64, i64, ctypes.c_void_p, i64, ctypes.c_void_p, i64]
+            fn.restype = None
+            return fn
+    return None
+
+
+def _getrf_perms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK permutations of a real stack, and which of them pass the tie guard.
 
-    ``lu_factor`` leaves W intact and returns, per matrix, the pivot rows
-    ``piv`` (step k swapped rows k and piv[k]) and one column-major array
-    holding L's multipliers below the diagonal. Replaying the swaps gives the
-    row order, whose argsort is the permutation. The replay runs in Python
-    per matrix: from N = `LAPACK_MIN_N` on, lis-mc stacks hold at most four
-    matrices, and N list swaps cost less than N vectorized numpy steps.
+    One copy of A holds each matrix in column-major order; ``dgetrf``
+    factors it in place and leaves A intact. Per matrix, ``ipiv`` (1-based)
+    says step k swapped rows k and ipiv[k]; replaying the swaps gives the
+    row order, whose argsort is the permutation. ``info > 0`` marks an
+    exactly zero pivot column, which swaps nothing: the min-index
+    convention. Row k of a column-major matrix is column k of the factor,
+    so L's multipliers are the entries right of the diagonal.
     """
-    from scipy.linalg import lu_factor  # about 0.3 s and 25 MB; only large N pays it
-
-    lu, piv = lu_factor(W, check_finite=False)
-    rows = np.empty(piv.shape, dtype=np.int64)
-    for t, swaps in enumerate(piv.tolist()):
-        order = list(range(len(swaps)))
+    dgetrf = _dgetrf()
+    T, N, M = A.shape
+    if M != N:
+        raise ValueError("matrices must be square")
+    F = np.array(A.transpose(0, 2, 1), dtype=np.float64, order="C")
+    ipiv = np.empty((T, N), dtype=np.int64)
+    n, info = ctypes.c_int64(N), ctypes.c_int64()
+    # Raw addresses: a `.ctypes` view per matrix costs more than a small factorization.
+    f0, p0 = F.ctypes.data, ipiv.ctypes.data
+    for t in range(T):
+        dgetrf(n, n, f0 + t * F.strides[0], n, p0 + t * ipiv.strides[0], info)
+        if info.value < 0:
+            raise ValueError(f"dgetrf rejected argument {-info.value}")
+    rows = []
+    for swaps in (ipiv - 1).tolist():
+        order = list(range(N))
         for k, j in enumerate(swaps):
             order[k], order[j] = order[j], order[k]
-        rows[t] = order
-    # Row k of the transpose is column k of the factor: contiguous reads.
-    np.abs(lu, out=lu)
-    ok = np.triu(lu.transpose(0, 2, 1), 1).max(axis=(1, 2)) < 1.0 - TIE_RTOL
+        rows.append(order)
+    np.abs(F, out=F)
+    ok = np.triu(F, 1).max(axis=(1, 2)) < 1.0 - TIE_RTOL
     return np.argsort(rows, axis=1, kind="stable"), ok
 
 

@@ -1,11 +1,13 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from butterflylab import Permutation, cycle_stats, fisher_yates, identity, kron
 from butterflylab.gepp import (
-    LAPACK_MIN_N,
     ButterflySpec,
     SingularMatrixError,
     TieAngleError,
@@ -251,29 +253,51 @@ def full_width(mats) -> np.ndarray:
     return _eliminate(W, W.shape[-1])[0]
 
 
-class TestLapackBranch:
-    """From N = LAPACK_MIN_N, real stacks take getrf behind the tie guard;
-    the full-width elimination is the oracle."""
+def spy_routes(monkeypatch) -> list:
+    """Record each `_getrf_perms` call as ("getrf", T) and each `_eliminate` as (T, width)."""
+    seen = []
 
-    @pytest.mark.parametrize("N", [LAPACK_MIN_N, 2 * LAPACK_MIN_N])
-    @pytest.mark.parametrize("kind", ["goe", "bs-diag", "ns-diag"])
-    def test_matches_elimination(self, kind, N):
-        mats = _stack(kind, N, 2, 43)
+    def getrf(A):
+        seen.append(("getrf", len(A)))
+        return _getrf_perms(A)
+
+    def eliminate(W, width):
+        seen.append((len(W), width))
+        return _eliminate(W, width)
+
+    monkeypatch.setattr(gepp_module, "_getrf_perms", getrf)
+    monkeypatch.setattr(gepp_module, "_eliminate", eliminate)
+    return seen
+
+
+class TestLapackBranch:
+    """Real stacks at every order take numpy's LAPACK dgetrf behind the tie
+    guard; the full-width elimination is the oracle."""
+
+    # Butterflies exist at powers of two; at N = 1 they are the integer [[1]].
+    @pytest.mark.parametrize(("kind", "N"), [
+        (kind, N) for N in [1, 2, 3, 5, 16, 32, 33, 64, 128, 256, 512]
+        for kind in ["goe", "bs-diag", "ns-diag"] if kind == "goe" or (N > 1 and N & (N - 1) == 0)])
+    def test_matches_elimination(self, monkeypatch, kind, N):
+        mats = _stack(kind, N, 1 if N == 512 else 3, 43)
         _, ok = _getrf_perms(mats)
         assert ok.all()
+        expected = full_width(mats)
+        seen = spy_routes(monkeypatch)
         sig = gepp_perm_batch(mats)
-        assert np.array_equal(sig, full_width(mats))
-        if N == LAPACK_MIN_N:
+        assert seen == [("getrf", len(mats))]
+        assert sig.tobytes() == expected.tobytes()
+        if N <= 256:
             for i in range(len(mats)):
                 assert Permutation(sig[i]) == gepp(mats[i]).perm
 
     @pytest.mark.parametrize("kind", ["goe", "ns-diag"])
     def test_getrf_perms_match_lu(self, kind):
-        # scipy's `lu` with p_indices is the oracle for the replayed swaps,
-        # and its L for the tie guard read off the combined factor.
+        # scipy's `lu` with p_indices is a test-only oracle for the replayed
+        # swaps, and its L for the tie guard read off the combined factor.
         from scipy.linalg import lu
 
-        mats = _stack(kind, 2 * LAPACK_MIN_N, 3, 47)
+        mats = _stack(kind, 512, 3, 47)
         before = mats.copy()
         perm, ok = _getrf_perms(mats)
         p, L, _ = lu(mats, p_indices=True, check_finite=False)
@@ -282,7 +306,7 @@ class TestLapackBranch:
         assert np.array_equal(ok, np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL)
 
     def test_integer_stack_skips_lapack(self, monkeypatch):
-        mats = _stack("bernoulli", LAPACK_MIN_N, 2, 48)
+        mats = _stack("bernoulli", 256, 2, 48)
 
         def refuse(W):
             raise AssertionError("integer stacks tie exactly; LAPACK is wasted on them")
@@ -291,25 +315,96 @@ class TestLapackBranch:
         assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
 
     def test_bernoulli_ties_fall_back(self):
-        mats = _stack("bernoulli", LAPACK_MIN_N, 3, 44)
+        mats = _stack("bernoulli", 256, 3, 44)
         _, ok = _getrf_perms(mats)
         assert not ok.any()
         assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
 
     def test_zero_pivot_column(self):
-        mats = _stack("goe", LAPACK_MIN_N, 1, 45)
-        mats[0, :, 0] = 0.0
-        assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
+        # dgetrf reports info = j + 1 and swaps nothing at step j; no warning
+        # is raised, and the permutation is the full-width one.
+        for N, j in [(1, 0), (8, 0), (8, 5), (64, 0), (64, 40), (256, 0), (256, 200)]:
+            mats = _stack("goe", N, 2, 45)
+            mats[0, :, j] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                perm, ok = _getrf_perms(mats)
+                sig = gepp_perm_batch(mats)
+            assert ok.all()
+            assert np.array_equal(perm, full_width(mats))
+            assert np.array_equal(sig, perm)
 
     def test_mixed_stack_keeps_row_order(self):
-        goe = _stack("goe", LAPACK_MIN_N, 2, 46)
-        bern = _stack("bernoulli", LAPACK_MIN_N, 2, 46)
+        goe = _stack("goe", 256, 2, 46)
+        bern = _stack("bernoulli", 256, 2, 46)
         mats = np.stack([goe[0], bern[0], goe[1], bern[1]])
         _, ok = _getrf_perms(mats)
         assert ok.tolist() == [True, False, True, False]
         sig = gepp_perm_batch(mats)
         for i in range(len(mats)):
             assert np.array_equal(sig[i], full_width(mats[i][None])[0])
+
+    def test_rejects_non_square_before_lapack(self):
+        # dgetrf would read N * N entries from each N x M matrix.
+        with pytest.raises(ValueError, match="square"):
+            gepp_perm_batch(substream(31, 63).normal(size=(2, 8, 5)))
+
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_near_tie_is_rejected(self, monkeypatch, N):
+        # near_tie runs gepp, so it is built before the spy goes in.
+        A = near_tie(N, N - 3, 60)
+        mats = np.stack([_stack("goe", N, 1, 60)[0], A])
+        assert _getrf_perms(mats)[1].tolist() == [True, False]
+        expected = full_width(mats)
+        seen = spy_routes(monkeypatch)
+        assert np.array_equal(gepp_perm_batch(mats), expected)
+        assert seen == [("getrf", 2), (1, N)]
+
+    @pytest.mark.parametrize(("kind", "N", "widths"), [
+        ("goe", 16, [(4, 16)]),
+        ("goe", PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("goe", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("bs-diag", 256, [(4, PANEL_WIDTH)]),
+    ])
+    def test_without_numpy_lapack(self, monkeypatch, kind, N, widths):
+        # A numpy whose BLAS exports no ILP64 dgetrf: real stacks take the
+        # complex route, full width up to PANEL_WIDTH and blocked above it.
+        mats = _stack(kind, N, 4, 61)
+        expected = full_width(mats)
+        monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
+        seen = spy_routes(monkeypatch)
+        assert np.array_equal(gepp_perm_batch(mats), expected)
+        assert seen == widths
+
+    def test_lookup_is_once_and_threads_agree(self):
+        # More threads than cores, a short switch interval, disjoint stacks:
+        # every thread sees the one looked-up function and the serial result.
+        stacks = [_stack("goe", N, 4, 62) for N in (16, 64, 128, 256) for _ in range(2)]
+        expected = [gepp_perm_batch(s) for s in stacks]
+        gepp_module._find_dgetrf.cache_clear()
+        found, results = [None] * len(stacks), [None] * len(stacks)
+        start = threading.Barrier(len(stacks))
+
+        def work(i):
+            start.wait()
+            found[i] = gepp_module._dgetrf()
+            results[i] = gepp_perm_batch(stacks[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(stacks))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert gepp_module._find_dgetrf.cache_info().misses == 1
+        assert found[0] is not None and all(f is found[0] for f in found)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
 
 
 def rank1_reference(W: np.ndarray) -> np.ndarray:
@@ -351,9 +446,9 @@ def near_tie(N: int, k: int, seed: int, kind: str = "goe") -> np.ndarray:
 
 
 class TestBlockedPath:
-    """Real stacks with PANEL_WIDTH < N < LAPACK_MIN_N and all complex stacks
-    above PANEL_WIDTH run the blocked elimination behind the multiplier
-    guard; the full-width elimination is the oracle."""
+    """Complex stacks above PANEL_WIDTH, and real ones when numpy's LAPACK
+    is not found, run the blocked elimination behind the multiplier guard;
+    the full-width elimination is the oracle."""
 
     @pytest.mark.parametrize("N", [64, 128, 512])
     @pytest.mark.parametrize("kind", ["goe", "gue", "bs-diag", "ns-diag"])
@@ -367,7 +462,7 @@ class TestBlockedPath:
         assert np.array_equal(gepp_perm_batch(mats), expected)
 
     def test_complex_256(self):
-        mats = _stack("gue", LAPACK_MIN_N, 2, 52)
+        mats = _stack("gue", 256, 2, 52)
         perm, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
         assert (lmax < 1.0 - TIE_RTOL).all()
         assert np.array_equal(perm, full_width(mats))
@@ -414,40 +509,36 @@ class TestBlockedPath:
         W = mats.copy()
         assert np.array_equal(_eliminate(W, N + 7)[0], expected)
         assert W.tobytes() == ref.tobytes()
-        if N <= PANEL_WIDTH or kind == "bernoulli":
-            assert np.array_equal(gepp_perm_batch(mats), expected)
+        assert np.array_equal(gepp_perm_batch(mats), expected)
 
     @pytest.mark.parametrize(("kind", "N", "widths"), [
-        ("goe", PANEL_WIDTH, [PANEL_WIDTH]),
+        ("goe", PANEL_WIDTH, []),
         ("bernoulli", 2 * PANEL_WIDTH, [2 * PANEL_WIDTH]),
-        ("goe", 2 * PANEL_WIDTH, [PANEL_WIDTH]),
+        ("goe", 2 * PANEL_WIDTH, []),
         ("gue", 2 * PANEL_WIDTH, [PANEL_WIDTH]),
-        ("gue", 2 * LAPACK_MIN_N, [PANEL_WIDTH]),
-        ("goe", LAPACK_MIN_N, []),
+        ("gue", 512, [PANEL_WIDTH]),
+        ("goe", 256, []),
+        ("goe", 1, []),
+        ("ns-diag", 128, []),
+        ("gue", PANEL_WIDTH, [PANEL_WIDTH]),
+        ("bernoulli", 512, [512]),
     ])
     def test_routing(self, monkeypatch, kind, N, widths):
-        seen = []
-
-        def spy(W, width):
-            seen.append(width)
-            return _eliminate(W, width)
-
-        monkeypatch.setattr(gepp_module, "_eliminate", spy)
-        gepp_perm_batch(_stack(kind, N, 1, 58))
-        assert seen == widths
+        # Real non-integer stacks take dgetrf at every order; `widths` are
+        # the `_eliminate` calls, full width or blocked, of the other stacks.
+        mats = _stack(kind, N, 1, 58)
+        seen = spy_routes(monkeypatch)
+        gepp_perm_batch(mats)
+        lapack = kind in ("goe", "bs-diag", "ns-diag")
+        assert seen == [("getrf", 1)] * lapack + [(1, w) for w in widths]
 
     def test_rejected_rows_rerun_full_width(self, monkeypatch):
         # Built first: near_tie runs gepp, which the spy would record.
         N = 2 * PANEL_WIDTH
-        mats = np.stack([near_tie(N, 40, 59), _stack("goe", N, 1, 59)[0]])
-        seen = []
-
-        def spy(W, width):
-            seen.append((len(W), width))
-            return _eliminate(W, width)
-
-        monkeypatch.setattr(gepp_module, "_eliminate", spy)
-        gepp_perm_batch(mats)
+        mats = np.stack([near_tie(N, 40, 59, "gue"), _stack("gue", N, 1, 59)[0]])
+        expected = full_width(mats)
+        seen = spy_routes(monkeypatch)
+        assert np.array_equal(gepp_perm_batch(mats), expected)
         assert seen == [(2, PANEL_WIDTH), (1, N)]
 
 

@@ -124,6 +124,8 @@ class TestCli:
         (["fit", "--from", "{tmp}/lis_counts.csv", "--n", "1..4"], None),
         (["sample", "--kind", "uniform", "--n", "40"], None),
         (["sample", "--kind", "simple", "--m", "3", "--n", "2000000"], None),
+        (["lis-mc", "--ensembles", "uniform,goe", "--n", "18", "--trials", "1"], None),
+        (["lis-mc", "--ensembles", "gue", "--n", "2,12", "--trials", "1"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -339,11 +341,10 @@ class TestCli:
         assert not cli._is_law(outside, pmf)
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.linalg takes about 0.3 s to import, and only the LAPACK branch
-        # of gepp.gepp_perm_batch needs it; the library never imports
-        # scipy.special or scipy.signal. numpy.fft is left to
-        # pmf._fft_convolve, the one FFT convolution behind both the
-        # big-integer multiply and the float ladders.
+        # The library imports no scipy module, and importing the CLI loads
+        # no numpy.fft either: that is left to pmf._fft_convolve, the one
+        # FFT convolution behind the big-integer multiply and the float
+        # ladders.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, butterflylab.cli; "
@@ -369,14 +370,16 @@ class TestCli:
 
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
         # The manifest reads scipy's version from scipy/version.py, so the
-        # import and the subcommands that need no scipy module, verify among
-        # them, load none.
+        # import and the subcommands load no scipy module: verify, and
+        # lis-mc at N = 512, whose real stacks take numpy's LAPACK dgetrf.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, butterflylab.cli as c; "
                 "assert 'scipy' not in sys.modules; "
                 f"c.main(['bounds', '--m', '2', '--out', {str(tmp_path / 'b')!r}]); "
                 f"c.main(['verify', '--out', {str(tmp_path / 'v')!r}]); "
+                "c.main(['lis-mc', '--ensembles', 'goe,ns-diag', '--n', '9..9', '--trials', '1', "
+                f"'--out', {str(tmp_path / 'mc')!r}]); "
                 "assert 'scipy' not in sys.modules")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
