@@ -219,8 +219,12 @@ def cmd_lis_mc(args, seed: int) -> dict:
         if e not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {e!r}")
     ns = _parse_range(args.n)
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     gepp_ensembles = [e for e in ensembles if e not in _PERMUTATION_ENSEMBLES]
     for n in ns:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         if groups.exceeds_cap(2, n, groups.MATERIALIZE_SIZE_CAP):
             raise ValueError(f"N = 2^{n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
         if gepp_ensembles and groups.exceeds_cap(2, n, GEPP_MAX_N):
@@ -229,10 +233,7 @@ def cmd_lis_mc(args, seed: int) -> dict:
     for ens in ensembles:
         for n in ns:
             N = 2**n
-            if args.trials:
-                trials = args.trials
-            else:
-                trials = 1000 if ens in _PERMUTATION_ENSEMBLES else 100
+            trials = args.trials or (1000 if ens in _PERMUTATION_ENSEMBLES else 100)
             mean, std = _sample_lis(ens, N, trials, seed)
             rows.append((ens, N, mean, std, trials))
     return {"lis_mc": (["ensemble", "N", "sample_mean", "sample_std", "trials"], rows)}

@@ -159,7 +159,7 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
     with an FFT path and a 1e-9 mass-drift guard on large supports. A
     float level made through the FFT (the first is depth 14 at p = 2, 9 at
     p = 3) keeps only its window of masses at or above `pmf.TRIM_FLOOR` =
-    1e-13 of the peak; masses outside it are 0.
+    1e-13 of the peak, and a float law's support runs over its window only.
     """
     _require_prime(p)
     if n < 0:
@@ -171,9 +171,9 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
         return Pmf(1, masses, "count", total=group_order(p, n, simple=False))
     if mode == "float":
         window = _FLOAT_LADDER.level(p, n)
-        masses = np.zeros(p**n)
-        masses[(p - 1) * window.offset :: p - 1][: len(window.masses)] = window.masses
-        return Pmf(1, masses, "float")
+        masses = np.zeros((p - 1) * (len(window.masses) - 1) + 1)
+        masses[:: p - 1] = window.masses
+        return Pmf(1 + (p - 1) * window.offset, masses, "float")
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -306,8 +306,7 @@ def density_grid(p: int, n: int, t_values):
         if t < 0:
             raise ValueError("t must be >= 0")
         k = math.floor((t * scale - 1) / (p - 1)) * (p - 1) + 1
-        f = float(counts.p(k)) * scale / (p - 1) if 1 <= k <= p**n else 0.0
-        out.append((t, f))
+        out.append((t, float(counts.p(k)) * scale / (p - 1)))
     return out
 
 

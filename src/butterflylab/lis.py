@@ -253,20 +253,19 @@ _FLOAT_LADDER = Ladder(Window(1, np.array([1.0])), _step_float, _level_size)
 
 
 def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
-    """Law of the nonsimple-group LIS at depth n, values 1..m^n.
+    """Law of the nonsimple-group LIS at depth n, on values 1..m^n.
 
     Exact mode returns big-integer counts summing to the group order; float
     mode runs the same recursion on normalized masses (direct convolution,
-    switching to FFT with a mass-drift guard above 4096 support points).
-    Both refuse m^n above their size cap (`pmf.EXACT_SIZE_CAP`,
-    `pmf.FLOAT_SIZE_CAP`).
+    switching to FFT with a mass-drift guard above 4096 support points) and
+    returns the ladder's window, whose values are the `Pmf`'s support. Both
+    refuse m^n above their size cap (`pmf.EXACT_SIZE_CAP`, `pmf.FLOAT_SIZE_CAP`).
 
     The FFT's error is absolute, about 1e-18 per mass, so a float level
     made through it (the first is depth 14 at m = 2, 8 at m = 3) keeps only
-    its window of masses at or above `pmf.TRIM_FLOOR` = 1e-13 of the peak;
-    masses outside it are 0. Against the exact depth-8 law at m = 3 the
-    relative error is 6e-14 on masses above 1e-6, and the absolute error
-    1e-13 of the peak.
+    its window of masses at or above `pmf.TRIM_FLOOR` = 1e-13 of the peak.
+    Against the exact depth-8 law at m = 3 the relative error is 6e-14 on
+    masses above 1e-6, and the absolute error 1e-13 of the peak.
     """
     if m < 2 or n < 0:
         raise ValueError("need m >= 2, n >= 0")
@@ -274,10 +273,8 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     if mode == "exact":
         return Pmf(1, _EXACT_LADDER.level(m, n)[1:], "count", total=group_order(m, n, simple=False))
     if mode == "float":
-        window = _FLOAT_LADDER.level(m, n)
-        masses = np.zeros(_level_size(m, n))  # index = value, as in the ladder
-        masses[window.offset : window.offset + len(window.masses)] = window.masses
-        return Pmf(1, masses[1:], "float")
+        window = _FLOAT_LADDER.level(m, n)  # index = value
+        return Pmf(window.offset, window.masses, "float")
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -27,8 +27,9 @@ an absolute error of about 1e-18 per mass, so its level keeps only the
 window from the first to the last mass at or above `TRIM_FLOOR` = 1e-13 of
 the peak (`trim`); the mass cut from the two tails counts against the 1e-9
 drift guard. Levels made by direct convolution keep their whole support.
-At depth 20 the windows hold 45,478 of the 2^20 LIS points (m = 2) and
-21,362 of the 2^20 Stirling points (p = 2).
+A float law is the `Pmf` of its level's window alone, 0 off it: at depth 20
+that is 45,478 of the 2^20 LIS values (m = 2) and 21,362 of the 2^20
+Stirling values (p = 2).
 """
 from __future__ import annotations
 

@@ -3,6 +3,9 @@
 `_untrimmed` runs the float LIS and Stirling steps as they were before
 levels became windows: every level keeps its whole support, FFT noise and
 all, and is renormalized as the ladder does. It is the oracle here.
+`zero_filled` spreads a ladder window over every value 1..m^n, zeros
+around it; the float laws, which hold only the window, must agree with it
+at every value.
 """
 from __future__ import annotations
 
@@ -79,6 +82,24 @@ def _law(module, base, n):
     return cycles.nonsimple_cycle_counts(base, n, "float")
 
 
+def zero_filled(module, base, n):
+    """The depth-n float law as masses of values 1..base^n: the ladder's
+    window with zeros around it (and, for cycles, between its atoms)."""
+    window = module._FLOAT_LADDER.level(base, n)
+    if module is lis:
+        masses = np.zeros(base**n + 1)  # index = value
+        masses[window.offset : window.offset + len(window.masses)] = window.masses
+        return masses[1:]
+    masses = np.zeros(base**n)  # compressed index j holds k = (base - 1) j + 1
+    masses[(base - 1) * window.offset :: base - 1][: len(window.masses)] = window.masses
+    return masses
+
+
+def _by_value(pmf, size):
+    """pmf.mass(k) for k = 1..size."""
+    return np.fromiter(map(pmf.mass, range(1, size + 1)), np.float64, size)
+
+
 @pytest.fixture(scope="module", params=LADDERS, ids=IDS)
 def ladder(request):
     module, base, top = request.param
@@ -98,7 +119,7 @@ def test_levels_no_fft_made_match_the_untrimmed_ladder(ladder):
     first_fft = made_by_fft.index(True)
     assert first_fft >= 8  # levels of 4096 points and more are still whole
     for n in range(first_fft):
-        got = np.asarray(_law(module, base, n).masses)
+        got = _by_value(_law(module, base, n), base**n)
         pos = oracle[n] > 0
         rel = np.abs(got[pos] - oracle[n][pos]) / oracle[n][pos]
         assert rel.max() < 1e-13, n
@@ -111,13 +132,31 @@ def test_trimmed_mass_stays_below_the_drift_guard(ladder):
     assert 0.0 < sum(w.cut for w in levels) < 1e-9
 
 
-@pytest.mark.parametrize("module", [lis, cycles], ids=["lis", "cycles"])
-def test_depth_20_window_is_a_small_part_of_the_support(module):
+@pytest.mark.parametrize("module, size, first_value", [
+    (lis, 45_478, lambda offset: offset),  # index = value
+    (cycles, 21_362, lambda offset: offset + 1),  # compressed index j holds k = j + 1
+], ids=["lis", "cycles"])
+def test_depth_20_window_is_a_small_part_of_the_support(module, size, first_value):
     window = module._FLOAT_LADDER.level(2, 20)
-    assert len(window.masses) < 0.1 * 2**20
     pmf = _law(module, 2, 20)
-    assert len(pmf.masses) == 2**20
-    assert np.count_nonzero(pmf.masses) == len(window.masses)
+    assert len(pmf.masses) == len(window.masses) == size < 0.1 * 2**20
+    assert pmf.support.start == first_value(window.offset)
+
+
+EXPANDED = [(lis, 2, range(14, 21)), (lis, 3, range(8, 13)),
+            (cycles, 2, range(14, 21)), (cycles, 3, range(9, 13))]
+
+
+@pytest.mark.parametrize("module, base, depths", EXPANDED, ids=IDS)
+def test_window_laws_match_their_zero_filled_expansion(module, base, depths):
+    for n in depths:
+        want = zero_filled(module, base, n)
+        pmf = _law(module, base, n)
+        assert 1 <= pmf.support.start and pmf.support.stop <= base**n + 1, n
+        assert (_by_value(pmf, base**n) == want).all(), n
+        values = np.arange(1, base**n + 1, dtype=np.float64)
+        for k in range(1, 5):
+            assert pmf.moment(k) == pytest.approx(float(want @ values**k), rel=1e-15), (n, k)
 
 
 @pytest.mark.parametrize("m, n", [(2, 13), (3, 8)])
@@ -126,13 +165,12 @@ def test_trimmed_levels_match_the_exact_ladder(m, n):
     # meet the depth-13 tolerances, and every mass cut is below the floor.
     exact = lis.nonsimple_lis_counts(n, "exact", m=m)
     probs = np.array([v / exact.total for v in exact.masses])
-    window = lis._FLOAT_LADDER.level(m, n)
-    flt = np.asarray(lis.nonsimple_lis_counts(n, "float", m=m).masses)
+    pmf = lis.nonsimple_lis_counts(n, "float", m=m)
+    flt = _by_value(pmf, m**n)
     peak = probs.max()
     assert np.abs(flt - probs).max() < 1e-12 * peak
     bulk = probs > 1e-6
     assert (np.abs(flt - probs)[bulk] / probs[bulk]).max() < 1e-12
-    outside = np.ones(len(probs), dtype=bool)
-    outside[window.offset - 1 : window.offset - 1 + len(window.masses)] = False
+    outside = np.array([k not in pmf.support for k in exact.support])
     assert (flt[outside] == 0.0).all()
     assert (probs[outside] < 2 * TRIM_FLOOR * peak).all()

@@ -18,6 +18,7 @@ from butterflylab.lis import nonsimple_lis_counts
 from butterflylab.pmf import Pmf
 from butterflylab.rng import substream
 from chisq import chi_square, merge_sparse_cells
+from test_float_ladders import zero_filled
 from test_reachability import RUNS
 
 
@@ -126,6 +127,8 @@ class TestCli:
         (["sample", "--kind", "simple", "--m", "3", "--n", "2000000"], None),
         (["lis-mc", "--ensembles", "uniform,goe", "--n", "18", "--trials", "1"], None),
         (["lis-mc", "--ensembles", "gue", "--n", "2,12", "--trials", "1"], None),
+        (["lis-mc", "--n=-1..-1", "--ensembles", "goe"], None),
+        (["lis-mc", "--ensembles", "goe", "--n", "2..2", "--trials", "-1"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -137,6 +140,13 @@ class TestCli:
         assert main([*args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("butterflylab: error: ") and err.count("\n") == 1
+
+    def test_lis_mc_lower_bounds_still_run(self, tmp_path):
+        # N = 2^0 = 1, and --trials 0 takes each ensemble's default.
+        argv = ["lis-mc", "--ensembles", "uniform,goe", "--n", "0..0", "--trials", "0"]
+        out = run_cli(argv, tmp_path)
+        rows = (out / "lis_mc.csv").read_text().splitlines()
+        assert rows[1:] == ["uniform,1,1,0,1000", "goe,1,1,0,100"]
 
     def test_fit_from_names_the_missing_column(self, tmp_path, capsys):
         source = tmp_path / "bounds.csv"
@@ -406,6 +416,8 @@ class TestCli:
         ["cycles-table", "--p", "2", "--mode", "float", "--n", "1..6"],
         ["density", "--p", "2", "--n", "8"],
         ["fixed-points", "--m", "2..4", "--n", "3"],
+        ["cycles-table", "--p", "2", "--mode", "float", "--n", "14..14"],  # rows end before k = 2^14
+        ["lis-table", "--mode", "float", "--n", "14..14"],  # rows start at k = 69
     ])
     def test_subcommand_rows_match_csv_writer(self, tmp_path, argv):
         args = cli.build_parser().parse_args(argv)
@@ -434,22 +446,36 @@ class TestCli:
         for row, want_row in zip(rows, want["rows"]):
             assert all(math.isclose(float(v), w, rel_tol=1e-9) for v, w in zip(row, want_row)), row
 
-    @pytest.mark.parametrize("argv, name, module, k_first", [
-        (["cycles-table", "--p", "2", "--mode", "float", "--n", "14..14"], "cycle_counts.csv",
-         cycles, lambda offset: offset + 1),  # compressed index j holds k = j + 1
-        (["lis-table", "--mode", "float", "--n", "14..14"], "lis_counts.csv",
-         lis, lambda offset: offset),  # index = value
-    ])
-    def test_float_tables_print_0_outside_the_window(self, tmp_path, argv, name, module, k_first):
-        with (run_cli(argv, tmp_path) / name).open(newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        assert len(rows) == 2**14
-        window = module._FLOAT_LADDER.level(2, 14)
-        lo = k_first(window.offset)
-        inside = range(lo, lo + len(window.masses))
-        masses = {int(row[header.index("k")]): row[header.index("mass")] for row in rows}
-        assert all(v == "0" for k, v in masses.items() if k not in inside)
-        assert sum(v != "0" for v in masses.values()) == len(window.masses) < 2**14
+    @pytest.mark.parametrize("module, base, n",
+                             [(cycles, 2, 14), (cycles, 3, 9), (lis, 2, 14), (lis, 3, 8)],
+                             ids=["cycles-p2", "cycles-p3", "lis-m2", "lis-m3"])
+    def test_float_tables_write_only_the_window(self, tmp_path, module, base, n):
+        # The rows the zero-filled law wrote, less its zero rows outside the window.
+        window = module._FLOAT_LADDER.level(base, n)
+        masses = zero_filled(module, base, n)
+        if module is lis:
+            argv = ["lis-table", "--m", str(base)]
+            name, header = "lis_counts", ["n", "k", "mass", "cdf"]
+            first, last = window.offset, window.offset + len(window.masses) - 1
+            rows, cdf = [], 0.0
+            for k, mass in enumerate(masses, 1):
+                cdf += float(mass)
+                rows.append((n, k, mass, cdf))
+        else:
+            argv = ["cycles-table", "--p", str(base)]
+            name, header = "cycle_counts", ["p", "n", "k", "mass"]
+            first = 1 + (base - 1) * window.offset
+            last = first + (base - 1) * (len(window.masses) - 1)
+            rows = [(base, n, k, mass) for k, mass in enumerate(masses, 1)
+                    if (k - 1) % (base - 1) == 0]
+        old = cli._write_rows(tmp_path, name, header, rows, "csv").read_bytes().split(b"\r\n")
+        inside = [first <= row[header.index("k")] <= last for row in rows]
+        assert all(line.split(b",")[header.index("mass")] == b"0"
+                   for line, keep in zip(old[1:], inside) if not keep)
+        assert not all(inside)  # the zero-filled table had rows to drop
+        got = run_cli([*argv, "--mode", "float", "--n", str(n)], tmp_path / "new") / f"{name}.csv"
+        kept = [line for line, keep in zip(old[1:], inside) if keep]
+        assert got.read_bytes() == b"\r\n".join([old[0], *kept, b""])
 
     def test_entry_point(self, tmp_path):
         proc = subprocess.run(
