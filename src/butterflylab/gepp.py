@@ -5,11 +5,14 @@ complex-modulus pivoting used by the GUE experiment). The pivot rule is
 ``i_k = min(argmax_{j>=k} |A^(k)_{jk}|)``; the returned permutation sigma
 satisfies ``P_sigma A = L U`` with ``P_sigma e_k = e_{sigma(k)}``.
 
-`gepp` and `gepp_perm_batch` run one elimination loop, `_eliminate`; a
-pivot is a near tie only when some multiplier has |l_jk| >= 1 - TIE_RTOL.
-Real stacks in `gepp_perm_batch` go to LAPACK ``dgetrf``, bound with ctypes
-from the OpenBLAS that numpy already has loaded, so no scipy module is
-imported.
+`gepp` and `gepp_perm_batch` run one elimination kernel, `_panel` over
+`_column_step`; a pivot is a near tie only when some multiplier has
+|l_jk| >= 1 - TIE_RTOL. In `gepp_perm_batch`, real stacks go to LAPACK
+``dgetrf``, bound with ctypes from the OpenBLAS that numpy already has
+loaded, so no scipy module is imported. All-integer real stacks first
+eliminate one panel of `PANEL_WIDTH` columns exactly as the rank-1 loop
+does, and ``dgetrf`` factors the rest; complex stacks stay on the kernel,
+full width up to `PANEL_WIDTH` and blocked above it.
 """
 from __future__ import annotations
 
@@ -87,36 +90,52 @@ def gepp(A: np.ndarray) -> GeppResult:
 def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
     """Permutation factors (0-based one-line arrays) for a stack of matrices.
 
-    Returns shape (T, N). Three paths give the same permutations:
+    Returns shape (T, N). Four routes give the same permutations:
 
     - full width, `_eliminate(W, N)`: the rank-1 loop, one column at a time.
-      It takes empty stacks and stacks with all-integer entries (the
-      Bernoulli ensemble) at every order, whose exact pivot ties only this
-      path resolves by the min-index rule, and complex stacks up to order
-      `PANEL_WIDTH`.
-    - LAPACK ``dgetrf`` (`_getrf_perms`): every other real stack, at every
-      order. ``idamax`` takes the first maximal |entry|, the same min-index
-      rule.
+      It takes empty stacks, complex stacks up to order `PANEL_WIDTH`, and
+      stacks with all-integer entries (the Bernoulli ensemble) up to that
+      order, whose exact pivot ties only this loop resolves by the
+      min-index rule.
+    - exact panel, then LAPACK: all-integer stacks above `PANEL_WIDTH`.
+      `_panel` eliminates the first `PANEL_WIDTH` columns with the rank-1
+      loop's own operations, so their pivots, exact ties included, are the
+      full-width ones; ``dgetrf`` (`_getrf_perms`) factors the Schur
+      complement that `_panel` leaves in place.
+    - LAPACK ``dgetrf`` alone: every other real stack, at every order.
+      ``idamax`` takes the first maximal |entry|, the same min-index rule.
     - blocked, `_eliminate(W, PANEL_WIDTH)`: complex stacks above
       `PANEL_WIDTH` (``zgetrf`` pivots on |Re| + |Im|, not the modulus).
-      Real stacks take the complex route when numpy's OpenBLAS exports no
-      ILP64 ``dgetrf`` (`_dgetrf` returns None).
+      When numpy's OpenBLAS exports no ILP64 ``dgetrf`` (`_dgetrf` returns
+      None), real stacks take the complex routes and integer stacks stay
+      full width.
 
-    The blocked and LAPACK paths round differently from the rank-1 loop, so
-    a matrix keeps their permutation only when every multiplier has
-    |l_jk| < 1 - TIE_RTOL: no pivot was a near tie that rounding could flip.
-    The others re-run full width from their input. Used by the Monte Carlo
-    experiments and cross-checked against `gepp` in the tests.
+    The blocked and LAPACK steps round differently from the rank-1 loop, so
+    a matrix keeps their permutation only when each multiplier they made
+    has |l_jk| < 1 - TIE_RTOL: no pivot was a near tie that rounding could
+    flip. The exact panel's multipliers do not count; its ties are exact.
+    The others re-run full width from their input. The guard does not see a
+    column that depends on earlier ones: it reduces to rounding noise, and
+    on such singular matrices the routes may pick different pivots. Used by
+    the Monte Carlo experiments and cross-checked against `gepp` in the
+    tests.
     """
     A = np.asarray(mats)
+    T, N, M = A.shape
+    if M != N:
+        raise ValueError("matrices must be square")
     real = not np.iscomplexobj(A)
-    T, N, _ = A.shape
     dtype = np.float64 if real else complex
-    if T == 0 or (real and np.array_equal(A, np.rint(A))):
-        return _eliminate(A.astype(dtype), N)[0]
-    if real and _dgetrf() is not None:
+    integer = real and np.array_equal(A, np.rint(A))
+    lapack = real and T > 0 and _dgetrf() is not None
+    if lapack and not integer:
         perm, ok = _getrf_perms(A)
-    elif N <= PANEL_WIDTH:
+    elif lapack and N > PANEL_WIDTH:
+        W = A.astype(dtype)
+        rows = np.tile(np.arange(N), (T, 1))
+        _panel(W, rows, 0, PANEL_WIDTH)
+        perm, ok = _getrf_perms(W[:, PANEL_WIDTH:, PANEL_WIDTH:], rows)
+    elif T == 0 or integer or N <= PANEL_WIDTH:
         return _eliminate(A.astype(dtype), N)[0]
     else:
         perm, lmax = _eliminate(A.astype(dtype), PANEL_WIDTH)
@@ -164,7 +183,7 @@ def _find_dgetrf():
     return None
 
 
-def _getrf_perms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _getrf_perms(A: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK permutations of a real stack, and which of them pass the tie guard.
 
     One copy of A holds each matrix in column-major order; ``dgetrf``
@@ -174,11 +193,14 @@ def _getrf_perms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exactly zero pivot column, which swaps nothing: the min-index
     convention. Row k of a column-major matrix is column k of the factor,
     so L's multipliers are the entries right of the diagonal.
+
+    When A is the trailing Schur complement of a stack eliminated up to
+    some column, ``rows`` holds that stack's row orders (T, M), M >= N: the
+    swaps are replayed on its last N entries, and the permutations are
+    those of the whole matrices.
     """
     dgetrf = _dgetrf()
-    T, N, M = A.shape
-    if M != N:
-        raise ValueError("matrices must be square")
+    T, N, _ = A.shape
     F = np.array(A.transpose(0, 2, 1), dtype=np.float64, order="C")
     ipiv = np.empty((T, N), dtype=np.int64)
     n, info = ctypes.c_int64(N), ctypes.c_int64()
@@ -188,41 +210,52 @@ def _getrf_perms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dgetrf(n, n, f0 + t * F.strides[0], n, p0 + t * ipiv.strides[0], info)
         if info.value < 0:
             raise ValueError(f"dgetrf rejected argument {-info.value}")
-    rows = []
-    for swaps in (ipiv - 1).tolist():
-        order = list(range(N))
-        for k, j in enumerate(swaps):
+    if rows is None:
+        rows = np.tile(np.arange(N), (T, 1))
+    done = rows.shape[1] - N
+    orders = rows.tolist()
+    for order, swaps in zip(orders, (ipiv - 1 + done).tolist()):
+        for k, j in enumerate(swaps, done):
             order[k], order[j] = order[j], order[k]
-        rows.append(order)
     np.abs(F, out=F)
-    ok = np.triu(F, 1).max(axis=(1, 2)) < 1.0 - TIE_RTOL
-    return np.argsort(rows, axis=1, kind="stable"), ok
+    F *= np.triu(np.ones((N, N), bool), 1)
+    ok = F.max(axis=(1, 2)) < 1.0 - TIE_RTOL
+    return np.argsort(orders, axis=1, kind="stable"), ok
 
 
 def _eliminate(W: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Modulus-pivot elimination of a stack in panels of `width` columns; overwrites W.
 
     Returns the permutations and each matrix's largest multiplier modulus.
-    Inside a panel, `_column_step` eliminates column by column and updates
-    only the panel's own columns. After it, one unit-lower solve gives the
-    panel's rows of U and one stacked matmul updates the trailing matrix.
-    With width >= N there is one panel and no trailing matrix: this is the
-    rank-1 loop, operation for operation, and the oracle for the blocked
-    case, whose rounding differs.
+    Each panel is one `_panel` call. With width >= N there is one panel and
+    no trailing matrix: this is the rank-1 loop, operation for operation,
+    and the oracle for the blocked case, whose rounding differs.
     """
     T, N, _ = W.shape
     rows = np.tile(np.arange(N), (T, 1))
     lmax = np.zeros(T)
     for p in range(0, N - 1, width):
-        e = min(p + width, N)
-        for k in range(p, min(e, N - 1)):
-            _column_step(W, rows, k, e)
-        lmax = np.maximum(lmax, np.abs(np.tril(W[:, p:, p:e], -1)).max(axis=(1, 2)))
-        if e < N:
-            U12 = W[:, p:e, e:]
-            U12[...] = np.linalg.solve(np.tril(W[:, p:e, p:e], -1) + np.eye(e - p), U12)
-            W[:, e:, e:] -= W[:, e:, p:e] @ U12
+        lmax = np.maximum(lmax, _panel(W, rows, p, min(p + width, N)))
     return np.argsort(rows, axis=1, kind="stable"), lmax
+
+
+def _panel(W: np.ndarray, rows: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Eliminates columns p..e-1 of a stack whose first p are done; returns their max |l|.
+
+    `_column_step` eliminates column by column and updates only the
+    panel's own columns. After it, one unit-lower solve gives the panel's
+    rows of U and one stacked matmul leaves the Schur complement in
+    ``W[:, e:, e:]``.
+    """
+    N = W.shape[1]
+    for k in range(p, min(e, N - 1)):
+        _column_step(W, rows, k, e)
+    lmax = np.abs(np.tril(W[:, p:, p:e], -1)).max(axis=(1, 2))
+    if e < N:
+        U12 = W[:, p:e, e:]
+        U12[...] = np.linalg.solve(np.tril(W[:, p:e, p:e], -1) + np.eye(e - p), U12)
+        W[:, e:, e:] -= W[:, e:, p:e] @ U12
+    return lmax
 
 
 def _column_step(W: np.ndarray, rows: np.ndarray, k: int, e: int) -> np.ndarray:

@@ -257,9 +257,9 @@ def spy_routes(monkeypatch) -> list:
     """Record each `_getrf_perms` call as ("getrf", T) and each `_eliminate` as (T, width)."""
     seen = []
 
-    def getrf(A):
+    def getrf(A, rows=None):
         seen.append(("getrf", len(A)))
-        return _getrf_perms(A)
+        return _getrf_perms(A, rows)
 
     def eliminate(W, width):
         seen.append((len(W), width))
@@ -306,13 +306,92 @@ class TestLapackBranch:
         assert np.array_equal(ok, np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL)
 
     def test_integer_stack_skips_lapack(self, monkeypatch):
-        mats = _stack("bernoulli", 256, 2, 48)
+        # Up to PANEL_WIDTH an integer stack is one exact panel: full width.
+        seen = spy_routes(monkeypatch)
+        for N in (1, 5, PANEL_WIDTH):
+            mats = _stack("bernoulli", N, 4, 48)
+            assert gepp_perm_batch(mats).tobytes() == full_width(mats).tobytes()
+        assert seen == [(4, 1), (4, 5), (4, PANEL_WIDTH)]
 
-        def refuse(W):
-            raise AssertionError("integer stacks tie exactly; LAPACK is wasted on them")
+    def test_integer_stack_factors_the_schur_complement(self, monkeypatch):
+        # Above PANEL_WIDTH the first panel runs the rank-1 loop's steps and
+        # dgetrf gets the Schur complement it leaves, of order N - PANEL_WIDTH.
+        N = 256
+        mats = _stack("bernoulli", N, 2, 48)
+        before, expected = mats.copy(), full_width(mats)
+        seen = []
 
-        monkeypatch.setattr(gepp_module, "_getrf_perms", refuse)
-        assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
+        def getrf(A, rows=None):
+            seen.append((A.shape, None if rows is None else rows.shape))
+            return _getrf_perms(A, rows)
+
+        def refuse(W, width):
+            raise AssertionError("no matrix of this stack is a near tie past the panel")
+
+        monkeypatch.setattr(gepp_module, "_getrf_perms", getrf)
+        monkeypatch.setattr(gepp_module, "_eliminate", refuse)
+        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+        assert np.array_equal(mats, before)
+        assert seen == [((2, N - PANEL_WIDTH, N - PANEL_WIDTH), (2, N))]
+
+    def test_integer_oracle(self, monkeypatch):
+        # 2000 Bernoulli matrices against the full-width loop. Singular draws
+        # whose reduced rows or columns are exactly zero are mixed in: a
+        # zeroed column past the panel, a zeroed row, a repeated row, and a
+        # repeated column inside the panel. A repeated row that outlives the
+        # panel ties exactly in the Schur complement, so the guard sends it
+        # to the re-run.
+        rejected = []
+
+        def getrf(A, rows=None):
+            perm, ok = _getrf_perms(A, rows)
+            rejected.append(int((~ok).sum()))
+            return perm, ok
+
+        monkeypatch.setattr(gepp_module, "_getrf_perms", getrf)
+        counts = {33: 800, 48: 500, 64: 400, 128: 220, 256: 64, 512: 16}
+        for N, count in counts.items():
+            rng = substream(64, N)
+            mats = (rng.random((count, N, N)) < 0.5).astype(np.float64)
+            for t in range(0, count, 16):
+                i, j = sorted(rng.choice(PANEL_WIDTH, 2, replace=False).tolist())
+                late = int(rng.integers(PANEL_WIDTH, N))
+                mats[t, :, late] = 0.0
+                mats[t + 1, late] = 0.0
+                mats[t + 2, late] = mats[t + 2, i]
+                mats[t + 3, :, j] = mats[t + 3, :, i]
+            assert gepp_perm_batch(mats).tobytes() == full_width(mats).tobytes()
+        assert len(rejected) == len(counts) and 0 < sum(rejected) <= sum(counts.values()) // 16
+
+    @pytest.mark.parametrize("N", [PANEL_WIDTH + 8, 2 * PANEL_WIDTH, 3 * PANEL_WIDTH])
+    def test_late_integer_tie_is_rejected(self, monkeypatch, N):
+        # [[I, 0], [0, B]] with B Bernoulli: the panel pivots on the identity
+        # and leaves B itself as the Schur complement, whose 0/1 ties reach
+        # dgetrf. The guard must reject every matrix for a full-width re-run.
+        B = _stack("bernoulli", N - PANEL_WIDTH, 3, 65)
+        mats = np.zeros((3, N, N))
+        mats[:, :PANEL_WIDTH, :PANEL_WIDTH] = np.eye(PANEL_WIDTH)
+        mats[:, PANEL_WIDTH:, PANEL_WIDTH:] = B
+        assert not _getrf_perms(B)[1].any()
+        expected = full_width(mats)
+        seen = spy_routes(monkeypatch)
+        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+        assert seen == [("getrf", 3), (3, N)]
+
+    def test_panel_ties_do_not_count(self, monkeypatch):
+        # Bernoulli ties fall in the first columns: every matrix here has a
+        # multiplier of modulus 1 in the full-width loop, all of them inside
+        # the first panel, and none is rejected.
+        N = 128
+        mats = _stack("bernoulli", N, 4, 66)
+        W = mats.copy()
+        expected = _eliminate(W, N)[0]
+        ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
+        assert ties.any(axis=(1, 2)).all()
+        assert not ties[:, :, PANEL_WIDTH:].any()
+        seen = spy_routes(monkeypatch)
+        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+        assert seen == [("getrf", 4)]
 
     def test_bernoulli_ties_fall_back(self):
         mats = _stack("bernoulli", 256, 3, 44)
@@ -365,10 +444,12 @@ class TestLapackBranch:
         ("goe", PANEL_WIDTH, [(4, PANEL_WIDTH)]),
         ("goe", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
         ("bs-diag", 256, [(4, PANEL_WIDTH)]),
+        ("bernoulli", 2 * PANEL_WIDTH, [(4, 2 * PANEL_WIDTH)]),
     ])
     def test_without_numpy_lapack(self, monkeypatch, kind, N, widths):
         # A numpy whose BLAS exports no ILP64 dgetrf: real stacks take the
-        # complex route, full width up to PANEL_WIDTH and blocked above it.
+        # complex route, full width up to PANEL_WIDTH and blocked above it,
+        # and integer stacks stay full width.
         mats = _stack(kind, N, 4, 61)
         expected = full_width(mats)
         monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
@@ -513,7 +594,7 @@ class TestBlockedPath:
 
     @pytest.mark.parametrize(("kind", "N", "widths"), [
         ("goe", PANEL_WIDTH, []),
-        ("bernoulli", 2 * PANEL_WIDTH, [2 * PANEL_WIDTH]),
+        ("bernoulli", 2 * PANEL_WIDTH, []),
         ("goe", 2 * PANEL_WIDTH, []),
         ("gue", 2 * PANEL_WIDTH, [PANEL_WIDTH]),
         ("gue", 512, [PANEL_WIDTH]),
@@ -521,15 +602,16 @@ class TestBlockedPath:
         ("goe", 1, []),
         ("ns-diag", 128, []),
         ("gue", PANEL_WIDTH, [PANEL_WIDTH]),
-        ("bernoulli", 512, [512]),
+        ("bernoulli", 512, []),
     ])
     def test_routing(self, monkeypatch, kind, N, widths):
-        # Real non-integer stacks take dgetrf at every order; `widths` are
-        # the `_eliminate` calls, full width or blocked, of the other stacks.
+        # Real non-integer stacks take dgetrf at every order, and integer
+        # ones above PANEL_WIDTH after one exact panel; `widths` are the
+        # `_eliminate` calls, full width or blocked, of the other stacks.
         mats = _stack(kind, N, 1, 58)
         seen = spy_routes(monkeypatch)
         gepp_perm_batch(mats)
-        lapack = kind in ("goe", "bs-diag", "ns-diag")
+        lapack = kind in ("goe", "bs-diag", "ns-diag") or (kind == "bernoulli" and N > PANEL_WIDTH)
         assert seen == [("getrf", 1)] * lapack + [(1, w) for w in widths]
 
     def test_rejected_rows_rerun_full_width(self, monkeypatch):

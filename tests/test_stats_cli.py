@@ -129,6 +129,12 @@ class TestCli:
         (["lis-mc", "--ensembles", "gue", "--n", "2,12", "--trials", "1"], None),
         (["lis-mc", "--n=-1..-1", "--ensembles", "goe"], None),
         (["lis-mc", "--ensembles", "goe", "--n", "2..2", "--trials", "-1"], None),
+        (["lis-table", "--n", "3..1"], None),
+        (["cycles-table", "--n", "3..1"], None),
+        (["lis-mc", "--n", "3..1"], None),
+        (["fit", "--n", "3..1"], None),
+        (["bounds", "--m", "5..2"], None),
+        (["density", "--t", "5:1:0.1"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
