@@ -158,6 +158,8 @@ def _write_manifest(out: Path, args, seed: int, seed_source: str) -> None:
 
 
 def cmd_sample(args, seed: int) -> dict:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     if groups.exceeds_cap(args.m, args.n, groups.MATERIALIZE_SIZE_CAP):
         raise ValueError(f"m^n = {args.m}^{args.n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
     lines = []
@@ -407,6 +409,8 @@ def _verify_checks(seed: int):
             elem = groups.sample_nonsimple(3, 3, rng)
             rec = groups.check_membership(groups.materialize(elem), 3)
             if rec is None:
+                return False
+            if isinstance(rec, groups.NonsimpleButterfly) and rec != elem:
                 return False
             if groups.materialize(rec) != groups.materialize(elem):
                 return False

@@ -466,8 +466,14 @@ def ensemble_sample(kind: str, N: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "gue":
         X = rng.normal(size=(N, N), scale=math.sqrt(0.5))
         Y = rng.normal(size=(N, N), scale=math.sqrt(0.5))
-        G = X + 1j * Y
-        return (G + G.conj().T) / math.sqrt(2.0)
+        # (G + G^H) / sqrt 2 for G = X + iY, in real arithmetic: numpy divides
+        # a complex array by a real scalar as a multiply by its reciprocal,
+        # so these parts are bit-identical to the complex formula.
+        r = 1.0 / math.sqrt(2.0)
+        H = np.empty((N, N), dtype=np.complex128)
+        H.real = (X + X.T) * r
+        H.imag = (Y - Y.T) * r
+        return H
     if kind == "bernoulli":
         return (rng.random((N, N)) < 0.5).astype(np.float64)
     raise ValueError(f"unknown ensemble {kind!r}")

@@ -79,23 +79,37 @@ class SimpleButterfly:
         return self.m**self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonsimpleButterfly:
-    """Exponent tree in breadth-first order; children of node i sit at m*i+1+t."""
+    """Exponent tree in breadth-first order; children of node i sit at m*i+1+t.
+
+    `exponents` is a read-only int64 copy of the sequence given, so a tree
+    of 2^20 - 1 nodes costs one array, not a million Python ints. Equality
+    and the hash are by value.
+    """
 
     m: int
     n: int
-    exponents: tuple[int, ...]
+    exponents: np.ndarray
 
     def __post_init__(self):
         _check_base(self.m, self.n)
-        if len(self.exponents) != tree_size(self.m, self.n):
-            raise ValueError(
-                f"need {tree_size(self.m, self.n)} exponents, got {len(self.exponents)}"
-            )
-        if self.exponents and (min(self.exponents) < 0 or max(self.exponents) >= self.m):
+        ex = np.array(self.exponents, dtype=np.int64)
+        size = tree_size(self.m, self.n)
+        if ex.shape != (size,):
+            raise ValueError(f"need {size} exponents, got {ex.size}")
+        if size and (ex.min() < 0 or ex.max() >= self.m):
             raise ValueError("exponents must lie in [0, m)")
-        object.__setattr__(self, "exponents", tuple(map(int, self.exponents)))
+        ex.flags.writeable = False
+        object.__setattr__(self, "exponents", ex)
+
+    def __eq__(self, other):
+        if not isinstance(other, NonsimpleButterfly):
+            return NotImplemented
+        return self.m == other.m and self.n == other.n and np.array_equal(self.exponents, other.exponents)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.exponents.tobytes()))
 
     @property
     def N(self) -> int:
@@ -117,7 +131,7 @@ def sample_simple(m: int, n: int, rng: np.random.Generator) -> SimpleButterfly:
 def sample_nonsimple(m: int, n: int, rng: np.random.Generator) -> NonsimpleButterfly:
     """Uniform element: all (m^n-1)/(m-1) exponents iid uniform."""
     _check_base(m, n)
-    return NonsimpleButterfly(m, n, tuple(rng.integers(0, m, size=tree_size(m, n)).tolist()))
+    return NonsimpleButterfly(m, n, rng.integers(0, m, size=tree_size(m, n)))
 
 
 MATERIALIZE_SIZE_CAP = 1 << 26
@@ -156,13 +170,12 @@ def _materialize_map(elem) -> np.ndarray:
     raise TypeError(type(elem))
 
 
-def _materialize_ns(m: int, n: int, exps: tuple[int, ...]) -> np.ndarray:
+def _materialize_ns(m: int, n: int, ex: np.ndarray) -> np.ndarray:
     # top-down, fully vectorized: each input index walks the exponent tree,
     # rotating its block digit by the exponent of the node it sits under
     if n == 0:
         return np.zeros(1, dtype=np.int64)
     N = m**n
-    ex = np.asarray(exps, dtype=np.int64)
     node = np.zeros(N, dtype=np.int64)
     out = np.zeros(N, dtype=np.int64)
     rem = np.arange(N, dtype=np.int64)
@@ -190,8 +203,7 @@ def lis(elem) -> int:
         return math.prod(max(j, elem.m - j) for j in elem.digits)
     if not isinstance(elem, NonsimpleButterfly):
         raise TypeError(type(elem))
-    m = elem.m
-    ex = np.asarray(elem.exponents, dtype=np.int64)
+    m, ex = elem.m, elem.exponents
     L = np.ones(elem.N, dtype=np.int64)
     for d in reversed(range(elem.n)):
         nodes = m**d
@@ -247,10 +259,9 @@ def check_membership(p: Permutation, m: int):
         t, out = np.divmod(out, M)
         tree[node] = (t - i) % m
         node = m * node + 1 + t
-    exps = tuple(tree.tolist())
-    if not np.array_equal(_materialize_ns(m, n, exps), p.map):
+    if not np.array_equal(_materialize_ns(m, n, tree), p.map):
         return None
-    ns = NonsimpleButterfly(m, n, exps)
+    ns = NonsimpleButterfly(m, n, tree)
     simple = as_simple(ns)
     return simple if simple is not None else ns
 
@@ -259,12 +270,10 @@ def as_simple(elem: NonsimpleButterfly) -> SimpleButterfly | None:
     """Convert to the simple encoding when every node's sibling subtrees agree."""
     m, n, exps = elem.m, elem.n, elem.exponents
     digits = []
-    # level d occupies [(m^d - 1)/(m - 1), (m^{d+1} - 1)/(m - 1)); all entries must agree
+    # level d occupies [tree_size(m, d), tree_size(m, d + 1)); all entries must agree
     for d in range(n):
-        lo = (m**d - 1) // (m - 1)
-        hi = (m ** (d + 1) - 1) // (m - 1)
-        level = exps[lo:hi]
-        if any(e != level[0] for e in level):
+        level = exps[tree_size(m, d) : tree_size(m, d + 1)]
+        if (level != level[0]).any():
             return None
         digits.append(level[0])
     return SimpleButterfly(m, tuple(digits))

@@ -12,8 +12,8 @@ with counts in place of probabilities.
 """
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +36,24 @@ __all__ = [
 ]
 
 
-def _patience(seq) -> int:
+# Entries converted to Python ints at a time: bisect compares ints far faster
+# than numpy scalars, and a slice this size keeps the converted ints small
+# (a whole 2^20 array at once would hold about 36 MB of int objects).
+PATIENCE_SLICE = 1 << 14
+
+
+def _patience(seq: np.ndarray) -> int:
     tails: list[int] = []
-    for x in seq:
-        i = bisect.bisect_left(tails, x)
-        if i == len(tails):
-            tails.append(x)
-        else:
-            tails[i] = x
-    return len(tails)
+    size = 0
+    for lo in range(0, seq.size, PATIENCE_SLICE):
+        for x in seq[lo : lo + PATIENCE_SLICE].tolist():
+            i = bisect_left(tails, x)
+            if i == size:
+                tails.append(x)
+                size += 1
+            else:
+                tails[i] = x
+    return size
 
 
 def lis(p: Permutation) -> int:

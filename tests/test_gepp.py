@@ -867,6 +867,20 @@ class TestEnsembles:
     def test_bernoulli_pivot_frequency(self):
         self._pivot_frequency("bernoulli", 0.25, substream(31, 15))
 
+    @pytest.mark.parametrize("N", [1, 2, 33, 128])
+    def test_gue_matches_complex_formula(self, N):
+        # the old complex-arithmetic construction, from the same two draws
+        def complex_gue(rng):
+            X = rng.normal(size=(N, N), scale=math.sqrt(0.5))
+            Y = rng.normal(size=(N, N), scale=math.sqrt(0.5))
+            G = X + 1j * Y
+            return (G + G.conj().T) / math.sqrt(2.0)
+
+        for seed in range(5):
+            got = ensemble_sample("gue", N, substream(31, 18, N, seed))
+            want = complex_gue(substream(31, 18, N, seed))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # bits, signed zeros too
+
     def test_shapes(self):
         rng = substream(31, 17)
         assert ensemble_sample("goe", 5, rng).shape == (5, 5)

@@ -104,6 +104,38 @@ class TestMaterialize:
         assert materialize(NonsimpleButterfly(2, 1, (1,))) == P((2, 1))
 
 
+class TestNonsimpleEncoding:
+    """The exponent tree is a read-only int64 copy, compared and hashed by value."""
+
+    def test_read_only_copy(self):
+        given = np.array([1, 0, 1])
+        elem = NonsimpleButterfly(2, 2, given)
+        assert elem.exponents.dtype == np.int64
+        with pytest.raises(ValueError):
+            elem.exponents[0] = 0
+        given[0] = 0
+        assert elem.exponents.tolist() == [1, 0, 1]
+        assert materialize(elem) == materialize(NonsimpleButterfly(2, 2, (1, 0, 1)))
+
+    @pytest.mark.parametrize("exps", [(1, 0, 2), (1, -1, 0), (1, 0), ((1, 0, 1),)])
+    def test_bad_exponents_raise(self, exps):
+        with pytest.raises(ValueError):
+            NonsimpleButterfly(2, 2, exps)
+
+    def test_equal_by_value(self):
+        exps = [2, 0, 1, 1]
+        elem = NonsimpleButterfly(3, 2, tuple(exps))
+        same = NonsimpleButterfly(3, 2, np.array(exps, dtype=np.int32))
+        assert elem == same and hash(elem) == hash(same)
+        assert {elem: "x"}[same] == "x"
+        for k in range(len(exps)):
+            other = list(exps)
+            other[k] = (other[k] + 1) % 3
+            assert NonsimpleButterfly(3, 2, other) != elem
+        assert NonsimpleButterfly(2, 1, (1,)) != NonsimpleButterfly(3, 1, (1,))
+        assert NonsimpleButterfly(2, 1, (1,)) != SimpleButterfly(2, (1,))
+
+
 class TestGroupOrder:
     def test_nonsimple_binary(self):
         assert group_order(2, 3, simple=False) == 128

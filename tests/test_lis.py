@@ -13,6 +13,7 @@ from butterflylab.groups import (
     sample_simple,
 )
 from butterflylab.lis import (
+    PATIENCE_SLICE,
     bounds,
     contraction_step,
     fit_exponent,
@@ -42,19 +43,21 @@ def to_nonsimple(elem: groups.SimpleButterfly) -> groups.NonsimpleButterfly:
 
 
 EXAMPLE = P((4, 8, 5, 1, 3, 6, 7, 2))
-ORACLE_SIZE_CAP = 10**4
+ORACLE_SIZE_CAP = 1 << 16
 
 
 def lis_oracle(p: Permutation) -> int:
-    """Quadratic dynamic-programming LIS, independent of the patience path."""
+    """Quadratic dynamic-programming LIS, independent of the patience path.
+
+    best[v] is the longest increasing run ending at value v among the
+    entries read so far, and 0 for values not yet read.
+    """
     if p.size > ORACLE_SIZE_CAP:
         raise ValueError(f"oracle capped at size {ORACLE_SIZE_CAP}")
-    a = p.map
     best = np.zeros(p.size, dtype=np.int64)
-    for i in range(p.size):
-        mask = a[:i] < a[i]
-        best[i] = 1 + (best[:i][mask].max() if mask.any() else 0)
-    return int(best.max())
+    for v in p.map.tolist():
+        best[v] = 1 + best[:v].max(initial=0)
+    return int(best.max(initial=0))
 
 B_TRIANGLE = {
     1: [1, 1],
@@ -102,7 +105,19 @@ class TestLis:
 
     def test_oracle_cap(self):
         with pytest.raises(ValueError):
-            lis_oracle(identity(10**4 + 1))
+            lis_oracle(identity(ORACLE_SIZE_CAP + 1))
+
+    @pytest.mark.parametrize("N", [1, PATIENCE_SLICE - 1, PATIENCE_SLICE, PATIENCE_SLICE + 1,
+                                   3 * PATIENCE_SLICE + 5])
+    def test_slices_agree_with_oracle(self, N):
+        # patience sort reads its input PATIENCE_SLICE entries at a time
+        p = Permutation(substream(43, N).permutation(N))
+        assert lis(p) == lis_oracle(p)
+        assert lds(p) == lis_oracle(Permutation(p.map[::-1]))
+        # every entry counts in a monotone run, so a dropped or repeated one shows
+        rev = Permutation(np.arange(N)[::-1])
+        assert lis(identity(N)) == lds(rev) == N
+        assert lds(identity(N)) == lis(rev) == 1
 
 
 class TestTreeLis:
@@ -117,6 +132,14 @@ class TestTreeLis:
                 assert groups.lis(elem) == lis(materialize(elem))
                 simple = sample_simple(m, n, rng)
                 assert groups.lis(simple) == groups.lis(to_nonsimple(simple)) == lis(materialize(simple))
+
+    @pytest.mark.parametrize("m, n", [(2, 15), (3, 10), (5, 7)])
+    def test_agrees_past_one_slice(self, m, n):
+        # m^n > PATIENCE_SLICE, so patience sort reads several slices
+        rng = substream(47, m)
+        for _ in range(3):
+            elem = sample_nonsimple(m, n, rng)
+            assert groups.lis(elem) == lis(materialize(elem))
 
     def test_census_b_2_4(self):
         pmf = nonsimple_lis_counts(4)

@@ -25,6 +25,8 @@ MODULES = ("permutations", "groups", "gepp", "lis", "cycles", "pmf", "rng")
 ALLOWED: set[str] = set()
 # Hooks that no run calls but that stay on purpose, each with its reason.
 KEPT_HOOKS = {
+    "groups.NonsimpleButterfly.__hash__":
+        "defining __eq__ unsets the inherited hash; tests/test_groups.py keys dicts by element",
     "permutations.Permutation.__hash__":
         "defining __eq__ unsets the inherited hash; tests/test_acceptance.py keys dicts by permutation",
     "permutations.Permutation.__repr__":
