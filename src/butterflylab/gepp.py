@@ -9,10 +9,8 @@ satisfies ``P_sigma A = L U`` with ``P_sigma e_k = e_{sigma(k)}``.
 `_column_step`; a pivot is a near tie only when some multiplier has
 |l_jk| >= 1 - TIE_RTOL. In `gepp_perm_batch`, real stacks go to LAPACK
 ``dgetrf``, bound with ctypes from the OpenBLAS that numpy already has
-loaded, so no scipy module is imported. All-integer real stacks first
-eliminate one panel of `PANEL_WIDTH` columns exactly as the rank-1 loop
-does, and ``dgetrf`` factors the rest; complex stacks stay on the kernel,
-full width up to `PANEL_WIDTH` and blocked above it.
+loaded, so no scipy module is imported; all-integer ones after one exact
+panel. Other stacks run the kernel in panels of `PANEL_WIDTH` columns.
 """
 from __future__ import annotations
 
@@ -90,35 +88,24 @@ def gepp(A: np.ndarray) -> GeppResult:
 def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
     """Permutation factors (0-based one-line arrays) for a stack of matrices.
 
-    Returns shape (T, N). Four routes give the same permutations:
+    Returns shape (T, N). Two routes give the full-width permutations:
 
-    - full width, `_eliminate(W, N)`: the rank-1 loop, one column at a time.
-      It takes empty stacks, complex stacks up to order `PANEL_WIDTH`, and
-      stacks with all-integer entries (the Bernoulli ensemble) up to that
-      order, whose exact pivot ties only this loop resolves by the
-      min-index rule.
-    - exact panel, then LAPACK: all-integer stacks above `PANEL_WIDTH`.
-      `_panel` eliminates the first `PANEL_WIDTH` columns with the rank-1
-      loop's own operations, so their pivots, exact ties included, are the
-      full-width ones; ``dgetrf`` (`_getrf_perms`) factors the Schur
-      complement that `_panel` leaves in place.
-    - LAPACK ``dgetrf`` alone: every other real stack, at every order.
-      ``idamax`` takes the first maximal |entry|, the same min-index rule.
-    - blocked, `_eliminate(W, PANEL_WIDTH)`: complex stacks above
-      `PANEL_WIDTH` (``zgetrf`` pivots on |Re| + |Im|, not the modulus).
-      When numpy's OpenBLAS exports no ILP64 ``dgetrf`` (`_dgetrf` returns
-      None), real stacks take the complex routes and integer stacks stay
-      full width.
+    - LAPACK ``dgetrf`` (`_getrf_perms`) for real stacks, when numpy's
+      OpenBLAS exports it; ``idamax`` takes the first maximal |entry|, the
+      min-index rule. An all-integer stack (Bernoulli) has exact ties that
+      only the rank-1 loop resolves: its first `PANEL_WIDTH` columns run
+      through `_panel`, and ``dgetrf`` factors the Schur complement left.
+    - the kernel, `_eliminate(W, PANEL_WIDTH)`, for the rest: complex
+      stacks (``zgetrf`` pivots on |Re| + |Im|, not the modulus), empty
+      ones, and real ones when ``dgetrf`` is missing.
 
-    The blocked and LAPACK steps round differently from the rank-1 loop, so
-    a matrix keeps their permutation only when each multiplier they made
-    has |l_jk| < 1 - TIE_RTOL: no pivot was a near tie that rounding could
-    flip. The exact panel's multipliers do not count; its ties are exact.
-    The others re-run full width from their input. The guard does not see a
-    column that depends on earlier ones: it reduces to rounding noise, and
-    on such singular matrices the routes may pick different pivots. Used by
-    the Monte Carlo experiments and cross-checked against `gepp` in the
-    tests.
+    The first panel is the rank-1 loop's own steps, so its pivots are the
+    full-width ones and its multipliers do not count. Later steps round
+    differently, so a matrix keeps their permutation only when each
+    multiplier they made has |l_jk| < 1 - TIE_RTOL; the others re-run full
+    width. The guard does not see a column that depends on earlier ones: it
+    reduces to rounding noise, and on such singular matrices the routes may
+    pick different pivots.
     """
     A = np.asarray(mats)
     T, N, M = A.shape
@@ -126,20 +113,19 @@ def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
         raise ValueError("matrices must be square")
     real = not np.iscomplexobj(A)
     dtype = np.float64 if real else complex
-    integer = real and np.array_equal(A, np.rint(A))
-    lapack = real and T > 0 and _dgetrf() is not None
-    if lapack and not integer:
-        perm, ok = _getrf_perms(A)
-    elif lapack and N > PANEL_WIDTH:
-        W = A.astype(dtype)
-        rows = np.tile(np.arange(N), (T, 1))
-        _panel(W, rows, 0, PANEL_WIDTH)
-        perm, ok = _getrf_perms(W[:, PANEL_WIDTH:, PANEL_WIDTH:], rows)
-    elif T == 0 or integer or N <= PANEL_WIDTH:
-        return _eliminate(A.astype(dtype), N)[0]
-    else:
+    if not (real and A.size and _dgetrf() is not None):
         perm, lmax = _eliminate(A.astype(dtype), PANEL_WIDTH)
         ok = lmax < 1.0 - TIE_RTOL
+    elif not np.array_equal(A, np.rint(A)):
+        perm, ok = _getrf_perms(A)
+    else:
+        W, e = A.astype(dtype), min(N, PANEL_WIDTH)
+        rows = np.tile(np.arange(N), (T, 1))
+        _panel(W, rows, 0, e)
+        if e < N:
+            perm, ok = _getrf_perms(W[:, e:, e:], rows)
+        else:  # dgetrf refuses order 0
+            perm, ok = np.argsort(rows, axis=1, kind="stable"), np.ones(T, bool)
     if not ok.all():
         perm[~ok] = _eliminate(A[~ok].astype(dtype), N)[0]
     return perm
@@ -226,16 +212,19 @@ def _getrf_perms(A: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndar
 def _eliminate(W: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Modulus-pivot elimination of a stack in panels of `width` columns; overwrites W.
 
-    Returns the permutations and each matrix's largest multiplier modulus.
-    Each panel is one `_panel` call. With width >= N there is one panel and
-    no trailing matrix: this is the rank-1 loop, operation for operation,
-    and the oracle for the blocked case, whose rounding differs.
+    Returns the permutations and each matrix's largest multiplier modulus
+    after the first panel (0 with one panel). Each panel is one `_panel`
+    call. The first runs the rank-1 loop's own operations; with width >= N
+    it is the only one, and this is the oracle for the blocked case, whose
+    later panels round differently.
     """
     T, N, _ = W.shape
     rows = np.tile(np.arange(N), (T, 1))
     lmax = np.zeros(T)
     for p in range(0, N - 1, width):
-        lmax = np.maximum(lmax, _panel(W, rows, p, min(p + width, N)))
+        panel_max = _panel(W, rows, p, min(p + width, N))
+        if p:
+            lmax = np.maximum(lmax, panel_max)
     return np.argsort(rows, axis=1, kind="stable"), lmax
 
 

@@ -75,8 +75,14 @@ def swap_count(A) -> int:
 
 
 def max_multiplier(A) -> float:
-    """Largest |l_jk| of the full-width elimination, the quantity the tie rule bounds."""
-    return float(_eliminate(np.array(A)[None], len(A))[1][0])
+    """Largest |l_jk| of the full-width elimination, the quantity the tie rule bounds.
+
+    Read off the lower triangle that `_eliminate` leaves in W: its own
+    return value leaves out the first panel, which here is every column.
+    """
+    W = np.array(A)[None]
+    _eliminate(W, len(A))
+    return float(np.abs(np.tril(W[0], -1)).max())
 
 
 class TestGepp:
@@ -253,6 +259,25 @@ def full_width(mats) -> np.ndarray:
     return _eliminate(W, W.shape[-1])[0]
 
 
+def singular_bernoulli(N: int, count: int, seed: int) -> np.ndarray:
+    """Bernoulli stack, N > PANEL_WIDTH, with singular draws in every 16 matrices.
+
+    Their reduced rows or columns are exactly zero: a zeroed column past
+    the first panel, a zeroed row, a repeated row, and a repeated column
+    inside the panel.
+    """
+    rng = substream(seed, N)
+    mats = (rng.random((count, N, N)) < 0.5).astype(np.float64)
+    for t in range(0, count, 16):
+        i, j = sorted(rng.choice(PANEL_WIDTH, 2, replace=False).tolist())
+        late = int(rng.integers(PANEL_WIDTH, N))
+        mats[t, :, late] = 0.0
+        mats[t + 1, late] = 0.0
+        mats[t + 2, late] = mats[t + 2, i]
+        mats[t + 3, :, j] = mats[t + 3, :, i]
+    return mats
+
+
 def spy_routes(monkeypatch) -> list:
     """Record each `_getrf_perms` call as ("getrf", T) and each `_eliminate` as (T, width)."""
     seen = []
@@ -305,14 +330,6 @@ class TestLapackBranch:
         assert np.array_equal(perm, p)
         assert np.array_equal(ok, np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL)
 
-    def test_integer_stack_skips_lapack(self, monkeypatch):
-        # Up to PANEL_WIDTH an integer stack is one exact panel: full width.
-        seen = spy_routes(monkeypatch)
-        for N in (1, 5, PANEL_WIDTH):
-            mats = _stack("bernoulli", N, 4, 48)
-            assert gepp_perm_batch(mats).tobytes() == full_width(mats).tobytes()
-        assert seen == [(4, 1), (4, 5), (4, PANEL_WIDTH)]
-
     def test_integer_stack_factors_the_schur_complement(self, monkeypatch):
         # Above PANEL_WIDTH the first panel runs the rank-1 loop's steps and
         # dgetrf gets the Schur complement it leaves, of order N - PANEL_WIDTH.
@@ -335,12 +352,9 @@ class TestLapackBranch:
         assert seen == [((2, N - PANEL_WIDTH, N - PANEL_WIDTH), (2, N))]
 
     def test_integer_oracle(self, monkeypatch):
-        # 2000 Bernoulli matrices against the full-width loop. Singular draws
-        # whose reduced rows or columns are exactly zero are mixed in: a
-        # zeroed column past the panel, a zeroed row, a repeated row, and a
-        # repeated column inside the panel. A repeated row that outlives the
-        # panel ties exactly in the Schur complement, so the guard sends it
-        # to the re-run.
+        # 2000 Bernoulli matrices, singular draws mixed in, against the
+        # full-width loop. A repeated row that outlives the panel ties
+        # exactly in the Schur complement, so the guard sends it to the re-run.
         rejected = []
 
         def getrf(A, rows=None):
@@ -351,15 +365,7 @@ class TestLapackBranch:
         monkeypatch.setattr(gepp_module, "_getrf_perms", getrf)
         counts = {33: 800, 48: 500, 64: 400, 128: 220, 256: 64, 512: 16}
         for N, count in counts.items():
-            rng = substream(64, N)
-            mats = (rng.random((count, N, N)) < 0.5).astype(np.float64)
-            for t in range(0, count, 16):
-                i, j = sorted(rng.choice(PANEL_WIDTH, 2, replace=False).tolist())
-                late = int(rng.integers(PANEL_WIDTH, N))
-                mats[t, :, late] = 0.0
-                mats[t + 1, late] = 0.0
-                mats[t + 2, late] = mats[t + 2, i]
-                mats[t + 3, :, j] = mats[t + 3, :, i]
+            mats = singular_bernoulli(N, count, 64)
             assert gepp_perm_batch(mats).tobytes() == full_width(mats).tobytes()
         assert len(rejected) == len(counts) and 0 < sum(rejected) <= sum(counts.values()) // 16
 
@@ -377,21 +383,6 @@ class TestLapackBranch:
         seen = spy_routes(monkeypatch)
         assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
         assert seen == [("getrf", 3), (3, N)]
-
-    def test_panel_ties_do_not_count(self, monkeypatch):
-        # Bernoulli ties fall in the first columns: every matrix here has a
-        # multiplier of modulus 1 in the full-width loop, all of them inside
-        # the first panel, and none is rejected.
-        N = 128
-        mats = _stack("bernoulli", N, 4, 66)
-        W = mats.copy()
-        expected = _eliminate(W, N)[0]
-        ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
-        assert ties.any(axis=(1, 2)).all()
-        assert not ties[:, :, PANEL_WIDTH:].any()
-        seen = spy_routes(monkeypatch)
-        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
-        assert seen == [("getrf", 4)]
 
     def test_bernoulli_ties_fall_back(self):
         mats = _stack("bernoulli", 256, 3, 44)
@@ -438,24 +429,6 @@ class TestLapackBranch:
         seen = spy_routes(monkeypatch)
         assert np.array_equal(gepp_perm_batch(mats), expected)
         assert seen == [("getrf", 2), (1, N)]
-
-    @pytest.mark.parametrize(("kind", "N", "widths"), [
-        ("goe", 16, [(4, 16)]),
-        ("goe", PANEL_WIDTH, [(4, PANEL_WIDTH)]),
-        ("goe", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
-        ("bs-diag", 256, [(4, PANEL_WIDTH)]),
-        ("bernoulli", 2 * PANEL_WIDTH, [(4, 2 * PANEL_WIDTH)]),
-    ])
-    def test_without_numpy_lapack(self, monkeypatch, kind, N, widths):
-        # A numpy whose BLAS exports no ILP64 dgetrf: real stacks take the
-        # complex route, full width up to PANEL_WIDTH and blocked above it,
-        # and integer stacks stay full width.
-        mats = _stack(kind, N, 4, 61)
-        expected = full_width(mats)
-        monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
-        seen = spy_routes(monkeypatch)
-        assert np.array_equal(gepp_perm_batch(mats), expected)
-        assert seen == widths
 
     def test_lookup_is_once_and_threads_agree(self):
         # More threads than cores, a short switch interval, disjoint stacks:
@@ -527,9 +500,9 @@ def near_tie(N: int, k: int, seed: int, kind: str = "goe") -> np.ndarray:
 
 
 class TestBlockedPath:
-    """Complex stacks above PANEL_WIDTH, and real ones when numpy's LAPACK
-    is not found, run the blocked elimination behind the multiplier guard;
-    the full-width elimination is the oracle."""
+    """Complex stacks, and real ones when numpy's LAPACK is not found, run
+    the blocked elimination; multipliers past its first panel are guarded,
+    and the full-width elimination is the oracle."""
 
     @pytest.mark.parametrize("N", [64, 128, 512])
     @pytest.mark.parametrize("kind", ["goe", "gue", "bs-diag", "ns-diag"])
@@ -592,28 +565,6 @@ class TestBlockedPath:
         assert W.tobytes() == ref.tobytes()
         assert np.array_equal(gepp_perm_batch(mats), expected)
 
-    @pytest.mark.parametrize(("kind", "N", "widths"), [
-        ("goe", PANEL_WIDTH, []),
-        ("bernoulli", 2 * PANEL_WIDTH, []),
-        ("goe", 2 * PANEL_WIDTH, []),
-        ("gue", 2 * PANEL_WIDTH, [PANEL_WIDTH]),
-        ("gue", 512, [PANEL_WIDTH]),
-        ("goe", 256, []),
-        ("goe", 1, []),
-        ("ns-diag", 128, []),
-        ("gue", PANEL_WIDTH, [PANEL_WIDTH]),
-        ("bernoulli", 512, []),
-    ])
-    def test_routing(self, monkeypatch, kind, N, widths):
-        # Real non-integer stacks take dgetrf at every order, and integer
-        # ones above PANEL_WIDTH after one exact panel; `widths` are the
-        # `_eliminate` calls, full width or blocked, of the other stacks.
-        mats = _stack(kind, N, 1, 58)
-        seen = spy_routes(monkeypatch)
-        gepp_perm_batch(mats)
-        lapack = kind in ("goe", "bs-diag", "ns-diag") or (kind == "bernoulli" and N > PANEL_WIDTH)
-        assert seen == [("getrf", 1)] * lapack + [(1, w) for w in widths]
-
     def test_rejected_rows_rerun_full_width(self, monkeypatch):
         # Built first: near_tie runs gepp, which the spy would record.
         N = 2 * PANEL_WIDTH
@@ -622,6 +573,89 @@ class TestBlockedPath:
         seen = spy_routes(monkeypatch)
         assert np.array_equal(gepp_perm_batch(mats), expected)
         assert seen == [(2, PANEL_WIDTH), (1, N)]
+
+
+class TestRoutes:
+    """Real stacks take dgetrf, integer ones after one exact panel; the rest
+    run the kernel in panels of PANEL_WIDTH. Only multipliers past the
+    first panel count toward the guard."""
+
+    # (kind, N, dgetrf found, calls): each `_getrf_perms` as ("getrf", T)
+    # and each `_eliminate` as (T, width), for stacks of T = 4 (1 from
+    # N = 256 on). An integer stack up to PANEL_WIDTH is one exact panel.
+    @pytest.mark.parametrize(("kind", "N", "lapack", "calls"), [
+        ("goe", 1, True, [("getrf", 4)]),
+        ("goe", PANEL_WIDTH, True, [("getrf", 4)]),
+        ("goe", 2 * PANEL_WIDTH, True, [("getrf", 4)]),
+        ("goe", 256, True, [("getrf", 1)]),
+        ("ns-diag", 128, True, [("getrf", 4)]),
+        ("bernoulli", 1, True, []),
+        ("bernoulli", 5, True, []),
+        ("bernoulli", PANEL_WIDTH, True, []),
+        ("bernoulli", 2 * PANEL_WIDTH, True, [("getrf", 4)]),
+        ("bernoulli", 512, True, [("getrf", 1)]),
+        ("gue", PANEL_WIDTH, True, [(4, PANEL_WIDTH)]),
+        ("gue", 2 * PANEL_WIDTH, True, [(4, PANEL_WIDTH)]),
+        ("gue", 512, True, [(1, PANEL_WIDTH)]),
+        ("goe", 16, False, [(4, PANEL_WIDTH)]),
+        ("goe", PANEL_WIDTH, False, [(4, PANEL_WIDTH)]),
+        ("goe", 2 * PANEL_WIDTH, False, [(4, PANEL_WIDTH)]),
+        ("bs-diag", 256, False, [(1, PANEL_WIDTH)]),
+        ("bernoulli", 5, False, [(4, PANEL_WIDTH)]),
+        ("bernoulli", 2 * PANEL_WIDTH, False, [(4, PANEL_WIDTH)]),
+        ("gue", 2 * PANEL_WIDTH, False, [(4, PANEL_WIDTH)]),
+    ])
+    def test_route_table(self, monkeypatch, kind, N, lapack, calls):
+        mats = _stack(kind, N, 1 if N >= 256 else 4, 58)
+        expected = full_width(mats)
+        if not lapack:
+            monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
+        seen = spy_routes(monkeypatch)
+        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+        assert seen == calls
+
+    def test_integer_oracle_without_lapack(self, monkeypatch):
+        # The blocked kernel on Bernoulli stacks, singular draws mixed in,
+        # against the full-width loop. A matrix whose multipliers of modulus
+        # 1 all lie in the first panel passes the guard: only the matrices
+        # with a multiplier at the tie bound past it re-run.
+        monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
+        early = reruns = 0
+        for N, count in {33: 320, 48: 160, 64: 128, 128: 48}.items():
+            mats = singular_bernoulli(N, count, 67)
+            W = mats.copy()
+            expected = _eliminate(W, N)[0]
+            ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
+            only_first = ties.any(axis=(1, 2)) & ~ties[:, :, PANEL_WIDTH:].any(axis=(1, 2))
+            rejected = _eliminate(mats.copy(), PANEL_WIDTH)[1] >= 1.0 - TIE_RTOL
+            assert not rejected[only_first].any()
+            early, reruns = early + int(only_first.sum()), reruns + int(rejected.sum())
+            seen = spy_routes(monkeypatch)
+            assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+            assert seen == [(count, PANEL_WIDTH)] + [(int(rejected.sum()), N)] * int(rejected.any())
+        assert early >= 600 and reruns > 0
+
+    @pytest.mark.parametrize(("kind", "calls"), [
+        ("bernoulli", [("getrf", 4)]),
+        ("complex", [(4, PANEL_WIDTH)]),
+    ])
+    def test_panel_ties_do_not_count(self, monkeypatch, kind, calls):
+        # Integer ties fall in the first columns: every matrix here has a
+        # multiplier of modulus 1 in the full-width loop, all of them inside
+        # the first panel, and none is rejected. The complex stack has
+        # entries in {0, 1, i, 1 + i} and takes the kernel.
+        N = 128
+        mats = _stack("bernoulli", N, 4, 66)
+        if kind == "complex":
+            mats = mats + 1j * _stack("bernoulli", N, 4, 68)
+        W = mats.copy()
+        expected = _eliminate(W, N)[0]
+        ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
+        assert ties.any(axis=(1, 2)).all()
+        assert not ties[:, :, PANEL_WIDTH:].any()
+        seen = spy_routes(monkeypatch)
+        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+        assert seen == calls
 
 
 class TestIntermediateForms:

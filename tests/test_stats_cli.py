@@ -136,6 +136,12 @@ class TestCli:
         (["fit", "--n", "3..1"], None),
         (["bounds", "--m", "5..2"], None),
         (["density", "--t", "5:1:0.1"], None),
+        (["density", "--t", "nan:1:0.1"], None),
+        (["density", "--t", "0:1:inf"], None),
+        (["density", "--t", "0:inf:0.1"], None),
+        (["fixed-points", "--n", "21"], None),
+        (["fixed-points", "--n", "40"], None),
+        (["lis-table", "--n", "-1..2"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -170,10 +176,8 @@ class TestCli:
 
     def test_format_only_on_row_writers(self, tmp_path, capsys):
         # fit writes fit.json directly; a --format it would ignore is refused.
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--format", "json", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert main(["fit", "--format", "json", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "butterflylab: error: unrecognized arguments: --format json\n"
 
     def test_bounds_table(self, tmp_path):
         out = run_cli(["bounds", "--m", "2..11"], tmp_path / "b")
