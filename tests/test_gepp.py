@@ -295,6 +295,37 @@ def spy_routes(monkeypatch) -> list:
     return seen
 
 
+def check_routes(monkeypatch, kind: str, N: int, calls: list, lapack: bool = True) -> None:
+    """The route tests' one check: a stack of 4 (1 from N = 256 on) gives the
+    full-width bytes, and makes the calls `calls` as `spy_routes` records them.
+
+    Real stacks take dgetrf, integer ones after one exact panel; the rest run
+    the kernel in panels of PANEL_WIDTH. An integer stack up to PANEL_WIDTH
+    is one exact panel and makes no call. `lapack=False` hides numpy's dgetrf.
+    """
+    mats = _stack(kind, N, 1 if N >= 256 else 4, 58)
+    expected = full_width(mats)
+    if not lapack:
+        monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
+    seen = spy_routes(monkeypatch)
+    assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+    assert seen == calls
+
+
+def check_panel_ties(monkeypatch, mats: np.ndarray, calls: list) -> None:
+    """Every matrix of `mats` has a multiplier of modulus 1 in the full-width
+    loop, all of them inside the first panel; only multipliers past it count
+    toward the guard, so none is rejected and `calls` has no re-run."""
+    W = mats.copy()
+    expected = _eliminate(W, W.shape[-1])[0]
+    ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
+    assert ties.any(axis=(1, 2)).all()
+    assert not ties[:, :, PANEL_WIDTH:].any()
+    seen = spy_routes(monkeypatch)
+    assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+    assert seen == calls
+
+
 class TestLapackBranch:
     """Real stacks at every order take numpy's LAPACK dgetrf behind the tie
     guard; the full-width elimination is the oracle."""
@@ -329,6 +360,12 @@ class TestLapackBranch:
         assert np.array_equal(mats, before)
         assert np.array_equal(perm, p)
         assert np.array_equal(ok, np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL)
+
+    def test_integer_stack_skips_lapack(self, monkeypatch):
+        # Up to PANEL_WIDTH an integer stack is one exact panel: no dgetrf
+        # and no `_eliminate` call.
+        for N in (1, 5, PANEL_WIDTH):
+            check_routes(monkeypatch, "bernoulli", N, [])
 
     def test_integer_stack_factors_the_schur_complement(self, monkeypatch):
         # Above PANEL_WIDTH the first panel runs the rank-1 loop's steps and
@@ -384,6 +421,11 @@ class TestLapackBranch:
         assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
         assert seen == [("getrf", 3), (3, N)]
 
+    def test_panel_ties_do_not_count(self, monkeypatch):
+        # Integer ties fall in the first columns of a Bernoulli stack; the
+        # complex case is `TestBlockedPath::test_panel_ties_do_not_count`.
+        check_panel_ties(monkeypatch, _stack("bernoulli", 128, 4, 66), [("getrf", 4)])
+
     def test_bernoulli_ties_fall_back(self):
         mats = _stack("bernoulli", 256, 3, 44)
         _, ok = _getrf_perms(mats)
@@ -429,6 +471,21 @@ class TestLapackBranch:
         seen = spy_routes(monkeypatch)
         assert np.array_equal(gepp_perm_batch(mats), expected)
         assert seen == [("getrf", 2), (1, N)]
+
+    @pytest.mark.parametrize(("kind", "N", "widths"), [
+        ("goe", 16, [(4, PANEL_WIDTH)]),
+        ("goe", PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("goe", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("bs-diag", 256, [(1, PANEL_WIDTH)]),
+        ("bernoulli", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("bernoulli", 5, [(4, PANEL_WIDTH)]),
+        ("gue", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+    ])
+    def test_without_numpy_lapack(self, monkeypatch, kind, N, widths):
+        # A numpy whose BLAS exports no ILP64 dgetrf: every stack, integer
+        # ones too, runs `_eliminate(W, PANEL_WIDTH)`, guarded past its
+        # first panel. `widths` are the calls as `spy_routes` records them.
+        check_routes(monkeypatch, kind, N, widths, lapack=False)
 
     def test_lookup_is_once_and_threads_agree(self):
         # More threads than cores, a short switch interval, disjoint stacks:
@@ -565,6 +622,24 @@ class TestBlockedPath:
         assert W.tobytes() == ref.tobytes()
         assert np.array_equal(gepp_perm_batch(mats), expected)
 
+    @pytest.mark.parametrize(("kind", "N", "widths"), [
+        ("goe", PANEL_WIDTH, [("getrf", 4)]),
+        ("bernoulli", 2 * PANEL_WIDTH, [("getrf", 4)]),
+        ("goe", 2 * PANEL_WIDTH, [("getrf", 4)]),
+        ("gue", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("gue", 512, [(1, PANEL_WIDTH)]),
+        ("goe", 256, [("getrf", 1)]),
+        ("goe", 1, [("getrf", 4)]),
+        ("ns-diag", 128, [("getrf", 4)]),
+        ("gue", PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("bernoulli", 512, [("getrf", 1)]),
+    ])
+    def test_routing(self, monkeypatch, kind, N, widths):
+        # With dgetrf found: real stacks take it, integer ones above
+        # PANEL_WIDTH after one exact panel, and complex ones run the
+        # kernel. `widths` are the calls as `spy_routes` records them.
+        check_routes(monkeypatch, kind, N, widths)
+
     def test_rejected_rows_rerun_full_width(self, monkeypatch):
         # Built first: near_tie runs gepp, which the spy would record.
         N = 2 * PANEL_WIDTH
@@ -573,46 +648,6 @@ class TestBlockedPath:
         seen = spy_routes(monkeypatch)
         assert np.array_equal(gepp_perm_batch(mats), expected)
         assert seen == [(2, PANEL_WIDTH), (1, N)]
-
-
-class TestRoutes:
-    """Real stacks take dgetrf, integer ones after one exact panel; the rest
-    run the kernel in panels of PANEL_WIDTH. Only multipliers past the
-    first panel count toward the guard."""
-
-    # (kind, N, dgetrf found, calls): each `_getrf_perms` as ("getrf", T)
-    # and each `_eliminate` as (T, width), for stacks of T = 4 (1 from
-    # N = 256 on). An integer stack up to PANEL_WIDTH is one exact panel.
-    @pytest.mark.parametrize(("kind", "N", "lapack", "calls"), [
-        ("goe", 1, True, [("getrf", 4)]),
-        ("goe", PANEL_WIDTH, True, [("getrf", 4)]),
-        ("goe", 2 * PANEL_WIDTH, True, [("getrf", 4)]),
-        ("goe", 256, True, [("getrf", 1)]),
-        ("ns-diag", 128, True, [("getrf", 4)]),
-        ("bernoulli", 1, True, []),
-        ("bernoulli", 5, True, []),
-        ("bernoulli", PANEL_WIDTH, True, []),
-        ("bernoulli", 2 * PANEL_WIDTH, True, [("getrf", 4)]),
-        ("bernoulli", 512, True, [("getrf", 1)]),
-        ("gue", PANEL_WIDTH, True, [(4, PANEL_WIDTH)]),
-        ("gue", 2 * PANEL_WIDTH, True, [(4, PANEL_WIDTH)]),
-        ("gue", 512, True, [(1, PANEL_WIDTH)]),
-        ("goe", 16, False, [(4, PANEL_WIDTH)]),
-        ("goe", PANEL_WIDTH, False, [(4, PANEL_WIDTH)]),
-        ("goe", 2 * PANEL_WIDTH, False, [(4, PANEL_WIDTH)]),
-        ("bs-diag", 256, False, [(1, PANEL_WIDTH)]),
-        ("bernoulli", 5, False, [(4, PANEL_WIDTH)]),
-        ("bernoulli", 2 * PANEL_WIDTH, False, [(4, PANEL_WIDTH)]),
-        ("gue", 2 * PANEL_WIDTH, False, [(4, PANEL_WIDTH)]),
-    ])
-    def test_route_table(self, monkeypatch, kind, N, lapack, calls):
-        mats = _stack(kind, N, 1 if N >= 256 else 4, 58)
-        expected = full_width(mats)
-        if not lapack:
-            monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
-        seen = spy_routes(monkeypatch)
-        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
-        assert seen == calls
 
     def test_integer_oracle_without_lapack(self, monkeypatch):
         # The blocked kernel on Bernoulli stacks, singular draws mixed in,
@@ -635,27 +670,11 @@ class TestRoutes:
             assert seen == [(count, PANEL_WIDTH)] + [(int(rejected.sum()), N)] * int(rejected.any())
         assert early >= 600 and reruns > 0
 
-    @pytest.mark.parametrize(("kind", "calls"), [
-        ("bernoulli", [("getrf", 4)]),
-        ("complex", [(4, PANEL_WIDTH)]),
-    ])
-    def test_panel_ties_do_not_count(self, monkeypatch, kind, calls):
-        # Integer ties fall in the first columns: every matrix here has a
-        # multiplier of modulus 1 in the full-width loop, all of them inside
-        # the first panel, and none is rejected. The complex stack has
-        # entries in {0, 1, i, 1 + i} and takes the kernel.
-        N = 128
-        mats = _stack("bernoulli", N, 4, 66)
-        if kind == "complex":
-            mats = mats + 1j * _stack("bernoulli", N, 4, 68)
-        W = mats.copy()
-        expected = _eliminate(W, N)[0]
-        ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
-        assert ties.any(axis=(1, 2)).all()
-        assert not ties[:, :, PANEL_WIDTH:].any()
-        seen = spy_routes(monkeypatch)
-        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
-        assert seen == calls
+    def test_panel_ties_do_not_count(self, monkeypatch):
+        # A complex stack with entries in {0, 1, i, 1 + i} takes the kernel;
+        # its ties, like the Bernoulli ones, fall in the first panel.
+        mats = _stack("bernoulli", 128, 4, 66) + 1j * _stack("bernoulli", 128, 4, 68)
+        check_panel_ties(monkeypatch, mats, [(4, PANEL_WIDTH)])
 
 
 class TestIntermediateForms:
