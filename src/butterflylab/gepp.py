@@ -9,8 +9,9 @@ satisfies ``P_sigma A = L U`` with ``P_sigma e_k = e_{sigma(k)}``.
 `_column_step`; a pivot is a near tie only when some multiplier has
 |l_jk| >= 1 - TIE_RTOL. In `gepp_perm_batch`, real stacks go to LAPACK
 ``dgetrf``, bound with ctypes from the OpenBLAS that numpy already has
-loaded, so no scipy module is imported; all-integer ones after one exact
-panel. Other stacks run the kernel in panels of `PANEL_WIDTH` columns.
+loaded, so no scipy module is imported; all-integer ones above order
+`PANEL_WIDTH` after one exact panel. Other stacks run the kernel in panels
+of `PANEL_WIDTH` columns.
 """
 from __future__ import annotations
 
@@ -97,7 +98,8 @@ def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
       through `_panel`, and ``dgetrf`` factors the Schur complement left.
     - the kernel, `_eliminate(W, PANEL_WIDTH)`, for the rest: complex
       stacks (``zgetrf`` pivots on |Re| + |Im|, not the modulus), empty
-      ones, and real ones when ``dgetrf`` is missing.
+      ones, real ones when ``dgetrf`` is missing, and all-integer ones up
+      to order `PANEL_WIDTH`, where the exact panel is the whole kernel.
 
     The first panel is the rank-1 loop's own steps, so its pivots are the
     full-width ones and its multipliers do not count. Later steps round
@@ -113,19 +115,18 @@ def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
         raise ValueError("matrices must be square")
     real = not np.iscomplexobj(A)
     dtype = np.float64 if real else complex
-    if not (real and A.size and _dgetrf() is not None):
+    lapack = real and A.size and _dgetrf() is not None
+    integer = lapack and np.array_equal(A, np.rint(A))
+    if not lapack or (integer and N <= PANEL_WIDTH):
         perm, lmax = _eliminate(A.astype(dtype), PANEL_WIDTH)
         ok = lmax < 1.0 - TIE_RTOL
-    elif not np.array_equal(A, np.rint(A)):
+    elif not integer:
         perm, ok = _getrf_perms(A)
     else:
-        W, e = A.astype(dtype), min(N, PANEL_WIDTH)
+        W = A.astype(dtype)
         rows = np.tile(np.arange(N), (T, 1))
-        _panel(W, rows, 0, e)
-        if e < N:
-            perm, ok = _getrf_perms(W[:, e:, e:], rows)
-        else:  # dgetrf refuses order 0
-            perm, ok = np.argsort(rows, axis=1, kind="stable"), np.ones(T, bool)
+        _panel(W, rows, 0, PANEL_WIDTH)
+        perm, ok = _getrf_perms(W[:, PANEL_WIDTH:, PANEL_WIDTH:], rows)
     if not ok.all():
         perm[~ok] = _eliminate(A[~ok].astype(dtype), N)[0]
     return perm

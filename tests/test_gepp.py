@@ -295,15 +295,16 @@ def spy_routes(monkeypatch) -> list:
     return seen
 
 
-def check_routes(monkeypatch, kind: str, N: int, calls: list, lapack: bool = True) -> None:
-    """The route tests' one check: a stack of 4 (1 from N = 256 on) gives the
+def check_routes(monkeypatch, kind: str, N: int, calls: list, count: int, seed: int,
+                 lapack: bool = True) -> None:
+    """The route tests' one check: `_stack(kind, N, count, seed)` gives the
     full-width bytes, and makes the calls `calls` as `spy_routes` records them.
 
-    Real stacks take dgetrf, integer ones after one exact panel; the rest run
-    the kernel in panels of PANEL_WIDTH. An integer stack up to PANEL_WIDTH
-    is one exact panel and makes no call. `lapack=False` hides numpy's dgetrf.
+    Real stacks take dgetrf, integer ones above PANEL_WIDTH after one exact
+    panel; the rest, integer ones up to PANEL_WIDTH too, run the kernel in
+    panels of PANEL_WIDTH. `lapack=False` hides numpy's dgetrf.
     """
-    mats = _stack(kind, N, 1 if N >= 256 else 4, 58)
+    mats = _stack(kind, N, count, seed)
     expected = full_width(mats)
     if not lapack:
         monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
@@ -362,10 +363,10 @@ class TestLapackBranch:
         assert np.array_equal(ok, np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL)
 
     def test_integer_stack_skips_lapack(self, monkeypatch):
-        # Up to PANEL_WIDTH an integer stack is one exact panel: no dgetrf
-        # and no `_eliminate` call.
+        # Up to PANEL_WIDTH an integer stack is one exact panel: the kernel
+        # route, with no dgetrf call.
         for N in (1, 5, PANEL_WIDTH):
-            check_routes(monkeypatch, "bernoulli", N, [])
+            check_routes(monkeypatch, "bernoulli", N, [(4, PANEL_WIDTH)], 4, 48)
 
     def test_integer_stack_factors_the_schur_complement(self, monkeypatch):
         # Above PANEL_WIDTH the first panel runs the rank-1 loop's steps and
@@ -476,7 +477,7 @@ class TestLapackBranch:
         ("goe", 16, [(4, PANEL_WIDTH)]),
         ("goe", PANEL_WIDTH, [(4, PANEL_WIDTH)]),
         ("goe", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
-        ("bs-diag", 256, [(1, PANEL_WIDTH)]),
+        ("bs-diag", 256, [(4, PANEL_WIDTH)]),
         ("bernoulli", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
         ("bernoulli", 5, [(4, PANEL_WIDTH)]),
         ("gue", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
@@ -485,7 +486,7 @@ class TestLapackBranch:
         # A numpy whose BLAS exports no ILP64 dgetrf: every stack, integer
         # ones too, runs `_eliminate(W, PANEL_WIDTH)`, guarded past its
         # first panel. `widths` are the calls as `spy_routes` records them.
-        check_routes(monkeypatch, kind, N, widths, lapack=False)
+        check_routes(monkeypatch, kind, N, widths, 4, 61, lapack=False)
 
     def test_lookup_is_once_and_threads_agree(self):
         # More threads than cores, a short switch interval, disjoint stacks:
@@ -623,22 +624,34 @@ class TestBlockedPath:
         assert np.array_equal(gepp_perm_batch(mats), expected)
 
     @pytest.mark.parametrize(("kind", "N", "widths"), [
-        ("goe", PANEL_WIDTH, [("getrf", 4)]),
-        ("bernoulli", 2 * PANEL_WIDTH, [("getrf", 4)]),
-        ("goe", 2 * PANEL_WIDTH, [("getrf", 4)]),
-        ("gue", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("goe", PANEL_WIDTH, [("getrf", 1)]),
+        ("bernoulli", 2 * PANEL_WIDTH, [("getrf", 1)]),
+        ("goe", 2 * PANEL_WIDTH, [("getrf", 1)]),
+        ("gue", 2 * PANEL_WIDTH, [(1, PANEL_WIDTH)]),
         ("gue", 512, [(1, PANEL_WIDTH)]),
         ("goe", 256, [("getrf", 1)]),
-        ("goe", 1, [("getrf", 4)]),
-        ("ns-diag", 128, [("getrf", 4)]),
-        ("gue", PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("goe", 1, [("getrf", 1)]),
+        ("ns-diag", 128, [("getrf", 1)]),
+        ("gue", PANEL_WIDTH, [(1, PANEL_WIDTH)]),
         ("bernoulli", 512, [("getrf", 1)]),
     ])
     def test_routing(self, monkeypatch, kind, N, widths):
         # With dgetrf found: real stacks take it, integer ones above
         # PANEL_WIDTH after one exact panel, and complex ones run the
         # kernel. `widths` are the calls as `spy_routes` records them.
-        check_routes(monkeypatch, kind, N, widths)
+        check_routes(monkeypatch, kind, N, widths, 1, 58)
+
+    @pytest.mark.parametrize("N", [5, PANEL_WIDTH, PANEL_WIDTH + 1, 2 * PANEL_WIDTH + 7, 128])
+    @pytest.mark.parametrize("kind", ["goe", "gue", "bernoulli"])
+    def test_guard_max_is_past_the_first_panel(self, kind, N):
+        # `_eliminate`'s second value, the one the guard reads, is the largest
+        # |l| that the panels after the first leave in W's lower triangle,
+        # and 0 with one panel.
+        W = _stack(kind, N, 3, 69)
+        lmax = _eliminate(W, PANEL_WIDTH)[1]
+        later = np.abs(np.tril(W, -1)[:, :, PANEL_WIDTH:])
+        assert np.array_equal(lmax, later.max(axis=(1, 2)) if later.size else np.zeros(3))
+        assert (lmax > 0).all() == (N > PANEL_WIDTH + 1)
 
     def test_rejected_rows_rerun_full_width(self, monkeypatch):
         # Built first: near_tie runs gepp, which the spy would record.
