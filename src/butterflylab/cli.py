@@ -49,6 +49,12 @@ GEPP_MAX_N = 1 << 11
 # Largest degree m^n of an exact fixed-points iterate. m = 2, n = 20 takes
 # about 3.7 s; n = 22 took 58.6 s, about 16x per two levels.
 FIXED_POINTS_MAX_DEGREE = 1 << 20
+# Largest base of the bounds table; each base allocates O(m), and
+# --m 2..16384 takes about 2.1 s.
+BOUNDS_MAX_M = 1 << 14
+# Most points of a density --t grid; 10^6 points take about 4.1 s at
+# p = 2, n = 12.
+GRID_MAX_POINTS = 1 << 20
 
 
 def _fmt(x) -> str:
@@ -90,6 +96,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid {text!r} has a non-finite bound or step")
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step:g}")
+    if (hi - lo) / step + 0.5 > GRID_MAX_POINTS:  # np.arange's length is its ceiling
+        raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
     grid = np.arange(lo, hi + step * 0.5, step)
     if not grid.size:
         raise ValueError(f"empty grid {text!r}")
@@ -165,8 +173,7 @@ def _write_manifest(out: Path, args, seed: int, seed_source: str) -> None:
 def cmd_sample(args, seed: int) -> dict:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    if groups.exceeds_cap(args.m, args.n, groups.MATERIALIZE_SIZE_CAP):
-        raise ValueError(f"m^n = {args.m}^{args.n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
+    groups.check_size(args.m, args.n, groups.MATERIALIZE_SIZE_CAP, "size")
     lines = []
     for t in range(args.trials):
         rng = substream(seed, t)
@@ -239,10 +246,9 @@ def cmd_lis_mc(args, seed: int) -> dict:
     for n in ns:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        if groups.exceeds_cap(2, n, groups.MATERIALIZE_SIZE_CAP):
-            raise ValueError(f"N = 2^{n} exceeds the size cap {groups.MATERIALIZE_SIZE_CAP}")
-        if gepp_ensembles and groups.exceeds_cap(2, n, GEPP_MAX_N):
-            raise ValueError(f"N = 2^{n} exceeds the GEPP size cap {GEPP_MAX_N} for {gepp_ensembles[0]}")
+        groups.check_size(2, n, groups.MATERIALIZE_SIZE_CAP, "size")
+        if gepp_ensembles:
+            groups.check_size(2, n, GEPP_MAX_N, f"{gepp_ensembles[0]} GEPP")
     rows = []
     for ens in ensembles:
         for n in ns:
@@ -275,8 +281,10 @@ def cmd_fit(args, seed: int) -> dict:
 
 
 def cmd_bounds(args, seed: int) -> dict:
+    ms = _parse_range(args.m)
+    groups.check_size(max(ms), 1, BOUNDS_MAX_M, "bounds")
     rows = []
-    for m in _parse_range(args.m):
+    for m in ms:
         b = lis.bounds(m)
         rows.append((m, b.alpha, b.beta,
                      b.beta_star if b.beta_star is not None else "",
@@ -308,8 +316,7 @@ def cmd_density(args, seed: int) -> dict:
 
 def cmd_fixed_points(args, seed: int) -> dict:
     ms = _parse_range(args.m)
-    if groups.exceeds_cap(max(ms), args.n, FIXED_POINTS_MAX_DEGREE):
-        raise ValueError(f"m^n = {max(ms)}^{args.n} exceeds the degree cap {FIXED_POINTS_MAX_DEGREE}")
+    groups.check_size(max(ms), args.n, FIXED_POINTS_MAX_DEGREE, "degree")
     rows = []
     for m in ms:
         p = cycles.no_fixed_point_prob(m, args.n)
@@ -549,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="alpha/beta/beta*/mu/nu/N0 table")
     common_rows(p)
-    p.add_argument("--m", default="2..11", help="bases, range or comma list")
+    p.add_argument("--m", default="2..11", help=f"bases, range or comma list; m <= {BOUNDS_MAX_M} (2^14)")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("cycles-table", help="butterfly Stirling count triangle")
@@ -569,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_rows(p)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--n", type=int, default=12)
-    p.add_argument("--t", default="0.0:4.0:0.05", help="grid lo:hi:step")
+    p.add_argument("--t", default="0.0:4.0:0.05", help=f"grid lo:hi:step, at most {GRID_MAX_POINTS} (2^20) points")
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("fixed-points", help="no-fixed-point probabilities and q_m roots")
@@ -607,7 +614,7 @@ def main(argv=None) -> int:
                     _write_rows(out, name, *data, args.format)
             _write_manifest(out, args, seed, seed_source)
         return status
-    except (ValueError, OSError, groups.CapExceededError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"butterflylab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import group_order, tree_size
-from .pmf import Ladder, Pmf, Window, check_level_size, float_powers, int_convolve, trim
+from .groups import check_size, group_order, tree_size
+from .pmf import EXACT_SIZE_CAP, FLOAT_SIZE_CAP, Ladder, Pmf, Window, float_powers, int_convolve, trim
 
 __all__ = [
     "simple_cycle_dist",
@@ -161,10 +161,10 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
     p = 3) keeps only its window of masses at or above `pmf.TRIM_FLOOR` =
     1e-13 of the peak, and a float law's support runs over its window only.
     """
-    _require_prime(p)
     if n < 0:
         raise ValueError("n >= 0")
-    check_level_size(p, n, mode)
+    check_size(p, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
+    _require_prime(p)  # by trial division, so after the cap: a huge p costs sqrt(p) steps
     if mode == "exact":
         masses = [0] * (p**n)
         masses[:: p - 1] = _EXACT_LADDER.level(p, n)

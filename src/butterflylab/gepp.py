@@ -412,30 +412,28 @@ def predicted_factorization(spec: ButterflySpec) -> GeppResult:
     def rec(d: int, node: int):
         if d == spec.n:
             one = np.ones((1, 1))
-            return identity(1), one, one, one
+            return identity(1), one, one
         theta = spec.angles[d if spec.shape == "simple" else (1 << d) - 1 + node]
         if spec.shape == "simple":
-            p1, L1, U1, A1 = rec(d + 1, 0)
-            p2, L2, U2, A2 = p1, L1, U1, A1
+            p1, L1, U1 = rec(d + 1, 0)
+            p2, L2, U2 = p1, L1, U1
         else:
-            p1, L1, U1, A1 = rec(d + 1, 2 * node)
-            p2, L2, U2, A2 = rec(d + 1, 2 * node + 1)
+            p1, L1, U1 = rec(d + 1, 2 * node)
+            p2, L2, U2 = rec(d + 1, 2 * node + 1)
         e, that = _pivot_data(theta)
-        m = A1.shape[0]
+        m = L1.shape[0]
         c, s = math.cos(that), math.sin(that)
         tn = math.tan(that)
         swap = Permutation([1, 0]) if e else identity(2)
         perm = compose(dsum(p1, p2), kron(swap, identity(m)))
         P1m, P2m = p1.matrix(), p2.matrix()
+        A1, A2 = P1m.T @ L1 @ U1, P2m.T @ L2 @ U2  # the children, from P_k A_k = L_k U_k
         Z = np.zeros((m, m))
         L = np.block([[L1, Z], [-tn * (P2m @ P1m.T @ L1), L2]])
         U = np.block([[((-1.0) ** e) * c * U1, s * (U1 @ A1.T @ A2)], [Z, (1.0 / c) * U2]])
-        c0, s0 = math.cos(theta), math.sin(theta)
-        B = np.block([[c0 * A1, s0 * A2], [-s0 * A1, c0 * A2]])
-        return perm, L, U, B
+        return perm, L, U
 
-    perm, L, U, _ = rec(0, 0)
-    return GeppResult(perm, L, U)
+    return GeppResult(*rec(0, 0))
 
 
 # ---------------------------------------------------------------------------

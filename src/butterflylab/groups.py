@@ -34,15 +34,10 @@ __all__ = [
     "check_membership",
     "as_simple",
     "lis",
-    "exceeds_cap",
-    "CapExceededError",
+    "check_size",
 ]
 
 ENUMERATION_CAP = 10**6
-
-
-class CapExceededError(RuntimeError):
-    pass
 
 
 def tree_size(m: int, n: int) -> int:
@@ -73,10 +68,6 @@ class SimpleButterfly:
     @property
     def n(self) -> int:
         return len(self.digits)
-
-    @property
-    def N(self) -> int:
-        return self.m**self.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +128,15 @@ def sample_nonsimple(m: int, n: int, rng: np.random.Generator) -> NonsimpleButte
 MATERIALIZE_SIZE_CAP = 1 << 26
 
 
-def exceeds_cap(m: int, n: int, cap: int) -> bool:
-    """True when m^n > cap, without building m^n for a huge n.
+def check_size(m: int, n: int, cap: int, what: str) -> None:
+    """Refuse m^n > cap in one line, without building m^n for a huge n.
 
-    For |m| >= 2, n >= cap.bit_length() already means |m|^n > cap.
+    Every size limit in the package bounds some m^n and is refused here, with
+    the message "m^n = {m}^{n} exceeds the {what} cap {cap}". For |m| >= 2,
+    n >= cap.bit_length() already means |m|^n > cap; n <= 0 never exceeds it.
     """
-    return (abs(m) >= 2 and n >= cap.bit_length()) or m**n > cap
+    if n > 0 and ((abs(m) >= 2 and n >= cap.bit_length()) or m**n > cap):
+        raise ValueError(f"m^n = {m}^{n} exceeds the {what} cap {cap}")
 
 
 def materialize(elem) -> Permutation:
@@ -151,8 +145,7 @@ def materialize(elem) -> Permutation:
     Refuses sizes past 2^26. Group elements stay cheap in encoded form;
     use `lis` instead of materializing huge ones.
     """
-    if elem.N > MATERIALIZE_SIZE_CAP:
-        raise ValueError(f"m^n = {elem.N} exceeds the materialization cap {MATERIALIZE_SIZE_CAP}")
+    check_size(elem.m, elem.n, MATERIALIZE_SIZE_CAP, "size")
     return Permutation(_materialize_map(elem))
 
 
@@ -216,10 +209,9 @@ def lis(elem) -> int:
 
 
 def enumerate_group(m: int, n: int, simple: bool):
-    """Yield every group element exactly once; refuses orders above ENUMERATION_CAP."""
-    order = group_order(m, n, simple)
-    if order > ENUMERATION_CAP:
-        raise CapExceededError(f"group order {order} exceeds cap {ENUMERATION_CAP}")
+    """Yield every group element once; refuses orders above ENUMERATION_CAP without building them."""
+    _check_base(m, n)
+    check_size(m, n if simple else tree_size(m, n), ENUMERATION_CAP, "enumeration")
     if simple:
         for digits in itertools.product(range(m), repeat=n):
             yield SimpleButterfly(m, digits)

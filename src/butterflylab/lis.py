@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import group_order
+from .groups import check_size, group_order
 from .permutations import Permutation
-from .pmf import Ladder, Pmf, Window, check_level_size, float_powers, int_convolve, trim
+from .pmf import EXACT_SIZE_CAP, FLOAT_SIZE_CAP, Ladder, Pmf, Window, float_powers, int_convolve, trim
 
 __all__ = [
     "lis",
@@ -140,14 +140,13 @@ def contraction_step(x: float) -> float:
     return 1.0 / 9.0 + term2 + term3
 
 
-def _contraction_fixed_point(tol: float = 1e-15, max_iter: int = 10**4):
+def _contraction_fixed_point() -> float:
+    """c* from c_0 = 1: the first iterate within 1e-15 of its predecessor."""
     c = 1.0
-    iterates = [c]
-    for _ in range(max_iter):
+    for _ in range(10**4):
         nxt = contraction_step(c)
-        iterates.append(nxt)
-        if abs(nxt - c) < tol:
-            return nxt, iterates
+        if abs(nxt - c) < 1e-15:
+            return nxt
         c = nxt
     raise RuntimeError("contraction iteration failed to converge")
 
@@ -175,7 +174,7 @@ def bounds(m: int) -> BoundsTable:
     n0 = math.ceil(2.0 ** (1.0 / (alpha - 0.5)))
     beta_star = c_star = None
     if m == 2:
-        c_star, _ = _contraction_fixed_point()
+        c_star = _contraction_fixed_point()
         beta_star = math.log2(6.0 + math.sqrt(2.0 * c_star)) - 2.0
     return BoundsTable(m=m, alpha=alpha, beta=beta, mu=mu, nu=nu, n0=n0,
                        beta_star=beta_star, c_star=c_star)
@@ -278,7 +277,7 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     """
     if m < 2 or n < 0:
         raise ValueError("need m >= 2, n >= 0")
-    check_level_size(m, n, mode)
+    check_size(m, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
     if mode == "exact":
         return Pmf(1, _EXACT_LADDER.level(m, n)[1:], "count", total=group_order(m, n, simple=False))
     if mode == "float":

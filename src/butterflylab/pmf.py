@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import exceeds_cap, group_order
+from .groups import group_order
 
 __all__ = ["Pmf", "Ladder", "Window", "int_convolve", "float_convolve", "float_powers", "trim"]
 
@@ -266,13 +266,6 @@ class Pmf:
 # Largest support size m^n of a ladder level, per precision.
 EXACT_SIZE_CAP = 8192
 FLOAT_SIZE_CAP = 2**20
-
-
-def check_level_size(m: int, n: int, mode: str) -> None:
-    """Refuse a level whose support size m^n exceeds its mode's cap."""
-    cap = EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP
-    if exceeds_cap(m, n, cap):
-        raise ValueError(f"{m}^{n} exceeds the {mode} cap {cap}")
 
 
 class Ladder:

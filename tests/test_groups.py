@@ -1,13 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
 from butterflylab import Permutation, compose, cycle_stats, identity, kron
 from butterflylab.groups import (
-    CapExceededError,
+    ENUMERATION_CAP,
     NonsimpleButterfly,
     SimpleButterfly,
     as_simple,
     check_membership,
+    check_size,
     enumerate_group,
     group_order,
     materialize,
@@ -31,7 +34,7 @@ def to_nonsimple(elem: SimpleButterfly) -> NonsimpleButterfly:
 def apply(elem, k: int) -> int:
     """Image of the 1-based index k under the encoded permutation, O(n) time."""
     if isinstance(elem, SimpleButterfly):
-        m, N = elem.m, elem.N
+        m, N = elem.m, elem.m**elem.n
         if not 1 <= k <= N:
             raise IndexError(k)
         a = k - 1
@@ -43,7 +46,7 @@ def apply(elem, k: int) -> int:
             w //= m
         return out + 1
     if isinstance(elem, NonsimpleButterfly):
-        m, N = elem.m, elem.N
+        m, N = elem.m, elem.m**elem.n
         if not 1 <= k <= N:
             raise IndexError(k)
         exps = elem.exponents
@@ -161,8 +164,40 @@ class TestEnumerate:
         assert sum(1 for _ in enumerate_group(3, 2, simple=False)) == 81
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ValueError, match="enumeration cap"):
             list(enumerate_group(2, 5, simple=False))
+
+    def test_cap_never_builds_the_order(self):
+        # The order 2^(2^40 - 1) would not fit in memory; the refusal is immediate.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="enumeration cap"):
+            next(enumerate_group(2, 40, simple=False))
+        assert time.perf_counter() - start < 1.0
+
+
+class _UnbuiltBase(int):
+    """A base whose power must never be taken."""
+
+    def __pow__(self, other):
+        raise AssertionError("m^n was built")
+
+
+class TestCheckSize:
+    def test_admits_the_cap_and_refuses_one_more(self):
+        check_size(2, 20, 2**20, "float")
+        check_size(10, 6, ENUMERATION_CAP, "enumeration")
+        with pytest.raises(ValueError, match=r"^m\^n = 10\^6 exceeds the enumeration cap 999999$"):
+            check_size(10, 6, ENUMERATION_CAP - 1, "enumeration")
+        with pytest.raises(ValueError, match=r"^m\^n = 2\^21 exceeds the float cap 2097151$"):
+            check_size(2, 21, 2**21 - 1, "float")
+
+    def test_huge_depth_is_refused_without_building_m_to_the_n(self):
+        with pytest.raises(ValueError, match=r"^m\^n = 3\^1000000000 exceeds the size cap"):
+            check_size(_UnbuiltBase(3), 10**9, 1 << 26, "size")
+
+    @pytest.mark.parametrize("m, n", [(0, -1), (2, -3), (1, 10**9), (5, 0)])
+    def test_degenerate_sizes_pass(self, m, n):
+        check_size(m, n, 1, "size")
 
 
 class TestMembership:

@@ -142,6 +142,11 @@ class TestCli:
         (["fixed-points", "--n", "21"], None),
         (["fixed-points", "--n", "40"], None),
         (["lis-table", "--n", "-1..2"], None),
+        (["bounds", "--m", "10000000000"], None),
+        (["bounds", "--m", "2..100000"], None),
+        (["density", "--t", "0:1e7:1e-3"], None),
+        (["sample", "--m", "0", "--n", "-1"], None),
+        (["cycles-table", "--p", "1000000000000000003", "--n", "1"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
