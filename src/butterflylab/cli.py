@@ -52,9 +52,9 @@ FIXED_POINTS_MAX_DEGREE = 1 << 20
 # Largest base of the bounds table; each base allocates O(m), and
 # --m 2..16384 takes about 2.1 s.
 BOUNDS_MAX_M = 1 << 14
-# Most points of a density --t grid; 10^6 points take about 4.1 s at
-# p = 2, n = 12.
-GRID_MAX_POINTS = 1 << 20
+# Most values of an --n/--m range or a density --t grid; a grid of 10^6
+# points takes about 4.1 s at p = 2, n = 12.
+MAX_VALUES = 1 << 20
 
 
 def _fmt(x) -> str:
@@ -81,8 +81,10 @@ def _unlimited_int_digits():
 
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..")
-        values = list(range(int(lo), int(hi) + 1))
+        lo, hi = map(int, text.split(".."))
+        if hi - lo >= MAX_VALUES:
+            raise ValueError(f"range {text!r} has more than {MAX_VALUES} values")
+        values = list(range(lo, hi + 1))
     else:
         values = [int(tok) for tok in text.split(",")]
     if not values:
@@ -96,8 +98,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid {text!r} has a non-finite bound or step")
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step:g}")
-    if (hi - lo) / step + 0.5 > GRID_MAX_POINTS:  # np.arange's length is its ceiling
-        raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
+    if (hi - lo) / step + 0.5 > MAX_VALUES:  # np.arange's length is its ceiling
+        raise ValueError(f"grid {text!r} has more than {MAX_VALUES} points")
     grid = np.arange(lo, hi + step * 0.5, step)
     if not grid.size:
         raise ValueError(f"empty grid {text!r}")
@@ -576,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_rows(p)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--n", type=int, default=12)
-    p.add_argument("--t", default="0.0:4.0:0.05", help=f"grid lo:hi:step, at most {GRID_MAX_POINTS} (2^20) points")
+    p.add_argument("--t", default="0.0:4.0:0.05", help=f"grid lo:hi:step, at most {MAX_VALUES} (2^20) points")
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("fixed-points", help="no-fixed-point probabilities and q_m roots")

@@ -36,7 +36,11 @@ __all__ = [
 ]
 
 
+PRIME_CAP = 1 << 40
+
+
 def _require_prime(p: int) -> None:
+    check_size(p, 1, PRIME_CAP, "prime")  # trial division then takes at most 2^20 steps
     if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
         raise ValueError(f"{p} is not prime")
 
@@ -164,7 +168,7 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
     if n < 0:
         raise ValueError("n >= 0")
     check_size(p, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
-    _require_prime(p)  # by trial division, so after the cap: a huge p costs sqrt(p) steps
+    _require_prime(p)
     if mode == "exact":
         masses = [0] * (p**n)
         masses[:: p - 1] = _EXACT_LADDER.level(p, n)

@@ -12,6 +12,11 @@ The canonical factor ordering (block-diagonal factor on the left) is used
 everywhere; the block recursion it induces on 1-based indices is
 
     sigma((i-1)M + r) = (t-1)M + sigma_t(r),  t = tau^e(i),  M = m^{n-1}.
+
+Both `materialize` and `lis` evaluate this recursion in one direction,
+bottom-up, one depth of the tree at a time (`_level` reads a depth's
+exponents). A simple element is the nonsimple case with one shared node per
+depth: its digit j_d is the exponent of every node of depth d.
 """
 from __future__ import annotations
 
@@ -102,10 +107,6 @@ class NonsimpleButterfly:
     def __hash__(self):
         return hash((self.m, self.n, self.exponents.tobytes()))
 
-    @property
-    def N(self) -> int:
-        return self.m**self.n
-
 
 def group_order(m: int, n: int, simple: bool) -> int:
     """|B_{s,n}^{(m)}| = m^n; |B_n^{(m)}| = m^{(m^n-1)/(m-1)}. Exact."""
@@ -149,37 +150,31 @@ def materialize(elem) -> Permutation:
     return Permutation(_materialize_map(elem))
 
 
+def _level(ex: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Exponents of depth d: breadth-first, they fill [tree_size(m, d), tree_size(m, d + 1))."""
+    return ex[tree_size(m, d) : tree_size(m, d + 1)]
+
+
 def _materialize_map(elem) -> np.ndarray:
+    # P holds one row per node of the depth below. Input block i of a node goes
+    # to output block t = i + e (mod m) through child t, so the node's row is
+    # children[node, t] + t*M. At the leaves and at every depth of a simple
+    # element one row serves all children, and mode="clip" sends each index there.
     if isinstance(elem, SimpleButterfly):
-        m = elem.m
-        arr = np.zeros(1, dtype=np.int64)
-        for j in reversed(elem.digits):
-            M = arr.size
-            blocks = [((i + j) % m) * M + arr for i in range(m)]
-            arr = np.concatenate(blocks)
-        return arr
-    if isinstance(elem, NonsimpleButterfly):
-        return _materialize_ns(elem.m, elem.n, elem.exponents)
-    raise TypeError(type(elem))
-
-
-def _materialize_ns(m: int, n: int, ex: np.ndarray) -> np.ndarray:
-    # top-down, fully vectorized: each input index walks the exponent tree,
-    # rotating its block digit by the exponent of the node it sits under
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    N = m**n
-    node = np.zeros(N, dtype=np.int64)
-    out = np.zeros(N, dtype=np.int64)
-    rem = np.arange(N, dtype=np.int64)
-    M = N
-    for _ in range(n):
-        M //= m
-        i, rem = np.divmod(rem, M)
-        t = (i + ex[node]) % m
-        out += t * M
-        node = m * node + 1 + t
-    return out
+        levels = np.array(elem.digits, dtype=np.int64)[:, None]
+    elif isinstance(elem, NonsimpleButterfly):
+        levels = [_level(elem.exponents, elem.m, d) for d in range(elem.n)]
+    else:
+        raise TypeError(type(elem))
+    m = elem.m
+    P = np.zeros((1, 1), dtype=np.int64)
+    for e in reversed(levels):
+        nodes, M = e.size, P.shape[1]
+        t = (e[:, None] + np.arange(m)) % m
+        P = P.take(np.arange(0, m * nodes, m)[:, None] + t, axis=0, mode="clip")
+        P += (M * t)[:, :, None]
+        P = P.reshape(nodes, m * M)
+    return P[0]
 
 
 def lis(elem) -> int:
@@ -196,15 +191,15 @@ def lis(elem) -> int:
         return math.prod(max(j, elem.m - j) for j in elem.digits)
     if not isinstance(elem, NonsimpleButterfly):
         raise TypeError(type(elem))
-    m, ex = elem.m, elem.exponents
-    L = np.ones(elem.N, dtype=np.int64)
+    m = elem.m
+    L = np.ones(m**elem.n, dtype=np.int64)
     for d in reversed(range(elem.n)):
-        nodes = m**d
-        lo = tree_size(m, d)
-        below = np.zeros((nodes, m + 1), dtype=np.int64)  # below[j, e] = sum_{t<e} L_t
-        np.cumsum(L.reshape(nodes, m), axis=1, out=below[:, 1:])
-        low = below[np.arange(nodes), ex[lo : lo + nodes]]
-        L = np.maximum(below[:, m] - low, low)
+        e = _level(elem.exponents, m, d)
+        C = L.reshape(e.size, m)
+        np.cumsum(C, axis=1, out=C)  # C[j, t] = sum_{s<=t} L_s; index -1 is the total
+        low = C[np.arange(e.size), e - 1]  # sum_{t<e} L_t; for e = 0 this reads the total
+        L = C[:, -1] - low
+        np.maximum(L, low, out=L)
     return int(L[0])
 
 
@@ -232,6 +227,7 @@ def check_membership(p: Permutation, m: int):
     its indices, and p is a member exactly when the tree so read
     materializes to p.
     """
+    _check_base(m, 0)
     N = p.size
     n = 0
     t = N
@@ -251,21 +247,16 @@ def check_membership(p: Permutation, m: int):
         t, out = np.divmod(out, M)
         tree[node] = (t - i) % m
         node = m * node + 1 + t
-    if not np.array_equal(_materialize_ns(m, n, tree), p.map):
-        return None
     ns = NonsimpleButterfly(m, n, tree)
+    if not np.array_equal(_materialize_map(ns), p.map):
+        return None
     simple = as_simple(ns)
     return simple if simple is not None else ns
 
 
 def as_simple(elem: NonsimpleButterfly) -> SimpleButterfly | None:
     """Convert to the simple encoding when every node's sibling subtrees agree."""
-    m, n, exps = elem.m, elem.n, elem.exponents
-    digits = []
-    # level d occupies [tree_size(m, d), tree_size(m, d + 1)); all entries must agree
-    for d in range(n):
-        level = exps[tree_size(m, d) : tree_size(m, d + 1)]
-        if (level != level[0]).any():
-            return None
-        digits.append(level[0])
-    return SimpleButterfly(m, tuple(digits))
+    levels = [_level(elem.exponents, elem.m, d) for d in range(elem.n)]
+    if any((level != level[0]).any() for level in levels):
+        return None
+    return SimpleButterfly(elem.m, tuple(level[0] for level in levels))

@@ -1,9 +1,10 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from butterflylab import Permutation, compose, cycle_stats, identity, kron
+from butterflylab import Permutation, compose, cycle_stats, groups, identity, kron
 from butterflylab.groups import (
     ENUMERATION_CAP,
     NonsimpleButterfly,
@@ -85,15 +86,14 @@ class TestApply:
             apply(SimpleButterfly(2, (0,)), 3)
 
     def test_apply_agrees_with_materialize(self):
+        # the whole map, for both encodings; 6 is composite and accepted by both
         rng = substream(21, 0)
-        for m in (2, 3):
-            for n in range(1, 7):
-                for _ in range(40):
-                    simple = rng.random() < 0.5
-                    elem = sample_simple(m, n, rng) if simple else sample_nonsimple(m, n, rng)
-                    arr = materialize(elem)
-                    k = int(rng.integers(1, m**n + 1))
-                    assert apply(elem, k) == arr.map[k - 1] + 1
+        for m, n_max in ((2, 6), (3, 4), (5, 3), (6, 3)):
+            for n in range(n_max + 1):
+                for _ in range(8):
+                    for elem in (sample_simple(m, n, rng), sample_nonsimple(m, n, rng)):
+                        want = [apply(elem, k) - 1 for k in range(1, m**n + 1)]
+                        assert materialize(elem).map.tolist() == want
 
 
 class TestMaterialize:
@@ -225,6 +225,12 @@ class TestMembership:
         with pytest.raises(ValueError):
             check_membership(identity(6), 2)
 
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_base_below_two_is_refused(self, m):
+        # m = 1 used to divide the length by 1 forever, m = 0 by zero
+        with pytest.raises(ValueError, match="base m must be >= 2"):
+            check_membership(Permutation([1, 0]), m)
+
     def test_random_s8_sample_against_enumeration(self):
         # membership must agree with the enumerated group on arbitrary input
         members = {materialize(e) for e in enumerate_group(2, 3, simple=False)}
@@ -339,3 +345,25 @@ class TestGroupStructure:
         simple = SimpleButterfly(3, (2, 1))
         assert as_simple(to_nonsimple(simple)) == simple
         assert as_simple(NonsimpleButterfly(2, 2, (1, 1, 0))) is None
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs, counting only its own allocations."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWalkMemory:
+    """The bottom-up walk keeps a few arrays of one depth alive, at m = 2, n = 20."""
+
+    def test_tree_lis_peak(self):
+        elem = sample_nonsimple(2, 20, substream(21, 10))
+        assert traced_peak(groups.lis, elem) <= 3 * elem.exponents.nbytes
+
+    def test_materialize_peak(self):
+        elem = sample_nonsimple(2, 20, substream(21, 11))
+        assert traced_peak(materialize, elem) <= 5.5 * 2**20 * 8

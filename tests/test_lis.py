@@ -123,7 +123,7 @@ class TestLis:
 class TestTreeLis:
     """`groups.lis` reads the LIS off the encoding; patience sort is the oracle."""
 
-    @pytest.mark.parametrize("m, n_max", [(2, 7), (3, 4), (5, 3)])
+    @pytest.mark.parametrize("m, n_max", [(2, 7), (3, 4), (5, 3), (7, 2), (6, 3)])
     def test_agrees_with_patience(self, m, n_max):
         rng = substream(41, m)
         for n in range(n_max + 1):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butterflylab import Permutation, cli, cycles, fisher_yates, gepp, groups, lis
 from butterflylab.cli import main
@@ -65,6 +67,45 @@ class TestChiSquare:
         assert mp.sum() == pytest.approx(1.0)
         assert mc.sum() == 100
         assert (mp * 100 >= 5.0).all()
+
+
+class TestParsers:
+    """On any text, a range or grid parses to at most MAX_VALUES finite values or raises ValueError."""
+
+    @staticmethod
+    def parsed(parse, text):
+        try:
+            return parse(text)
+        except ValueError:
+            return None
+
+    @given(st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_any_text(self, text):
+        values = self.parsed(cli._parse_range, text)
+        assert values is None or 0 < len(values) <= cli.MAX_VALUES and all(type(v) is int for v in values)
+        grid = self.parsed(cli._parse_grid, text)
+        assert grid is None or 0 < grid.size <= cli.MAX_VALUES and np.isfinite(grid).all()
+
+    @given(st.integers(-10**15, 10**15), st.one_of(st.integers(0, 1 << 20), st.integers(10**12, 10**30)))
+    @settings(max_examples=60, deadline=None)
+    def test_range_length(self, lo, length):
+        # a range past the bound is refused before its list is built
+        values = self.parsed(cli._parse_range, f"{lo}..{lo + length - 1}")
+        if 0 < length <= cli.MAX_VALUES:
+            assert values == list(range(lo, lo + length))
+        else:
+            assert values is None
+
+    @given(st.floats(), st.floats(), st.floats())
+    @settings(max_examples=200, deadline=None)
+    def test_grid(self, lo, hi, step):
+        grid = self.parsed(cli._parse_grid, f"{lo}:{hi}:{step}")
+        assert grid is None or 0 < grid.size <= cli.MAX_VALUES and np.isfinite(grid).all()
+
+    def test_documented_ranges_are_admitted(self):
+        assert len(cli._parse_range("2..16384")) == 16383
+        assert len(cli._parse_range(f"0..{cli.MAX_VALUES - 1}")) == cli.MAX_VALUES
 
 
 def run_cli(args, tmp):
@@ -147,6 +188,10 @@ class TestCli:
         (["density", "--t", "0:1e7:1e-3"], None),
         (["sample", "--m", "0", "--n", "-1"], None),
         (["cycles-table", "--p", "1000000000000000003", "--n", "1"], None),
+        (["moments", "--p", "1000000000000000003", "--k-max", "1"], None),
+        (["cycles-table", "--p", "1000000000000000003", "--n", "0"], None),
+        (["lis-table", "--n", "1..10000000000"], None),
+        (["lis-mc", "--n", "0..100000000"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
