@@ -1,12 +1,12 @@
 """Experiment command line: reproduces the tables and figure data as CSV/JSON.
 
-Each ``cmd_*`` only computes and returns its files; ``main`` resolves the
-seed, writes those files into --out and then a deterministic
-``manifest.json`` (command, seed, versions, and as parameters every flag of
-the subcommand except --seed, --out and --format). ``verify`` writes only the
-manifest. Identical seed and flags give byte-identical files; per-trial
-substreams are derived from (seed, trial), so aggregation order never
-matters.
+Each ``cmd_*`` checks its arguments and returns its files (``sample``'s as
+lines made while they are written); ``main`` resolves the seed, writes
+those files into --out and then a deterministic ``manifest.json`` (command,
+seed, versions, and as parameters every flag of the subcommand except
+--seed, --out and --format). ``verify`` writes only the manifest.
+Identical seed and flags give byte-identical files; per-trial substreams
+are derived from (seed, trial), so aggregation order never matters.
 """
 from __future__ import annotations
 
@@ -55,9 +55,18 @@ BOUNDS_MAX_M = 1 << 14
 # Most values of an --n/--m range or a density --t grid; a grid of 10^6
 # points takes about 4.1 s at p = 2, n = 12.
 MAX_VALUES = 1 << 20
+# Bound on k_max^3 * bits(p) for moments (`_k_max_cap`). limit_moments
+# costs about k^5 log(p)^1.6: m_k has about k^2 log2(p) bits, and step k
+# multiplies k fractions of that size. At the cap every prime takes 2.2-4.6 s
+# (p = 7, k = 128 is the slowest; the largest admitted prime, 2^40 - 87, gets
+# k = 53 in 3.0 s), against 108 s for 2^40 - 87 at k = 100 and 15.9 s for
+# p = 31 at k = 136. The cap is 146 at p = 2.
+MOMENTS_MAX_WORK = 6 << 20
 
 
 def _fmt(x) -> str:
+    if type(x) is int:  # most cells are exact counts; skip the ABC check below
+        return str(x)
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
@@ -98,9 +107,12 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid {text!r} has a non-finite bound or step")
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step:g}")
+    stop = hi + step * 0.5
+    if not math.isfinite(stop):
+        raise ValueError(f"grid {text!r} runs past the largest float")
     if (hi - lo) / step + 0.5 > MAX_VALUES:  # np.arange's length is its ceiling
         raise ValueError(f"grid {text!r} has more than {MAX_VALUES} points")
-    grid = np.arange(lo, hi + step * 0.5, step)
+    grid = np.arange(lo, stop, step)
     if not grid.size:
         raise ValueError(f"empty grid {text!r}")
     return grid
@@ -176,17 +188,19 @@ def cmd_sample(args, seed: int) -> dict:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     groups.check_size(args.m, args.n, groups.MATERIALIZE_SIZE_CAP, "size")
-    lines = []
-    for t in range(args.trials):
-        rng = substream(seed, t)
-        if args.kind == "uniform":
-            perm = fisher_yates(args.m**args.n, rng)
-        elif args.kind == "simple":
-            perm = groups.materialize(groups.sample_simple(args.m, args.n, rng))
-        else:
-            perm = groups.materialize(groups.sample_nonsimple(args.m, args.n, rng))
-        lines.append(perm.to_text())
-    return {"permutations.txt": "\n".join(lines) + "\n"}
+
+    def lines():  # one permutation at a time: at m^n = 2^22 a line is 30 MB of text
+        for t in range(args.trials):
+            rng = substream(seed, t)
+            if args.kind == "uniform":
+                perm = fisher_yates(args.m**args.n, rng)
+            elif args.kind == "simple":
+                perm = groups.materialize(groups.sample_simple(args.m, args.n, rng))
+            else:
+                perm = groups.materialize(groups.sample_nonsimple(args.m, args.n, rng))
+            yield perm.to_text() + "\n"
+
+    return {"permutations.txt": lines() if args.trials else "\n"}
 
 
 def cmd_lis_table(args, seed: int) -> dict:
@@ -305,7 +319,16 @@ def cmd_cycles_table(args, seed: int) -> dict:
     return {"cycle_counts": (["p", "n", "k", "mass"], rows)}
 
 
+def _k_max_cap(p: int) -> int:
+    """Largest moments --k-max at p: the largest k with k^3 * bits(p) <= MOMENTS_MAX_WORK."""
+    k = round((MOMENTS_MAX_WORK / max(p.bit_length(), 1)) ** (1 / 3))
+    return k if k**3 * p.bit_length() <= MOMENTS_MAX_WORK else k - 1
+
+
 def cmd_moments(args, seed: int) -> dict:
+    cap = _k_max_cap(args.p)
+    if args.k_max > cap:
+        raise ValueError(f"--k-max {args.k_max} exceeds the cap {cap} at p = {args.p}")
     payload = [{"p": args.p, "k": k, "numerator": str(m.numerator),
                 "denominator": str(m.denominator), "float": float(m)}
                for k, m in enumerate(cycles.limit_moments(args.p, args.k_max))]
@@ -571,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="exact limiting moments of the cycle law")
     common(p)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=10)
+    p.add_argument("--k-max", type=int, default=10, help="largest moment order; k^3 * bits(p) <= 6 * 2^20, "
+                   "so k <= 146 at p = 2 and 53 at p = 2^40 - 87")
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("density", help="plug-in density grid for the cycle limit")
@@ -612,8 +636,11 @@ def main(argv=None) -> int:
             for name, data in files.items():
                 if isinstance(data, str):
                     (out / name).write_text(data)
-                else:
+                elif isinstance(data, tuple):
                     _write_rows(out, name, *data, args.format)
+                else:  # lines of text, written as they are made
+                    with (out / name).open("w") as fh:
+                        fh.writelines(data)
             _write_manifest(out, args, seed, seed_source)
         return status
     except (ValueError, OSError) as exc:

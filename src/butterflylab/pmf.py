@@ -10,10 +10,10 @@ Exact convolutions use Kronecker substitution (pack the coefficient list
 into one big integer, multiply once, unpack), which is far faster than
 schoolbook convolution once the counts run to thousands of bits. Once both
 packed integers reach `_INT_FFT_BITS` bits, the multiply is a numpy float
-FFT on 8-bit limbs; every such product is checked modulo the prime
+FFT on 12-bit limbs; every such product is checked modulo the prime
 2^61 - 1 and replaced by CPython's integer product if the check fails, so
 the counts stay exact. The 8.4M-bit square behind depth 12 then takes
-about 0.25 s instead of 3.5 s. Float convolutions are direct up to 4096
+about 0.17 s instead of 3.5 s. Float convolutions are direct up to 4096
 points and run through the same numpy FFT (`_fft_convolve`) beyond, so one
 FFT serves both precisions.
 
@@ -45,9 +45,12 @@ __all__ = ["Pmf", "Ladder", "Window", "int_convolve", "float_convolve", "float_p
 
 _FFT_THRESHOLD = 4096
 # Size of the smaller operand, in bits, from which `_multiply` takes the FFT.
-# Squares cross over between 2^15 and 2^16 bits: CPython's Karatsuba takes
-# 0.35 ms at 2^15 against 0.44 ms for the checked FFT, and 1.2 ms at 2^16
-# against 0.58 ms (one core, Python 3.11, numpy 2.4).
+# The checked FFT on 12-bit limbs meets CPython's Karatsuba near 28k bits,
+# for squares and products alike: at 2^15 bits a square takes 0.35 ms
+# against 0.40 ms, at 2^16 0.62 ms against 1.26 ms (medians; one core,
+# Python 3.11, numpy 2.4). The crossover stays at 2^16: the only ladder
+# products between 2^15 and 2^16 bits are two squares, worth about 0.25 ms
+# together.
 _INT_FFT_BITS = 1 << 16
 _CHECK_PRIME = (1 << 61) - 1  # Mersenne prime modulus of the exactness check
 _FLOAT_MASS_TOL = 1e-9
@@ -86,39 +89,87 @@ def _multiply(x: int, y: int) -> int:
 
     Below `_INT_FFT_BITS` bits, CPython's Karatsuba multiply is faster. An
     FFT product is kept only if it agrees with (x mod P)(y mod P) mod P for
-    P = 2^61 - 1: one misrounded coefficient moves the product by c * 2^(8i)
-    with 0 < |c| < P, which the prime P does not divide. On a mismatch,
-    x * y is returned.
+    P = 2^61 - 1 (`_mod_check_prime`): one misrounded coefficient moves the
+    product by c * 2^(12i) with 0 < |c| < P, which the prime P does not
+    divide. On a mismatch, x * y is returned.
     """
     if min(x.bit_length(), y.bit_length()) < _INT_FFT_BITS:
         return x * y
     prod = _fft_multiply(x, y)
-    if prod % _CHECK_PRIME != (x % _CHECK_PRIME) * (y % _CHECK_PRIME) % _CHECK_PRIME:
+    rx = _mod_check_prime(x)
+    ry = rx if y is x else _mod_check_prime(y)
+    if _mod_check_prime(prod) != rx * ry % _CHECK_PRIME:
         return x * y
     return prod
 
 
+def _mod_check_prime(x: int) -> int:
+    """x mod 2^61 - 1 for x >= 0, folded in numpy.
+
+    32-bit word k of x weighs 2^(32k), which is 2^(32k mod 61) modulo
+    2^61 - 1, so the words are summed per class of k mod 61 (each sum stays
+    below 2^64 for x under 2^42 bits), and only the 61 class sums are
+    shifted and reduced as Python integers.
+    """
+    rows = -(-x.bit_length() // (32 * 61))
+    words = np.frombuffer(x.to_bytes(4 * 61 * rows, "little"), dtype="<u4").reshape(rows, 61)
+    sums = words.sum(axis=0, dtype=np.uint64)
+    return sum(int(s) << (32 * k % 61) for k, s in enumerate(sums)) % _CHECK_PRIME
+
+
 def _fft_multiply(x: int, y: int) -> int:
-    """x * y by a float64 FFT on 8-bit limbs, with no exactness check.
+    """x * y by a float64 FFT on 12-bit limbs, with no exactness check.
 
     Each coefficient of the limb convolution is a sum of at most min(len)
-    limb products below 2^16 (under 2^41 for the depth-14 ladder squares),
-    so it is rounded to int64, and the integer is rebuilt from byte
-    columns: byte j of every coefficient, read as one little-endian
-    integer, is shifted by 8j bits and added, which does the carries in C.
+    limb products below 2^24 (under 2^46 for the 2^25-bit squares behind
+    depth 13), so it is rounded to int64. Percival's bound on the rounding
+    error of an FFT product (Math. Comp. 72, 2003) stays below 1/2 up to the
+    2^23-bit squares behind depth 12, even for all-0xFFF limbs. The measured
+    error on all-0xFFF limbs is 0.01 at 2^23 bits and 0.04 at 2^25, and
+    0.005 on the depth-13 squares. Coefficient pairs become digits at 24-bit
+    spacing (even + odd << 12, below 2^58 at depth 13), and the integer is
+    read from the digits' low three bytes, plus the carries above them
+    shifted by 24 bits. One vectorized carry pass would already leave
+    carries below 2^24; the second leaves carries of 0 or 1, nearly always
+    none, which saves that second integer.
     """
-    lx = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    ly = lx if y is x else np.frombuffer(y.to_bytes((y.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    lx = _limbs(x)
+    ly = lx if y is x else _limbs(y)
     coef = _fft_convolve(lx, ly)
-    limbs = np.empty(len(coef), dtype="<i8")
-    np.rint(coef, out=limbs, casting="unsafe")
+    # The product has at most len(lx) + len(ly) limbs: n // 2 + 1 digits.
+    n = len(coef)
+    pairs = np.zeros((n // 2 + 1, 2), dtype=np.int64)
+    np.rint(coef, out=pairs.reshape(-1)[:n], casting="unsafe")
     del coef
-    cols = ((255 * 255 * min(len(lx), len(ly))).bit_length() + 7) // 8
-    byte_cols = limbs.view(np.uint8).reshape(-1, 8)
-    out = 0
-    for j in range(cols):
-        out += int.from_bytes(byte_cols[:, j].tobytes(), "little") << (8 * j)
+    digits = pairs[:, 1] << 12
+    digits += pairs[:, 0]
+    del pairs
+    for _ in range(2):
+        carry = digits >> 24
+        digits &= 0xFFFFFF
+        digits[1:] += carry[:-1]
+    carry = digits >> 24
+    digits &= 0xFFFFFF
+    out = _from_digits(digits)
+    if carry.any():
+        out += _from_digits(carry) << 24
     return out
+
+
+def _limbs(x: int) -> np.ndarray:
+    """The 12-bit limbs of x >= 0, least significant first, two from each
+    3 bytes; a zero top limb is dropped."""
+    raw = np.frombuffer(x.to_bytes(-(-x.bit_length() // 24) * 3, "little"), dtype=np.uint8)
+    b = raw.reshape(-1, 3).astype(np.uint16)
+    limbs = np.empty((len(b), 2), dtype=np.uint16)
+    limbs[:, 0] = b[:, 0] | (b[:, 1] & 15) << 8
+    limbs[:, 1] = b[:, 1] >> 4 | b[:, 2] << 4
+    return limbs.reshape(-1)[: -(-x.bit_length() // 12)]
+
+
+def _from_digits(digits: np.ndarray) -> int:
+    """sum(digits[j] * 2^(24j)) for digits in [0, 2^24): their low three bytes."""
+    return int.from_bytes(digits.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes(), "little")
 
 
 def _fft_convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:

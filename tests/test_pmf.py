@@ -6,12 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butterflylab import cycles, lis
 from butterflylab.pmf import (TRIM_FLOOR, Ladder, Pmf, Window, float_convolve, float_powers,
                               int_convolve, trim)
 from butterflylab.pmf import _INT_FFT_BITS as CROSS
-from butterflylab.pmf import _fft_multiply, _multiply
+from butterflylab import pmf
+from butterflylab.pmf import _CHECK_PRIME as P
+from butterflylab.pmf import _fft_multiply, _mod_check_prime, _multiply
 from butterflylab.rng import substream
 
 
@@ -121,6 +125,82 @@ def test_multiply_check_mismatch_falls_back(monkeypatch):
     assert _fft_multiply(x, y) != x * y
     assert _multiply(x, y) == x * y
     assert _multiply(x, x) == x * x
+
+
+def _random_bits(bits, seed):
+    return random.Random(seed).getrandbits(bits)
+
+
+_SEEDS = st.integers(0, 2**32)
+_BITS = st.one_of(st.integers(0, 4096), st.integers(0, 1 << 24), st.just(1 << 24))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.sampled_from([0, 1, P - 1, P, P + 1, 1 << 61, 2 * P, P * P, (1 << 64) - 1]),
+    st.builds(_random_bits, _BITS, _SEEDS),
+    st.builds(lambda bits, seed: P * _random_bits(bits, seed), _BITS, _SEEDS),
+    st.builds(lambda bits: (1 << bits) - 1, _BITS),  # every word 0xFFFFFFFF: the largest class sums
+))
+def test_mod_check_prime_matches_remainder(x):
+    assert _mod_check_prime(x) == x % P
+
+
+@pytest.mark.parametrize("residue", [0, 1, 11, 12, 13, 23])
+@pytest.mark.parametrize("extra", [0, 12])
+def test_fft_multiply_at_limb_boundaries(residue, extra):
+    # Bit lengths at and around the 12-bit limbs and the 3-byte groups they
+    # come from; a second operand 12 bits longer flips the parity of the
+    # coefficient count, and so whether the last digit holds one coefficient
+    # or two.
+    bits = 24 * 3000 + residue
+    rng = random.Random(residue)
+    x = _operand(rng, bits)
+    y = _operand(rng, bits + extra)
+    counts = {(len(pmf._limbs(x)) + len(pmf._limbs(v)) - 1) % 2 for v in (x, y)}
+    assert len(counts) == (2 if extra else 1)
+    assert _fft_multiply(x, y) == x * y
+    assert _fft_multiply(x, x) == x * x
+    ones = (1 << bits) - 1
+    assert _fft_multiply(ones, (1 << bits + extra) - 1) == ones * ((1 << bits + extra) - 1)
+
+
+@pytest.mark.parametrize("bits", [1 << 24, 1 << 25])
+def test_multiply_all_ones_at_depth_13_size(bits):
+    # Every limb 0xFFF up to 2^25 bits, the size of the squares behind
+    # depth 13: the FFT itself is exact there, with no help from the check.
+    x = (1 << bits) - 1
+    assert _fft_multiply(x, x) == (1 << 2 * bits) - (1 << bits + 1) + 1
+
+
+def test_depth_12_ladders_make_no_check_mismatch(monkeypatch):
+    # The check in `_multiply` keeps every FFT product of the depth-12 LIS
+    # (m = 2) and Stirling (p = 2) ladders, and of the p = 3 ladder to depth
+    # 7, whose FFT products include two of unequal operands: `_multiply`
+    # returns the FFT's own result, never the fallback x * y.
+    products, kept = [], []
+
+    def fft_counting(x, y):
+        products.append(fft_multiply(x, y))
+        return products[-1]
+
+    def multiply_counting(x, y):
+        before = len(products)
+        out = multiply(x, y)
+        if len(products) > before:
+            kept.append(out is products[-1] and out % P == (x % P) * (y % P) % P)
+        return out
+
+    fft_multiply, multiply = pmf._fft_multiply, pmf._multiply
+    monkeypatch.setattr(pmf, "_fft_multiply", fft_counting)
+    monkeypatch.setattr(pmf, "_multiply", multiply_counting)
+    monkeypatch.setattr(lis._EXACT_LADDER, "_levels", {})
+    monkeypatch.setattr(cycles._EXACT_LADDER, "_levels", {})
+    lis.nonsimple_lis_counts(12)
+    cycles.nonsimple_cycle_counts(2, 12)
+    cycles.nonsimple_cycle_counts(3, 7)
+    assert len(kept) == 11
+    assert all(kept)
 
 
 def _digest(masses):

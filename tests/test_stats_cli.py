@@ -192,6 +192,8 @@ class TestCli:
         (["cycles-table", "--p", "1000000000000000003", "--n", "0"], None),
         (["lis-table", "--n", "1..10000000000"], None),
         (["lis-mc", "--n", "0..100000000"], None),
+        (["density", "--t", "1e308:1.7e308:1e308"], None),
+        (["moments", "--p", "1099511627689", "--k-max", "54"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -304,6 +306,30 @@ class TestCli:
                     tmp_path / "h2")
         assert (a / "permutations.txt").read_bytes() == (b / "permutations.txt").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+    def test_sample_lines_are_the_permutations(self, tmp_path):
+        # One line per trial, each the permutation's text; no trials write one
+        # empty line. The size check refuses before the file is opened.
+        out = run_cli(["sample", "--kind", "nonsimple", "--n", "4", "--trials", "3", "--seed", "5"],
+                      tmp_path / "s")
+        perms = [groups.materialize(groups.sample_nonsimple(2, 4, substream(5, t))) for t in range(3)]
+        assert (out / "permutations.txt").read_text() == "".join(p.to_text() + "\n" for p in perms)
+        out = run_cli(["sample", "--trials", "0"], tmp_path / "z")
+        assert (out / "permutations.txt").read_bytes() == b"\n"
+        assert main(["sample", "--n", "27", "--out", str(tmp_path / "big")]) == 2
+        assert not (tmp_path / "big" / "permutations.txt").exists()
+
+    def test_moments_k_max_cap(self, tmp_path, capsys):
+        for p in (2, 3, 5, 7, 31, 65537, 1099511627689):
+            cap, bits = cli._k_max_cap(p), p.bit_length()
+            assert cap**3 * bits <= cli.MOMENTS_MAX_WORK < (cap + 1) ** 3 * bits
+        # Every --k-max of perfbench and of these tests is admitted.
+        assert cli._k_max_cap(5) >= 22 and cli._k_max_cap(7) >= 30 and cli._k_max_cap(2) >= 136
+        assert (cli._k_max_cap(2), cli._k_max_cap(1099511627689)) == (146, 53)
+        for p, k in ((2, 147), (1099511627689, 54)):
+            assert main(["moments", "--p", str(p), "--k-max", str(k), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == (
+                f"butterflylab: error: --k-max {k} exceeds the cap {k - 1} at p = {p}\n")
 
     def test_lis_mc_small(self, tmp_path):
         out = run_cli(["lis-mc", "--ensembles", "uniform,ns-scalar,goe", "--n", "3..4",
