@@ -276,6 +276,8 @@ def cmd_lis_mc(args, seed: int) -> dict:
 
 
 def cmd_fit(args, seed: int) -> dict:
+    """OLS of log E L_n on log 2^n. Exact means come from `lis.nonsimple_lis_mean`,
+    which reads depth n - 1 only; float means from the float ladder's level n."""
     ns = _parse_range(args.n)
     if args.source:
         with open(args.source, newline="") as fh:
@@ -285,8 +287,10 @@ def cmd_fit(args, seed: int) -> dict:
                     raise ValueError(f"{args.source} has no {column!r} column")
             points = [(2.0 ** int(row["n"]), float(row["mean"]))
                       for row in reader if int(row["n"]) in ns]
+    elif args.mode == "exact":
+        points = [(2.0**n, float(lis.nonsimple_lis_mean(n))) for n in ns]
     else:
-        points = [(2.0**n, float(lis.nonsimple_lis_counts(n, mode=args.mode).moment(1))) for n in ns]
+        points = [(2.0**n, float(lis.nonsimple_lis_counts(n, mode="float").moment(1))) for n in ns]
     res = lis.fit_exponent(points)
     return {"fit.json": json.dumps({
         "alpha_hat": res.alpha_hat,

@@ -123,7 +123,12 @@ def _step_exact(p: int, d: int, comp: list[int]) -> list[int]:
     for _ in range(p - 1):
         conv = int_convolve(conv, comp)
     keep = (p - 1) * p ** (p**d - 1)
-    new = [keep * c for c in comp] + [0] * (len(conv) + 1 - len(comp))
+    if keep & (keep - 1):
+        new = [keep * c for c in comp]
+    else:  # p = 2: keep = 2^(2^d - 1), and a shift is far cheaper than the multiply
+        shift = keep.bit_length() - 1
+        new = [c << shift for c in comp]
+    new += [0] * (len(conv) + 1 - len(comp))
     for j, c in enumerate(conv):
         new[j + 1] += c
     return new

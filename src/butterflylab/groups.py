@@ -192,12 +192,15 @@ def lis(elem) -> int:
     if not isinstance(elem, NonsimpleButterfly):
         raise TypeError(type(elem))
     m = elem.m
-    L = np.ones(m**elem.n, dtype=np.int64)
+    N = m**elem.n
+    L = np.ones(N, dtype=np.int32 if N < 2**31 else np.int64)
     for d in reversed(range(elem.n)):
         e = _level(elem.exponents, m, d)
         C = L.reshape(e.size, m)
-        np.cumsum(C, axis=1, out=C)  # C[j, t] = sum_{s<=t} L_s; index -1 is the total
-        low = C[np.arange(e.size), e - 1]  # sum_{t<e} L_t; for e = 0 this reads the total
+        np.cumsum(C, axis=1, dtype=C.dtype, out=C)  # C[j, t] = sum_{s<=t} L_s; index -1 is the total
+        low = C[:, -1].copy()  # sum_{t<e} L_t: the total for e = 0, C[:, e - 1] otherwise
+        for t in range(m - 1):
+            np.copyto(low, C[:, t], where=e == t + 1)
         L = C[:, -1] - low
         np.maximum(L, low, out=L)
     return int(L[0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "bounds",
     "contraction_step",
     "nonsimple_lis_counts",
+    "nonsimple_lis_mean",
     "FitResult",
     "fit_exponent",
 ]
@@ -202,14 +204,21 @@ def _max_counts(ca: list[int], cb: list[int]) -> list[int]:
     return out
 
 
+def _sum_counts(counts: list[int], k: int) -> list[list[int]]:
+    """Counts of the sums S_0..S_k of 0..k independent draws from ``counts``:
+    [[1], counts, counts^(*2), ..., counts^(*k)], index = value."""
+    sums = [[1], counts]
+    for _j in range(k - 1):
+        sums.append(int_convolve(sums[-1], counts))
+    return sums
+
+
 def _step_exact(m: int, d: int, counts: list[int]) -> list[int]:
     """Depth d+1 LIS counts from depth d: the max/sum update summed over e."""
-    convs: list[list[int]] = [[1], counts]
-    for _j in range(m - 1):
-        convs.append(int_convolve(convs[-1], counts))
+    sums = _sum_counts(counts, m)
     new = [0] * (m * (len(counts) - 1) + 1)
     for e in range(m):
-        part = _max_counts(convs[m - e], convs[e])
+        part = _max_counts(sums[m - e], sums[e])
         for k, v in enumerate(part):
             if v:
                 new[k] += v
@@ -284,6 +293,31 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
         window = _FLOAT_LADDER.level(m, n)  # index = value
         return Pmf(window.offset, window.masses, "float")
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def nonsimple_lis_mean(n: int, m: int = 2) -> Fraction:
+    """E L_n exactly, from the law of depth n - 1 alone.
+
+    One level is L = max(S_{m-e}, S_e) for the sums S_j of j iid depth n - 1
+    values, with e uniform on 0..m-1, so by linearity
+    E L_n = (1/m) sum_e E max(S_{m-e}, S_e). The e = 0 term is the m-fold
+    sum, of mean m E L_{n-1}; the others need the laws of sums of at most
+    m - 1 values. So the largest product of `_step_exact`, the m-fold
+    convolution (for m = 2 the square behind depth n), is never formed, and
+    depth n is not built. Refuses m^n above `pmf.EXACT_SIZE_CAP`, like the
+    exact `nonsimple_lis_counts`.
+    """
+    if m < 2 or n < 0:
+        raise ValueError("need m >= 2, n >= 0")
+    check_size(m, n, EXACT_SIZE_CAP, "exact")
+    if n == 0:
+        return Fraction(1)
+    below = nonsimple_lis_counts(n - 1, "exact", m)
+    sums = _sum_counts([0] + below.masses, m - 1)
+    acc = m * sum(k * c for k, c in enumerate(sums[1])) * below.total ** (m - 1)
+    for e in range(1, m):
+        acc += sum(k * c for k, c in enumerate(_max_counts(sums[m - e], sums[e])))
+    return Fraction(acc, m * below.total**m)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ __all__ = [
     "fisher_yates",
 ]
 
+# Entries `Permutation.to_text` formats at a time.
+TEXT_SLICE = 1 << 16
+
 
 class Permutation:
     """Immutable permutation in one-line form (0-based internally)."""
@@ -67,8 +70,13 @@ class Permutation:
         return P
 
     def to_text(self) -> str:
-        """Comma-separated 1-based one-line form, e.g. "4,8,5,1,3,6,7,2"."""
-        return ",".join(map(str, (self.map + 1).tolist()))
+        """Comma-separated 1-based one-line form, e.g. "4,8,5,1,3,6,7,2".
+
+        Entries are formatted `TEXT_SLICE` at a time, so only one slice's
+        Python ints and strings are alive besides the text itself.
+        """
+        return ",".join(",".join(map(str, (self.map[lo : lo + TEXT_SLICE] + 1).tolist()))
+                        for lo in range(0, self.size, TEXT_SLICE))
 
     @staticmethod
     def from_matrix(P: np.ndarray) -> "Permutation":

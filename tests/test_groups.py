@@ -362,7 +362,8 @@ class TestWalkMemory:
 
     def test_tree_lis_peak(self):
         elem = sample_nonsimple(2, 20, substream(21, 10))
-        assert traced_peak(groups.lis, elem) <= 3 * elem.exponents.nbytes
+        # int32 sums and a masked gather: about one tree's bytes at the bottom level
+        assert traced_peak(groups.lis, elem) <= 1.25 * elem.exponents.nbytes
 
     def test_materialize_peak(self):
         elem = sample_nonsimple(2, 20, substream(21, 11))

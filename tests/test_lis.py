@@ -20,6 +20,7 @@ from butterflylab.lis import (
     lds,
     lis,
     nonsimple_lis_counts,
+    nonsimple_lis_mean,
     simple_lds_pmf,
     simple_lis_pmf,
 )
@@ -352,6 +353,34 @@ class TestNonsimpleMoments:
             vals = np.array([lis(materialize(sample_nonsimple(2, n, rng))) for _ in range(10**4)])
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - exact) < 3 * se
+
+
+class TestNonsimpleMean:
+    """`nonsimple_lis_mean` reads E L_n off depth n - 1; the ladder's level n is the oracle."""
+
+    @pytest.mark.parametrize("m, n_max", [(2, 12), (3, 8), (5, 5), (7, 4)])
+    def test_equals_ladder_mean(self, m, n_max):
+        for n in range(n_max + 1):
+            assert nonsimple_lis_mean(n, m) == nonsimple_lis_counts(n, "exact", m).moment(1)
+
+    def test_census(self, nonsimple_census_by_depth, ternary9_census):
+        censuses = [(2, n, c) for n, c in nonsimple_census_by_depth.items()] + [(3, 2, ternary9_census)]
+        for m, n, census in censuses:
+            counts = census.lis_counts
+            want = Fraction(sum(k * c for k, c in counts.items()), sum(counts.values()))
+            assert nonsimple_lis_mean(n, m) == want
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match=r"^m\^n = 2\^14 exceeds the exact cap 8192$"):
+            nonsimple_lis_mean(14)
+        with pytest.raises(ValueError, match="exceeds the exact cap"):
+            nonsimple_lis_mean(9, m=3)
+        with pytest.raises(ValueError, match="exceeds the exact cap"):
+            nonsimple_lis_mean(10**6)
+        with pytest.raises(ValueError):
+            nonsimple_lis_mean(3, m=1)
+        with pytest.raises(ValueError):
+            nonsimple_lis_mean(-1)
 
 
 class TestFit:

@@ -15,6 +15,7 @@ from butterflylab import (
     identity,
     kron,
 )
+from butterflylab.permutations import TEXT_SLICE
 from butterflylab.rng import substream
 from chisq import chi_square
 
@@ -196,6 +197,11 @@ class TestSerialization:
         big = fisher_yates(5000, substream(7, 0))
         assert big.to_text() == ",".join(str(v + 1) for v in big.map)
         assert from_text(big.to_text()) == big
+
+    @pytest.mark.parametrize("size", [1, TEXT_SLICE - 1, TEXT_SLICE, TEXT_SLICE + 1, 3 * TEXT_SLICE + 5])
+    def test_text_across_slices(self, size):
+        p = fisher_yates(size, substream(7, size))
+        assert p.to_text() == ",".join(map(str, (p.map + 1).tolist()))
 
     def test_rejects_bad_text(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,11 @@ RUNS = [
     ["density", "--p", "2", "--n", "4", "--t", "0:2:0.5"],
     ["fixed-points", "--m", "2,3", "--n", "2"],
 ]
+# Runs traced on top of RUNS: a second mode of a subcommand in RUNS that
+# takes its own library path (exact fit reads E L_n off `nonsimple_lis_mean`).
+MODE_RUNS = [
+    ["fit", "--mode", "exact", "--n", "3..5"],
+]
 
 
 def public_code(mod) -> dict:
@@ -82,10 +87,10 @@ def unreached() -> list[str]:
             # Traced from the import on: it builds the module-level ladders.
             from butterflylab import cli
 
-            codes = [cli.main([*argv, "--out", f"{tmp}/{i}"]) for i, argv in enumerate(RUNS)]
+            codes = [cli.main([*argv, "--out", f"{tmp}/{i}"]) for i, argv in enumerate(RUNS + MODE_RUNS)]
         finally:
             sys.setprofile(None)
-    assert codes == [0] * len(RUNS), codes
+    assert codes == [0] * len(RUNS + MODE_RUNS), codes
     return sorted(f"{m}.{name}" for m in MODULES
                   for name, code in public_code(importlib.import_module(f"butterflylab.{m}")).items()
                   if code not in called)

@@ -194,6 +194,7 @@ class TestCli:
         (["lis-mc", "--n", "0..100000000"], None),
         (["density", "--t", "1e308:1.7e308:1e308"], None),
         (["moments", "--p", "1099511627689", "--k-max", "54"], None),
+        (["fit", "--mode", "exact", "--n", "14..14"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -247,6 +248,39 @@ class TestCli:
         fit = json.loads((out / "fit.json").read_text())
         assert 0.66 < fit["alpha_hat"] < 0.70
         assert fit["r_squared"] > 0.999999
+
+    @pytest.mark.parametrize("n", ["3..12", "3..13"])
+    def test_exact_fit_equals_the_ladder_path(self, tmp_path, monkeypatch, n):
+        # fit reads E L_n off depth n - 1; the ladder's level n gives the same bytes.
+        argv = ["fit", "--mode", "exact", "--n", n]
+        got = (run_cli(argv, tmp_path / "mean") / "fit.json").read_bytes()
+        monkeypatch.setattr(lis, "nonsimple_lis_mean", lambda k: nonsimple_lis_counts(k).moment(1))
+        assert got == (run_cli(argv, tmp_path / "ladder") / "fit.json").read_bytes()
+
+    def test_exact_fit_runs_at_the_cap(self, tmp_path, capsys):
+        fit = json.loads((run_cli(["fit", "--mode", "exact", "--n", "11..13"], tmp_path) / "fit.json").read_text())
+        assert fit["n_values"] == [11, 12, 13]
+        assert main(["fit", "--mode", "exact", "--n", "14..14", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "butterflylab: error: m^n = 2^14 exceeds the exact cap 8192\n"
+
+    def test_exact_fit_builds_no_level_above_n_minus_one(self, tmp_path):
+        # A fresh process, so no memoized level hides a product. The square
+        # behind depth 12 has a 16.8M-bit product, the one behind depth 11 a
+        # 4.2M-bit one: the first is never formed, and the ladder stops at depth 11.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("from butterflylab import cli, lis, pmf\n"
+                "bits = []\n"
+                "multiply = pmf._multiply\n"
+                "def counting(x, y):\n"
+                "    bits.append(x.bit_length() + y.bit_length())\n"
+                "    return multiply(x, y)\n"
+                "pmf._multiply = counting\n"
+                f"assert cli.main(['fit', '--mode', 'exact', '--n', '3..12', '--out', {str(tmp_path)!r}]) == 0\n"
+                "assert bits and max(bits) < 2**23, max(bits)\n"
+                "assert len(lis._EXACT_LADDER._levels[2]) == 12\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_cycles_table(self, tmp_path):
         out = run_cli(["cycles-table", "--p", "3", "--n", "1..2"], tmp_path / "d")
