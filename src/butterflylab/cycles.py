@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import check_size, group_order, tree_size
-from .pmf import EXACT_SIZE_CAP, FLOAT_SIZE_CAP, Ladder, Pmf, Window, float_powers, int_convolve, trim
+from .pmf import EXACT_SIZE_CAP, FLOAT_SIZE_CAP, Ladder, Pmf, Window, finish_level, powers
 
 __all__ = [
     "simple_cycle_dist",
@@ -117,42 +117,30 @@ def simple_cd_dist(m: int, n: int, d: int) -> Pmf:
 # ---------------------------------------------------------------------------
 
 
-def _step_exact(p: int, d: int, comp: list[int]) -> list[int]:
-    """s_{d+1} from s_d, on the compressed index."""
-    conv = comp
-    for _ in range(p - 1):
-        conv = int_convolve(conv, comp)
-    keep = (p - 1) * p ** (p**d - 1)
-    if keep & (keep - 1):
-        new = [keep * c for c in comp]
-    else:  # p = 2: keep = 2^(2^d - 1), and a shift is far cheaper than the multiply
-        shift = keep.bit_length() - 1
-        new = [c << shift for c in comp]
-    new += [0] * (len(conv) + 1 - len(comp))
-    for j, c in enumerate(conv):
-        new[j + 1] += c
-    return new
-
-
-def _step_float(p: int, d: int, level: Window) -> Window:
-    """`_step_exact` on a window of probabilities: eta ~ Bern(1/p) weights
-    the branch. A level whose convolutions took the FFT is trimmed
-    (`pmf.trim`)."""
-    powers, fft = float_powers(level.masses, p)
-    comp, conv = level.masses, powers[-1]
-    lo, shift = level.offset, (p - 1) * level.offset + 1  # conv starts at p * lo + 1
-    new = np.zeros(max(len(comp), shift + len(conv)))
-    new[: len(comp)] += (1 - 1 / p) * comp
-    new[shift : shift + len(conv)] += conv / p
-    return trim(lo, new) if fft else Window(lo, new)
+def _step(p: int, d: int, level: Window) -> Window:
+    """s_{d+1} from s_d on the compressed index: (p-1) free s_d + shift_1(s_d^(*p)),
+    with free = p^(p^d - 1) for counts and 1 for probabilities, which
+    `pmf.finish_level` then divides by p."""
+    s, lo = level.masses, level.offset
+    (*_, conv), fft = powers(s, p)
+    shift = (p - 1) * lo + 1  # conv starts at p * lo + 1
+    new = np.zeros(max(len(s), shift + len(conv)), s.dtype)
+    if s.dtype != object:
+        new[: len(s)] = (p - 1) * s
+    elif p == 2:  # (p-1) free = 2^(2^d - 1): a shift is far cheaper than the multiply
+        new[: len(s)] = s << (2**d - 1)
+    else:
+        new[: len(s)] = (p - 1) * p ** (p**d - 1) * s
+    new[shift : shift + len(conv)] += conv
+    return finish_level(lo, new, p, fft)
 
 
 def _level_size(p: int, d: int) -> int:
     return tree_size(p, d) + 1  # compressed index j = (k-1)/(p-1), k = 1..p^d
 
 
-_EXACT_LADDER = Ladder([1], _step_exact, _level_size)
-_FLOAT_LADDER = Ladder(Window(0, np.array([1.0])), _step_float, _level_size)
+_EXACT_LADDER = Ladder(Window(0, np.ones(1, object)), _step, _level_size)
+_FLOAT_LADDER = Ladder(Window(0, np.ones(1)), _step, _level_size)
 
 
 def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
@@ -164,26 +152,25 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
         s_{n+1} = (p-1) p^(p^n - 1) s_n  +  shift_1(s_n^(*p))
 
     (the p-fold self-convolution for the branching case). Exact mode keeps
-    big-integer counts summing to the group order; float mode normalizes,
-    with an FFT path and a 1e-9 mass-drift guard on large supports. A
+    big-integer counts summing to the group order; float mode runs the same
+    `_step` on probabilities, with an FFT path and a 1e-9 mass-drift guard
+    on large supports. A
     float level made through the FFT (the first is depth 14 at p = 2, 9 at
     p = 3) keeps only its window of masses at or above `pmf.TRIM_FLOOR` =
     1e-13 of the peak, and a float law's support runs over its window only.
     """
     if n < 0:
         raise ValueError("n >= 0")
-    check_size(p, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
     _require_prime(p)
+    check_size(p, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    window = (_EXACT_LADDER if mode == "exact" else _FLOAT_LADDER).level(p, n)
+    masses = np.zeros((p - 1) * (len(window.masses) - 1) + 1, window.masses.dtype)
+    masses[:: p - 1] = window.masses
     if mode == "exact":
-        masses = [0] * (p**n)
-        masses[:: p - 1] = _EXACT_LADDER.level(p, n)
         return Pmf(1, masses, "count", total=group_order(p, n, simple=False))
-    if mode == "float":
-        window = _FLOAT_LADDER.level(p, n)
-        masses = np.zeros((p - 1) * (len(window.masses) - 1) + 1)
-        masses[:: p - 1] = window.masses
-        return Pmf(1 + (p - 1) * window.offset, masses, "float")
-    raise ValueError(f"unknown mode {mode!r}")
+    return Pmf(1 + (p - 1) * window.offset, masses, "float")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .groups import check_size, group_order
 from .permutations import Permutation
-from .pmf import EXACT_SIZE_CAP, FLOAT_SIZE_CAP, Ladder, Pmf, Window, float_powers, int_convolve, trim
+from .pmf import EXACT_SIZE_CAP, FLOAT_SIZE_CAP, Ladder, Pmf, Window, finish_level, powers
 
 __all__ = [
     "lis",
@@ -187,47 +187,9 @@ def bounds(m: int) -> BoundsTable:
 # ---------------------------------------------------------------------------
 
 
-def _max_counts(ca: list[int], cb: list[int]) -> list[int]:
-    """Counts of max(S_a, S_b) for independent S_a, S_b given by count arrays.
-
-    Index i holds the count for value i; cb = [1] encodes the empty sum.
-    """
-    out = [0] * max(len(ca), len(cb))
-    Fa = 0
-    Fb = 0
-    for k in range(len(out)):
-        va = ca[k] if k < len(ca) else 0
-        vb = cb[k] if k < len(cb) else 0
-        Fb = Fb + vb
-        out[k] = va * Fb + Fa * vb
-        Fa += va
-    return out
-
-
-def _sum_counts(counts: list[int], k: int) -> list[list[int]]:
-    """Counts of the sums S_0..S_k of 0..k independent draws from ``counts``:
-    [[1], counts, counts^(*2), ..., counts^(*k)], index = value."""
-    sums = [[1], counts]
-    for _j in range(k - 1):
-        sums.append(int_convolve(sums[-1], counts))
-    return sums
-
-
-def _step_exact(m: int, d: int, counts: list[int]) -> list[int]:
-    """Depth d+1 LIS counts from depth d: the max/sum update summed over e."""
-    sums = _sum_counts(counts, m)
-    new = [0] * (m * (len(counts) - 1) + 1)
-    for e in range(m):
-        part = _max_counts(sums[m - e], sums[e])
-        for k, v in enumerate(part):
-            if v:
-                new[k] += v
-    return new
-
-
-def _on_grid(x: np.ndarray, start: int, n: int, fill: float) -> np.ndarray:
-    """x[start:start + n], padded with ``fill`` to length n."""
-    out = np.full(n, fill)
+def _on_grid(x: np.ndarray, start: int, n: int, fill) -> np.ndarray:
+    """x[start:start + n], padded with ``fill`` to length n, in x's dtype."""
+    out = np.full(n, fill, dtype=x.dtype)
     seg = x[start : start + n]
     out[: len(seg)] = seg
     return out
@@ -235,38 +197,51 @@ def _on_grid(x: np.ndarray, start: int, n: int, fill: float) -> np.ndarray:
 
 def _max_law(oa: int, a: np.ndarray, ob: int, b: np.ndarray) -> tuple[int, np.ndarray]:
     """(offset, masses) of max(S_a, S_b) for independent S_a, S_b with
-    masses a from value oa and b from value ob: `_max_counts` on floats."""
+    masses a from value oa and b from value ob, both counts (object arrays)
+    or both probabilities: P(S_a = k) P(S_b <= k) + P(S_a < k) P(S_b = k)."""
     lo = max(oa, ob)
     n = max(oa + len(a), ob + len(b)) - lo
-    cdf_a = np.concatenate(([0.0], np.cumsum(a)))  # P(S_a < oa + i)
-    cdf_b = np.concatenate(([0.0], np.cumsum(b)))
-    Fa = _on_grid(cdf_a, lo - oa, n + 1, cdf_a[-1])  # P(S_a < k), k = lo..lo+n
-    Fb = _on_grid(cdf_b, lo - ob, n + 1, cdf_b[-1])
-    pa = _on_grid(a, lo - oa, n, 0.0)
-    pb = _on_grid(b, lo - ob, n, 0.0)
-    return lo, pa * Fb[1:] + Fa[:-1] * pb
+    # In-place products free each big-integer cdf entry as soon as it is
+    # used, which keeps the exact depth-12 step's peak RSS down.
+    cdf = np.concatenate((np.zeros(1, a.dtype), np.cumsum(a)))  # P(S_a < oa + i)
+    Fa = _on_grid(cdf, lo - oa, n, cdf[-1])  # P(S_a < k), k = lo..lo+n-1
+    cdf = np.concatenate((np.zeros(1, b.dtype), np.cumsum(b)))
+    out = _on_grid(cdf, lo - ob + 1, n, cdf[-1])  # P(S_b <= k)
+    del cdf
+    out *= _on_grid(a, lo - oa, n, 0)
+    Fa *= _on_grid(b, lo - ob, n, 0)
+    out += Fa
+    return lo, out
 
 
-def _step_float(m: int, d: int, level: Window) -> Window:
-    """`_step_exact` on a window of probabilities: the same update averaged
-    over e. A level whose convolutions took the FFT is trimmed (`pmf.trim`)."""
-    powers, fft = float_powers(level.masses, m)
-    sums = [(0, np.array([1.0]))] + [(j * level.offset, x) for j, x in enumerate(powers, 1)]
-    parts = [_max_law(*sums[m - e], *sums[e]) for e in range(m)]
-    lo = min(o for o, _ in parts)
-    new = np.zeros(max(o + len(x) for o, x in parts) - lo)
-    for o, x in parts:
-        new[o - lo : o - lo + len(x)] += x
-    new /= float(m)
-    return trim(lo, new) if fft else Window(lo, new)
+def _sums(level: Window, k: int) -> tuple[list[tuple[int, np.ndarray]], bool]:
+    """(offset, masses) of the sums S_0..S_k of 0..k iid values from
+    ``level``, and whether a convolution took the float FFT."""
+    pw, fft = powers(level.masses, k)
+    ones = np.ones(1, level.masses.dtype)  # S_0 = 0
+    return [(0, ones)] + [(j * level.offset, s) for j, s in enumerate(pw, 1)], fft
+
+
+def _step(m: int, d: int, level: Window) -> Window:
+    """Depth d+1 from depth d: the max/sum update summed over e, for counts
+    or (`pmf.finish_level` then divides by m) probabilities."""
+    sums, fft = _sums(level, m)
+    lo = -(-m // 2) * level.offset  # smallest max(S_{m-e}, S_e), at e = m // 2
+    top = m * (level.offset + len(level.masses) - 1)  # S_m's largest value
+    new = np.zeros(top + 1 - lo, level.masses.dtype)
+    for e in range(m):
+        start, part = _max_law(*sums[m - e], *sums[e])
+        new[start - lo : start - lo + len(part)] += part
+        del part  # before the next part is built: the depth-12 peak
+    return finish_level(lo, new, m, fft)
 
 
 def _level_size(m: int, d: int) -> int:
     return m**d + 1  # index = value 0..m^d; value 0 has no mass
 
 
-_EXACT_LADDER = Ladder([0, 1], _step_exact, _level_size)  # depth 0: L = 1
-_FLOAT_LADDER = Ladder(Window(1, np.array([1.0])), _step_float, _level_size)
+_EXACT_LADDER = Ladder(Window(1, np.ones(1, object)), _step, _level_size)  # depth 0: L = 1
+_FLOAT_LADDER = Ladder(Window(1, np.ones(1)), _step, _level_size)
 
 
 def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
@@ -288,7 +263,9 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
         raise ValueError("need m >= 2, n >= 0")
     check_size(m, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
     if mode == "exact":
-        return Pmf(1, _EXACT_LADDER.level(m, n)[1:], "count", total=group_order(m, n, simple=False))
+        window = _EXACT_LADDER.level(m, n)  # index = value, from ceil(m/2)^n
+        return Pmf(1, [0] * (window.offset - 1) + window.masses.tolist(), "count",
+                   total=group_order(m, n, simple=False))
     if mode == "float":
         window = _FLOAT_LADDER.level(m, n)  # index = value
         return Pmf(window.offset, window.masses, "float")
@@ -302,7 +279,8 @@ def nonsimple_lis_mean(n: int, m: int = 2) -> Fraction:
     values, with e uniform on 0..m-1, so by linearity
     E L_n = (1/m) sum_e E max(S_{m-e}, S_e). The e = 0 term is the m-fold
     sum, of mean m E L_{n-1}; the others need the laws of sums of at most
-    m - 1 values. So the largest product of `_step_exact`, the m-fold
+    m - 1 values, taken from the exact ladder's level n - 1 by `_sums` and
+    `_max_law` as in `_step`. So the largest product of `_step`, the m-fold
     convolution (for m = 2 the square behind depth n), is never formed, and
     depth n is not built. Refuses m^n above `pmf.EXACT_SIZE_CAP`, like the
     exact `nonsimple_lis_counts`.
@@ -312,12 +290,17 @@ def nonsimple_lis_mean(n: int, m: int = 2) -> Fraction:
     check_size(m, n, EXACT_SIZE_CAP, "exact")
     if n == 0:
         return Fraction(1)
-    below = nonsimple_lis_counts(n - 1, "exact", m)
-    sums = _sum_counts([0] + below.masses, m - 1)
-    acc = m * sum(k * c for k, c in enumerate(sums[1])) * below.total ** (m - 1)
+    total = group_order(m, n - 1, simple=False)
+    sums, _ = _sums(_EXACT_LADDER.level(m, n - 1), m - 1)
+    acc = m * _value_sum(*sums[1]) * total ** (m - 1)
     for e in range(1, m):
-        acc += sum(k * c for k, c in enumerate(_max_counts(sums[m - e], sums[e])))
-    return Fraction(acc, m * below.total**m)
+        acc += _value_sum(*_max_law(*sums[m - e], *sums[e]))
+    return Fraction(acc, m * total**m)
+
+
+def _value_sum(offset: int, counts: np.ndarray) -> int:
+    """sum of value * count over counts indexed from value ``offset``."""
+    return sum(k * c for k, c in enumerate(counts.tolist(), offset))
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,18 @@ The LIS and Stirling ladders cap a level's support size m^n at
 `EXACT_SIZE_CAP` = 8192 (depth 13 for m = 2, 8 for m = 3) and
 `FLOAT_SIZE_CAP` = 2^20 (depth 20 for m = 2, 12 for m = 3).
 
-A float ladder level is a `Window`: the masses of one contiguous run of
-support points, from an offset. A step that convolved through the FFT has
-an absolute error of about 1e-18 per mass, so its level keeps only the
-window from the first to the last mass at or above `TRIM_FLOOR` = 1e-13 of
-the peak (`trim`); the mass cut from the two tails counts against the 1e-9
-drift guard. Levels made by direct convolution keep their whole support.
-A float law is the `Pmf` of its level's window alone, 0 off it: at depth 20
-that is 45,478 of the 2^20 LIS values (m = 2) and 21,362 of the 2^20
-Stirling values (p = 2).
+A ladder level is a `Window` in both precisions: the masses of one
+contiguous run of support points, from an offset. Exact levels hold their
+counts as a read-only numpy object array of Python ints, float levels their
+float64 probabilities, so each statistic writes its step once: `powers`
+convolves in the array's precision and `finish_level` closes the step. A
+float step that convolved through the FFT has an absolute error of about
+1e-18 per mass, so its level keeps only the window from the first to the
+last mass at or above `TRIM_FLOOR` = 1e-13 of the peak (`trim`); the mass
+cut from the two tails counts against the 1e-9 drift guard. Levels made by
+direct or exact convolution keep their whole support. A float law is the
+`Pmf` of its level's window alone, 0 off it: at depth 20 that is 45,478 of
+the 2^20 LIS values (m = 2) and 21,362 of the 2^20 Stirling values (p = 2).
 """
 from __future__ import annotations
 
@@ -41,7 +44,8 @@ import numpy as np
 
 from .groups import group_order
 
-__all__ = ["Pmf", "Ladder", "Window", "int_convolve", "float_convolve", "float_powers", "trim"]
+__all__ = ["Pmf", "Ladder", "Window", "int_convolve", "float_convolve", "powers", "finish_level",
+           "trim"]
 
 _FFT_THRESHOLD = 4096
 # Size of the smaller operand, in bits, from which `_multiply` takes the FFT.
@@ -216,23 +220,38 @@ def float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(_fft_convolve(a, b), 0.0, None)
 
 
-def float_powers(x: np.ndarray, k: int) -> tuple[list[np.ndarray], bool]:
-    """[x, x*x, ..., x^(*k)] by `float_convolve`, and whether any of those
-    convolutions ran through the FFT."""
-    powers, fft = [x], False
+def powers(x: np.ndarray, k: int) -> tuple[list[np.ndarray], bool]:
+    """[x, x*x, ..., x^(*k)] in x's precision, and whether a convolution took
+    the float FFT. Counts (an object array) go through `int_convolve`, whose
+    first product is a square (one list passed twice), floats through
+    `float_convolve`."""
+    exact = x.dtype == object
+    base = x.tolist() if exact else x
+    out, last, fft = [x], base, False
     for _ in range(k - 1):
-        fft = fft or _takes_fft(powers[-1], x)
-        powers.append(float_convolve(powers[-1], x))
-    return powers, fft
+        fft = fft or (not exact and _takes_fft(last, base))
+        last = (int_convolve if exact else float_convolve)(last, base)
+        out.append(np.array(last, dtype=object) if exact else last)
+    return out, fft
 
 
 class Window(NamedTuple):
-    """A float ladder level: ``masses[i]`` is the mass at index offset + i,
-    and ``cut`` the mass `trim` removed from the level's tails."""
+    """A ladder level: ``masses[i]`` is the count or probability at index
+    offset + i, and ``cut`` the mass `trim` removed from the level's tails."""
 
     offset: int
     masses: np.ndarray
     cut: float = 0.0
+
+
+def finish_level(offset: int, masses: np.ndarray, k: int, fft: bool) -> Window:
+    """The level a step summed over its k equally likely branches into
+    ``masses`` (indexed from ``offset``): counts as they are; probabilities
+    divided by k, and trimmed (`trim`) when a convolution took the FFT."""
+    if masses.dtype == object:
+        return Window(offset, masses)
+    masses /= float(k)
+    return trim(offset, masses) if fft else Window(offset, masses)
 
 
 def trim(offset: int, masses: np.ndarray) -> Window:
@@ -323,23 +342,23 @@ class Ladder:
     """Memoized levels 0..n of a per-base recursion over the nonsimple group.
 
     ``step(m, d, level)`` returns level d + 1 from level d without side
-    effects; ``size(m, d)`` is the number of indices of level d. Each level
-    is checked before it is appended under the lock: exact count lists must
-    have that length and sum to the group order m**tree_size(m, d); a float
-    `Window` must lie within those indices and pass the 1e-9 drift guard,
-    and the mass cut from all levels of base m so far must stay below 1e-9.
-    Windows are stored renormalized and read-only. Levels are shared;
-    callers must not mutate them.
+    effects; ``size(m, d)`` is the number of indices of level d. A level is
+    a `Window` in either precision, and each is checked before it is
+    appended under the lock: it must lie within those indices; exact counts
+    (an object array) must sum to the group order m**tree_size(m, d); float
+    masses must pass the 1e-9 drift guard, and the mass cut from all levels
+    of base m so far must stay below 1e-9. Levels are stored read-only, and
+    floats renormalized, so callers can share them.
     """
 
     def __init__(self, seed, step, size):
         self._seed = seed
         self._step = step
         self._size = size
-        self._levels: dict[int, list] = {}
+        self._levels: dict[int, list[Window]] = {}
         self._lock = threading.Lock()
 
-    def level(self, m: int, n: int):
+    def level(self, m: int, n: int) -> Window:
         """Level n for base m, extending the memo as needed."""
         with self._lock:
             if m not in self._levels:
@@ -350,21 +369,19 @@ class Ladder:
                 levels.append(self._checked(m, d, self._step(m, d - 1, levels[-1]), levels))
             return levels[n]
 
-    def _checked(self, m: int, d: int, new, below: list):
+    def _checked(self, m: int, d: int, new: Window, below: list[Window]) -> Window:
         size = self._size(m, d)
-        if isinstance(new, list):
-            if len(new) != size:
-                raise ArithmeticError(f"level {d} has {len(new)} entries, not {size}")
-            if sum(new) != group_order(m, d, simple=False):
-                raise ArithmeticError(f"level {d} counts do not sum to the group order")
-            return new
         offset, masses, cut = new
         if offset < 0 or offset + len(masses) > size:
             raise ArithmeticError(f"level {d} window [{offset}, {offset + len(masses)}) "
                                   f"leaves [0, {size})")
-        spent = cut + sum(w.cut for w in below)
-        if spent >= _FLOAT_MASS_TOL:
-            raise FloatingPointError(f"trimmed mass {spent:.3e} exceeds 1e-9")
-        masses = _renormalized(masses, cut)
+        if masses.dtype == object:
+            if masses.sum() != group_order(m, d, simple=False):
+                raise ArithmeticError(f"level {d} counts do not sum to the group order")
+        else:
+            spent = cut + sum(w.cut for w in below)
+            if spent >= _FLOAT_MASS_TOL:
+                raise FloatingPointError(f"trimmed mass {spent:.3e} exceeds 1e-9")
+            masses = _renormalized(masses, cut)
         masses.setflags(write=False)
         return Window(offset, masses, cut)

@@ -20,6 +20,7 @@ from butterflylab.cycles import (
     x_star,
 )
 from butterflylab.groups import enumerate_group, materialize
+from butterflylab.pmf import EXACT_SIZE_CAP
 from butterflylab.rng import substream
 from chisq import chi_square, merge_sparse_cells
 
@@ -211,13 +212,18 @@ class TestStirlingTriangles:
                     assert pmf.mass(1) == 2 ** (2**n - n - 1)
 
     def test_float_matches_exact(self):
-        for p, n in ((2, 8), (3, 4), (5, 3)):
-            exact = nonsimple_cycle_counts(p, n)
-            flt = nonsimple_cycle_counts(p, n, mode="float")
-            probs = np.array([v / exact.total for v in exact.masses])
-            good = probs > 0
-            rel = np.abs(np.asarray(flt.masses)[good] - probs[good]) / probs[good]
-            assert rel.max() < 1e-11
+        # Every depth under the exact cap, where both precisions run the same
+        # step; no level there is made through the FFT.
+        for p, top in ((2, 13), (3, 8), (5, 5)):
+            assert p**top <= EXACT_SIZE_CAP < p ** (top + 1)
+            for n in range(top + 1):
+                exact = nonsimple_cycle_counts(p, n)
+                flt = nonsimple_cycle_counts(p, n, mode="float")
+                got = np.fromiter(map(flt.mass, exact.support), np.float64, len(exact.masses))
+                probs = np.array([v / exact.total for v in exact.masses])
+                good = probs >= np.finfo(float).tiny  # subnormals carry fewer bits
+                rel = np.abs(got[good] - probs[good]) / probs[good]
+                assert rel.max() < 1e-11, (p, n)
 
     def test_depth_13_float_matches_exact(self):
         exact = nonsimple_cycle_counts(2, 13)

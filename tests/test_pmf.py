@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflylab import cycles, lis
-from butterflylab.pmf import (TRIM_FLOOR, Ladder, Pmf, Window, float_convolve, float_powers,
-                              int_convolve, trim)
+from butterflylab.pmf import (TRIM_FLOOR, Ladder, Pmf, Window, float_convolve, int_convolve,
+                              powers, trim)
 from butterflylab.pmf import _INT_FFT_BITS as CROSS
 from butterflylab import pmf
 from butterflylab.pmf import _CHECK_PRIME as P
@@ -255,14 +255,23 @@ def test_float_convolution_matches_exact():
         assert np.abs(cf - probs).max() < 1e-15
 
 
+def _counts(*values):
+    return np.array(values, dtype=object)
+
+
 def test_ladder_checks_each_level():
     def size(m, d):
         return d + 1
 
-    with pytest.raises(ArithmeticError, match="entries"):
-        Ladder([1], lambda m, d, level: [2], size).level(2, 1)
+    # Count windows: one leaving [0, size), and counts off the group order 2.
+    with pytest.raises(ArithmeticError, match="window"):
+        Ladder(Window(0, _counts(1)), lambda m, d, level: Window(1, _counts(0, 2)), size).level(2, 1)
+    with pytest.raises(ArithmeticError, match="window"):
+        Ladder(Window(0, _counts(1)), lambda m, d, level: Window(-1, _counts(2)), size).level(2, 1)
     with pytest.raises(ArithmeticError, match="group order"):
-        Ladder([1], lambda m, d, level: level + [0], size).level(2, 1)
+        Ladder(Window(0, _counts(1)), lambda m, d, level: Window(0, _counts(1, 0)), size).level(2, 1)
+    with pytest.raises(ArithmeticError, match="group order"):
+        Ladder(Window(0, _counts(1)), lambda m, d, level: Window(0, _counts(2, 1)), size).level(2, 1)
     with pytest.raises(FloatingPointError):
         Ladder(Window(0, np.array([1.0])), lambda m, d, level: Window(0, np.array([0.5, 0.4])),
                size).level(2, 1)
@@ -286,8 +295,9 @@ def test_ladder_checks_each_level():
     with pytest.raises(FloatingPointError, match="trimmed mass"):
         cutting.level(2, 3)
     # Group orders 1, 2, 2^3: level d puts all of them on one atom.
-    ok = Ladder([1], lambda m, d, level: [0] * (d + 1) + [m ** (2 ** (d + 1) - 1)], size)
-    assert ok.level(2, 2) == [0, 0, 8]
+    ok = Ladder(Window(0, _counts(1)),
+                lambda m, d, level: Window(d + 1, _counts(m ** (2 ** (d + 1) - 1))), size)
+    assert ok.level(2, 2).offset == 2 and ok.level(2, 2).masses.tolist() == [8]
 
 
 def test_trim_cuts_only_the_tails_below_the_floor():
@@ -299,13 +309,44 @@ def test_trim_cuts_only_the_tails_below_the_floor():
     assert w.cut == 1e-20 + TRIM_FLOOR * 0.4
 
 
-def test_float_powers_report_the_fft():
-    # The FFT runs once an operand passes 4096 points.
-    assert not float_powers(np.full(4096, 1 / 4096), 2)[1]
-    assert float_powers(np.full(4097, 1 / 4097), 2)[1]
-    powers, fft = float_powers(np.full(2049, 1 / 2049), 3)  # 2049 * 2049, then 4097 * 2049
-    assert fft and [len(x) for x in powers] == [2049, 4097, 6145]
-    assert not float_powers(np.full(9000, 1 / 9000), 1)[1]
+def test_powers_report_the_fft(monkeypatch):
+    # Floats: the FFT runs once an operand passes 4096 points.
+    assert not powers(np.full(4096, 1 / 4096), 2)[1]
+    assert powers(np.full(4097, 1 / 4097), 2)[1]
+    pw, fft = powers(np.full(2049, 1 / 2049), 3)  # 2049 * 2049, then 4097 * 2049
+    assert fft and [len(x) for x in pw] == [2049, 4097, 6145]
+    assert not powers(np.full(9000, 1 / 9000), 1)[1]
+    # Counts: exact object arrays from int_convolve, whose first product is
+    # a square (one list passed twice); the float FFT is never reported.
+    squares = []
+
+    def recording(a, b):
+        squares.append(a is b)
+        return int_convolve(a, b)
+
+    monkeypatch.setattr(pmf, "int_convolve", recording)
+    x = _counts(2**70, 0, 3, 1)
+    pw, fft = powers(x, 3)
+    assert not fft and squares == [True, False]
+    assert pw[0] is x and all(y.dtype == object for y in pw)
+    assert pw[2].tolist() == schoolbook(schoolbook(x.tolist(), x.tolist()), x.tolist())
+    pw, fft = powers(np.ones(4097, dtype=object), 2)
+    assert not fft and pw[1].tolist() == np.convolve(np.ones(4097, int), np.ones(4097, int)).tolist()
+
+
+@pytest.mark.parametrize("module", [lis, cycles])
+def test_ladder_levels_are_read_only(module):
+    # Both memos hand out shared levels, exact counts included; none can be
+    # changed in place, and a count Pmf holds its own copy.
+    for ladder in (module._EXACT_LADDER, module._FLOAT_LADDER):
+        level = ladder.level(2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            level.masses[0] = level.masses[0]
+        with pytest.raises(AttributeError):
+            level.masses = None
+    law = lis.nonsimple_lis_counts(3) if module is lis else cycles.nonsimple_cycle_counts(2, 3)
+    law.masses[0] += 1
+    assert module._EXACT_LADDER.level(2, 3).masses[0] == law.masses[0] - 1
 
 
 @pytest.mark.parametrize("module, law, depth", [

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -154,6 +155,26 @@ class TestCli:
             assert [int(r[2]) for r in got] == pmf.masses
             assert abs(float(got[-1][3]) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("args, digests", [
+        (["lis-table", "--m", "3", "--n", "0..7"], {
+            "lis_counts.csv": "17d4cb910c273be4d796f6bd41d250539f98a87adcd77d6c3c3f78dc254d207c",
+            "lis_moments.csv": "9d74f86a4c2984b7593e9dbdf1fe0760526810423994eb74aea2cf87e4205dd2"}),
+        (["lis-table", "--m", "4", "--n", "0..6"], {
+            "lis_counts.csv": "aba352f1ce6d900db34e9b18e1bb2319b6c40edb1e5440919195175e147f5df6",
+            "lis_moments.csv": "2d81e7e012b0db338e2155cfd1067ac1df9a0b03c7f6774e40f857279ad6791d"}),
+        (["lis-table", "--m", "5", "--n", "0..5"], {
+            "lis_counts.csv": "f9397dc5905df244362c2cc9fbc4ed486eb8fae5fc11699e56d7c1ccc0744f96",
+            "lis_moments.csv": "b652ead53fdce05baab21d1c2ee1959f32254d1689e0e4ec007c86adbe6cfa99"}),
+        (["cycles-table", "--p", "5", "--n", "0..5"], {
+            "cycle_counts.csv": "76328e18d7dff870a57388bd512f25ea1062b731b2c2b3aed6a019d9304a2c44"}),
+    ])
+    def test_exact_tables_pinned(self, tmp_path, args, digests):
+        # SHA-256 of exact tables the benchmark's reference does not hold (it
+        # has m = 2 and p = 2, 3). Exact LIS levels for m >= 3 start at
+        # ceil(m/2)^n, and the rows of value 1 up to there are still written.
+        out = run_cli(args, tmp_path)
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
+
     @pytest.mark.parametrize("args, env", [
         (["verify"], "abc"),
         (["cycles-table", "--p", "4"], None),
@@ -195,6 +216,7 @@ class TestCli:
         (["density", "--t", "1e308:1.7e308:1e308"], None),
         (["moments", "--p", "1099511627689", "--k-max", "54"], None),
         (["fit", "--mode", "exact", "--n", "14..14"], None),
+        (["density", "--p", "4"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
