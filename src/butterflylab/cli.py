@@ -57,9 +57,9 @@ BOUNDS_MAX_M = 1 << 14
 MAX_VALUES = 1 << 20
 # Bound on k_max^3 * bits(p) for moments (`_k_max_cap`). limit_moments
 # costs about k^5 log(p)^1.6: m_k has about k^2 log2(p) bits, and step k
-# multiplies k fractions of that size. At the cap every prime takes 2.2-4.6 s
+# multiplies k fractions of that size. At the cap every prime takes 2.2-4.5 s
 # (p = 7, k = 128 is the slowest; the largest admitted prime, 2^40 - 87, gets
-# k = 53 in 3.0 s), against 108 s for 2^40 - 87 at k = 100 and 15.9 s for
+# k = 53 in 3.3 s), against 116 s for 2^40 - 87 at k = 100 and 17.4 s for
 # p = 31 at k = 136. The cap is 146 at p = 2.
 MOMENTS_MAX_WORK = 6 << 20
 
@@ -187,6 +187,8 @@ def _write_manifest(out: Path, args, seed: int, seed_source: str) -> None:
 def cmd_sample(args, seed: int) -> dict:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.m < 2 or args.n < 0:  # before the generator: a refused sample writes no file
+        raise ValueError(f"need --m >= 2 and --n >= 0, got --m {args.m} --n {args.n}")
     groups.check_size(args.m, args.n, groups.MATERIALIZE_SIZE_CAP, "size")
 
     def lines():  # one permutation at a time: at m^n = 2^22 a line is 30 MB of text
@@ -333,8 +335,9 @@ def cmd_moments(args, seed: int) -> dict:
     cap = _k_max_cap(args.p)
     if args.k_max > cap:
         raise ValueError(f"--k-max {args.k_max} exceeds the cap {cap} at p = {args.p}")
+    # "float" is null past the double range: m_26 of p = 2^40 - 87 is about 10^330.
     payload = [{"p": args.p, "k": k, "numerator": str(m.numerator),
-                "denominator": str(m.denominator), "float": float(m)}
+                "denominator": str(m.denominator), "float": float(m) if m <= sys.float_info.max else None}
                for k, m in enumerate(cycles.limit_moments(args.p, args.k_max))]
     return {"moments.json": json.dumps(payload, indent=1) + "\n"}
 

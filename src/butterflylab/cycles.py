@@ -6,8 +6,10 @@ eta ~ Bern(1/p), which drives everything here: the butterfly Stirling
 triangles s_B^(p)(n, k), the moment polynomials p_k^(p) with
 E Y_n^k = p_k(lambda_p^n) for lambda_p = 2 - 1/p, the limiting moments
 m_k^(p), density grids for the limit W^(p), and the Monte Carlo sampler.
-Both moment tables run one recursion: Miller's power rule for the p-th
-power of an exponential generating function.
+Both moment tables run one recursion, `_moment_rows`: Miller's power rule
+for the p-th power of an exponential generating function, on the highest
+coefficients of the moment polynomials. The limit moments are its leading
+row, m_k = [x^k] p_k.
 """
 from __future__ import annotations
 
@@ -162,9 +164,9 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
     if n < 0:
         raise ValueError("n >= 0")
     _require_prime(p)
-    check_size(p, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
+    check_size(p, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
     window = (_EXACT_LADDER if mode == "exact" else _FLOAT_LADDER).level(p, n)
     masses = np.zeros((p - 1) * (len(window.masses) - 1) + 1, window.masses.dtype)
     masses[:: p - 1] = window.masses
@@ -200,85 +202,71 @@ class MomentTable:
         return sum((c * x**j for j, c in enumerate(self.polys[k])), Fraction(0))
 
 
-def _miller_terms(p: int, k: int):
-    """(j, w_j) for j = 1..k-1 of J.C.P. Miller's power rule.
+def _moment_rows(p: int, k_max: int, width: int) -> list[list[Fraction]]:
+    """The `width` highest coefficients of p_0..p_k_max, highest degree first.
 
-    For M(x) = sum m_i x^i / i! with m_0 = 1, beta_k = k! [x^k] M(x)^p obeys
-    beta_k = sum_{j=1..k} w_j m_j beta_{k-j} with w_j = ((p+1) j - k) C(k, j) / k
-    (Knuth, TAOCP vol. 2, 4.7, on exponential coefficients). The j = k term
-    is p m_k, the p compositions of k with one nonzero part, so the terms
-    yielded here sum to the multinomial sum over compositions of k into p
-    parts all below k.
+    p_0 = 1, p_1(x) = x, and for k >= 2 the source polynomial r_k is
+    k! [t^k] P(t)^p less its p single-part terms p * p_k, for
+    P(t) = sum p_i t^i / i!. J.C.P. Miller's power rule (Knuth, TAOCP vol.
+    2, 4.7) builds it from k - 1 products,
+    r_k = sum_{j=1..k-1} w_j p_j beta_{k-j}, w_j = ((p+1) j - k) C(k, j) / k,
+    where beta_i = r_i + p * p_i = i! [t^i] P(t)^p. Then
+    a_{kj} = r_{kj} (lam - 1) / ((p-1)(lam^j - lam)) for j >= 2, and a_{k1}
+    closes p_k(1) = 1. The first `width` coefficients of a product need
+    only the first `width` of each factor, so width 1 gives the limit
+    moments m_k = a_{kk} alone.
     """
-    for j in range(1, k):
-        yield j, Fraction(((p + 1) * j - k) * math.comb(k, j), k)
+    _require_prime(p)
+    if k_max < 1:
+        raise ValueError("k_max >= 1")
+    lam = lambda_p(p)
+    rows = [[Fraction(1)], [Fraction(1), Fraction(0)][:width]]
+    betas = [[Fraction(1)], [Fraction(p), Fraction(0)][:width]]
+    for k in range(2, k_max + 1):
+        weights = [(j, Fraction(((p + 1) * j - k) * math.comb(k, j), k)) for j in range(1, k)]
+        r = []
+        for t in range(min(width, k + 1)):  # degree k - t
+            terms = []
+            for j, w in weights:
+                a, b = rows[j], betas[k - j]
+                lo = max(0, t - len(b) + 1)
+                terms += [w * x * y for x, y in zip(a[lo : t + 1], b[t - lo :: -1])]
+            # One common denominator and one reduction per coefficient; a
+            # running Fraction sum would take a gcd of thousands-of-digit
+            # integers per term.
+            den = math.lcm(*(s.denominator for s in terms))
+            r.append(Fraction(sum(s.numerator * (den // s.denominator) for s in terms), den))
+        row = [c * (lam - 1) / ((p - 1) * (lam ** (k - t) - lam)) for t, c in enumerate(r[: k - 1])]
+        if len(r) >= k:  # a_{k1} closes p_k(1) = 1, and p_k(0) = 0
+            row += [1 - sum(row, Fraction(0)), Fraction(0)]
+        rows.append(row[:width])
+        betas.append([c + p * a for c, a in zip(r, row)])
+    return rows
 
 
 def moment_polynomials(p: int, k_max: int) -> MomentTable:
     """Moment polynomials of the cycle recursion, exact rationals.
 
-    p_0 = 1, p_1(x) = x; for k >= 2 the source polynomial r_k is the sum
-    over compositions (i_1..i_p) of k with all parts < k of
-    multinomial(k; i) * prod p_{i_l}(x), built by Miller's power rule
-    (`_miller_terms`) with polynomial entries, and a_{kj} = r_{kj} / (p-1) *
-    (lam - 1)/(lam^j - lam) for j >= 2 with a_{k1} closing p_k(1) = 1.
+    The full-width run of `_moment_rows`, reversed to lowest degree first.
+    Row k sums about k^3 / 6 coefficient products, so p_0..p_K cost O(K^4)
+    rational operations.
     """
-    _require_prime(p)
-    if k_max < 1:
-        raise ValueError("k_max >= 1")
-    lam = lambda_p(p)
-    polys: list[list[Fraction]] = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-    powers = [[Fraction(1)], [Fraction(0), Fraction(p)]]  # k! [x^k] (sum p_i x^i / i!)^p
-    for k in range(2, k_max + 1):
-        r = [Fraction(0)] * (k + 1)
-        for j, w in _miller_terms(p, k):
-            for i, v in enumerate(_poly_mul(polys[j], powers[k - j])):
-                if v:
-                    r[i] += w * v
-        coeffs = [Fraction(0)] * (k + 1)
-        for j in range(2, k + 1):
-            coeffs[j] = r[j] * Fraction(1, p - 1) * (lam - 1) / (lam**j - lam)
-        coeffs[1] = 1 - sum(coeffs[2:], Fraction(0))
-        polys.append(coeffs)
-        powers.append([a + p * c for a, c in zip(r, coeffs)])
-    return MomentTable(p=p, lam=lam, polys=tuple(tuple(c) for c in polys))
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+    rows = _moment_rows(p, k_max, k_max + 1)
+    return MomentTable(p=p, lam=lambda_p(p), polys=tuple(tuple(reversed(row)) for row in rows))
 
 
 def limit_moments(p: int, k_max: int) -> list[Fraction]:
-    """m_0..m_k_max of the limit W^(p), by Miller's power rule.
+    """m_0..m_k_max of the limit W^(p): the leading row of `_moment_rows`.
 
     m_0 = m_1 = 1 and for k >= 2
     m_k = (lam-1) / ((p-1)(lam^k - lam)) * sum_{i_1+..+i_p = k, i_l < k}
           multinomial(k; i) prod m_{i_l},
-    where the sum is k! [x^k] M(x)^p less its p single-part terms, for
-    M(x) = sum m_i x^i / i!; Miller's power rule (`_miller_terms`) builds
-    it from k - 1 products, so m_0..m_K cost O(K^2) rational operations.
+    the leading coefficient of p_k. A leading coefficient depends only on
+    leading coefficients, so the width-1 run of Miller's power rule builds
+    each sum from k - 1 products, and m_0..m_K cost O(K^2) rational
+    operations.
     """
-    _require_prime(p)
-    if k_max < 1:
-        raise ValueError("k_max >= 1")
-    lam = lambda_p(p)
-    m = [Fraction(1), Fraction(1)]
-    powers = [Fraction(1), Fraction(p)]  # k! [x^k] M(x)^p
-    for k in range(2, k_max + 1):
-        # One common denominator and one reduction per k; a running Fraction
-        # sum would take a gcd of thousands-of-digit integers per term.
-        terms = [w * m[j] * powers[k - j] for j, w in _miller_terms(p, k)]
-        den = math.lcm(*(t.denominator for t in terms))
-        acc = Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
-        m.append(acc * (lam - 1) / ((p - 1) * (lam**k - lam)))
-        powers.append(acc + p * m[k])
-    return m
+    return [row[0] for row in _moment_rows(p, k_max, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -261,15 +261,15 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     """
     if m < 2 or n < 0:
         raise ValueError("need m >= 2, n >= 0")
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
     check_size(m, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
     if mode == "exact":
         window = _EXACT_LADDER.level(m, n)  # index = value, from ceil(m/2)^n
         return Pmf(1, [0] * (window.offset - 1) + window.masses.tolist(), "count",
                    total=group_order(m, n, simple=False))
-    if mode == "float":
-        window = _FLOAT_LADDER.level(m, n)  # index = value
-        return Pmf(window.offset, window.masses, "float")
-    raise ValueError(f"unknown mode {mode!r}")
+    window = _FLOAT_LADDER.level(m, n)  # index = value
+    return Pmf(window.offset, window.masses, "float")
 
 
 def nonsimple_lis_mean(n: int, m: int = 2) -> Fraction:

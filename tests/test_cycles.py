@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from butterflylab import cycle_stats
+from butterflylab import cycle_stats, lis
 from butterflylab.cycles import (
     density_grid,
     fixed_point_moments,
@@ -241,6 +241,13 @@ class TestStirlingTriangles:
         with pytest.raises(ValueError, match="exceeds the float cap"):
             nonsimple_cycle_counts(3, 10**6, mode="float")
 
+    def test_unknown_mode_is_named_before_the_size_cap(self):
+        # 2^21 is past the float cap, whose message named the mode as a cap.
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            nonsimple_cycle_counts(2, 21, mode="bogus")
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            lis.nonsimple_lis_counts(21, mode="bogus")
+
 
 class TestMomentPolynomials:
     def test_table_rows(self):
@@ -294,10 +301,11 @@ class TestLimitMoments:
         assert limit_moments(2, 4)[4] == Fraction(3228, 885)
 
     def test_limits_match_polynomial_leading_coefficients(self):
-        for p in (2, 3, 5, 7):
-            table = moment_polynomials(p, 6)
-            ms = limit_moments(p, 6)
-            assert list(table.limits[1:]) == ms[1:]
+        # The width-1 run against the leading row of the full-width run.
+        for p, K in ((2, 24), (3, 16), (5, 12), (7, 10)):
+            table = moment_polynomials(p, K)
+            ms = limit_moments(p, K)
+            assert list(table.limits[1:]) == ms[1:], (p, K)
 
     @pytest.mark.parametrize("p, k_max", [(2, 12), (3, 10), (5, 8), (7, 6)])
     def test_power_rule_matches_composition_enumeration(self, p, k_max):

@@ -217,6 +217,10 @@ class TestCli:
         (["moments", "--p", "1099511627689", "--k-max", "54"], None),
         (["fit", "--mode", "exact", "--n", "14..14"], None),
         (["density", "--p", "4"], None),
+        (["sample", "--kind", "uniform", "--m", "-2", "--n", "2"], None),
+        (["sample", "--kind", "simple", "--m", "1", "--n", "3"], None),
+        (["sample", "--kind", "nonsimple", "--n", "-1"], None),
+        (["sample", "--kind", "uniform", "--n", "-1"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -228,6 +232,8 @@ class TestCli:
         assert main([*args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("butterflylab: error: ") and err.count("\n") == 1
+        # A refused command writes nothing: no data file and no manifest.
+        assert [f.name for f in tmp_path.iterdir()] == ["lis_counts.csv"]
 
     def test_lis_mc_lower_bounds_still_run(self, tmp_path):
         # N = 2^0 = 1, and --trials 0 takes each ensemble's default.
@@ -315,6 +321,14 @@ class TestCli:
         data = json.loads((out / "moments.json").read_text())
         m6 = next(d for d in data if d["k"] == 6)
         assert Fraction(int(m6["numerator"]), int(m6["denominator"])) == Fraction(40435712, 2345265)
+
+    def test_moments_past_the_double_range(self, tmp_path):
+        # At the largest admitted prime m_k passes 1.8e308 from k = 26 on.
+        out = run_cli(["moments", "--p", "1099511627689", "--k-max", "30"], tmp_path / "big")
+        data = json.loads((out / "moments.json").read_text())
+        assert [d["float"] is None for d in data] == [k >= 26 for k in range(31)]
+        assert all(d["float"] == float(Fraction(int(d["numerator"]), int(d["denominator"])))
+                   for d in data[:26])
 
     def test_moments_past_the_int_to_str_limit(self, tmp_path):
         # m_136 of the p = 2 law has a numerator of more than 4300 digits.
