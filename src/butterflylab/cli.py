@@ -319,9 +319,8 @@ def cmd_cycles_table(args, seed: int) -> dict:
     rows = []
     for n in _parse_range(args.n):
         pmf = cycles.nonsimple_cycle_counts(args.p, n, mode=args.mode)
-        for k, mass in zip(pmf.support, pmf.masses):
-            if (k - 1) % (args.p - 1) == 0:
-                rows.append((args.p, n, k, mass))
+        step = args.p - 1  # the law lives on k = 1 mod (p - 1), from its offset on
+        rows += [(args.p, n, k, mass) for k, mass in zip(pmf.support[::step], pmf.masses[::step])]
     return {"cycle_counts": (["p", "n", "k", "mass"], rows)}
 
 

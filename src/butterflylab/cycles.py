@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import check_size, group_order, tree_size
-from .pmf import EXACT_SIZE_CAP, FLOAT_SIZE_CAP, Ladder, Pmf, Window, finish_level, powers
+from .pmf import Ladder, Pmf, Window, finish_level, powers
 
 __all__ = [
     "simple_cycle_dist",
@@ -141,8 +141,7 @@ def _level_size(p: int, d: int) -> int:
     return tree_size(p, d) + 1  # compressed index j = (k-1)/(p-1), k = 1..p^d
 
 
-_EXACT_LADDER = Ladder(Window(0, np.ones(1, object)), _step, _level_size)
-_FLOAT_LADDER = Ladder(Window(0, np.ones(1)), _step, _level_size)
+_LADDER = Ladder(0, _step, _level_size)
 
 
 def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
@@ -164,13 +163,10 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
     if n < 0:
         raise ValueError("n >= 0")
     _require_prime(p)
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    check_size(p, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
-    window = (_EXACT_LADDER if mode == "exact" else _FLOAT_LADDER).level(p, n)
+    window = _LADDER.level(p, n, mode)
     masses = np.zeros((p - 1) * (len(window.masses) - 1) + 1, window.masses.dtype)
     masses[:: p - 1] = window.masses
-    if mode == "exact":
+    if masses.dtype == object:
         return Pmf(1, masses, "count", total=group_order(p, n, simple=False))
     return Pmf(1 + (p - 1) * window.offset, masses, "float")
 
@@ -279,18 +275,19 @@ def density_grid(p: int, n: int, t_values):
 
     f_hat(t) = P(Y_n = k(t)) * lam^n / (p-1) with
     k(t) = floor((t lam^n - 1)/(p-1)) (p-1) + 1, the support atom whose
-    cell contains t lam^n.
+    cell contains t lam^n. f_hat = 0 once k(t) passes p^n, as at t lam^n = inf.
     """
     counts = nonsimple_cycle_counts(p, n, mode="float")
     lam = float(lambda_p(p))
     scale = lam**n
+    past = tree_size(p, n) + 1  # compressed index of the atom after p^n
     out = []
     for t in t_values:
         t = float(t)
         if t < 0:
             raise ValueError("t must be >= 0")
-        k = math.floor((t * scale - 1) / (p - 1)) * (p - 1) + 1
-        out.append((t, float(counts.p(k)) * scale / (p - 1)))
+        j = (t * scale - 1) / (p - 1)  # k(t) = floor(j) (p-1) + 1
+        out.append((t, 0.0 if j >= past else float(counts.p(math.floor(j) * (p - 1) + 1)) * scale / (p - 1)))
     return out
 
 

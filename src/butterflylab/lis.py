@@ -21,7 +21,7 @@ import numpy as np
 
 from .groups import check_size, group_order
 from .permutations import Permutation
-from .pmf import EXACT_SIZE_CAP, FLOAT_SIZE_CAP, Ladder, Pmf, Window, finish_level, powers
+from .pmf import EXACT_SIZE_CAP, Ladder, Pmf, Window, finish_level, powers
 
 __all__ = [
     "lis",
@@ -240,8 +240,7 @@ def _level_size(m: int, d: int) -> int:
     return m**d + 1  # index = value 0..m^d; value 0 has no mass
 
 
-_EXACT_LADDER = Ladder(Window(1, np.ones(1, object)), _step, _level_size)  # depth 0: L = 1
-_FLOAT_LADDER = Ladder(Window(1, np.ones(1)), _step, _level_size)
+_LADDER = Ladder(1, _step, _level_size)  # depth 0: L = 1
 
 
 def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
@@ -251,7 +250,7 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     mode runs the same recursion on normalized masses (direct convolution,
     switching to FFT with a mass-drift guard above 4096 support points) and
     returns the ladder's window, whose values are the `Pmf`'s support. Both
-    refuse m^n above their size cap (`pmf.EXACT_SIZE_CAP`, `pmf.FLOAT_SIZE_CAP`).
+    refuse m^n above their size cap (`pmf.Ladder.level`).
 
     The FFT's error is absolute, about 1e-18 per mass, so a float level
     made through it (the first is depth 14 at m = 2, 8 at m = 3) keeps only
@@ -261,14 +260,10 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     """
     if m < 2 or n < 0:
         raise ValueError("need m >= 2, n >= 0")
-    if mode not in ("exact", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    check_size(m, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
-    if mode == "exact":
-        window = _EXACT_LADDER.level(m, n)  # index = value, from ceil(m/2)^n
+    window = _LADDER.level(m, n, mode)  # index = value
+    if window.masses.dtype == object:  # counts from ceil(m/2)^n
         return Pmf(1, [0] * (window.offset - 1) + window.masses.tolist(), "count",
                    total=group_order(m, n, simple=False))
-    window = _FLOAT_LADDER.level(m, n)  # index = value
     return Pmf(window.offset, window.masses, "float")
 
 
@@ -291,7 +286,7 @@ def nonsimple_lis_mean(n: int, m: int = 2) -> Fraction:
     if n == 0:
         return Fraction(1)
     total = group_order(m, n - 1, simple=False)
-    sums, _ = _sums(_EXACT_LADDER.level(m, n - 1), m - 1)
+    sums, _ = _sums(_LADDER.level(m, n - 1, "exact"), m - 1)
     acc = m * _value_sum(*sums[1]) * total ** (m - 1)
     for e in range(1, m):
         acc += _value_sum(*_max_law(*sums[m - e], *sums[e]))

@@ -17,9 +17,9 @@ about 0.17 s instead of 3.5 s. Float convolutions are direct up to 4096
 points and run through the same numpy FFT (`_fft_convolve`) beyond, so one
 FFT serves both precisions.
 
-The LIS and Stirling ladders cap a level's support size m^n at
-`EXACT_SIZE_CAP` = 8192 (depth 13 for m = 2, 8 for m = 3) and
-`FLOAT_SIZE_CAP` = 2^20 (depth 20 for m = 2, 12 for m = 3).
+Each of the LIS and Stirling recursions runs on one `Ladder`, which refuses
+a level's support size m^n above `EXACT_SIZE_CAP` = 8192 (depth 13 for m = 2,
+8 for m = 3) or `FLOAT_SIZE_CAP` = 2^20 (depth 20 for m = 2, 12 for m = 3).
 
 A ladder level is a `Window` in both precisions: the masses of one
 contiguous run of support points, from an offset. Exact levels hold their
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import group_order
+from .groups import check_size, group_order
 
 __all__ = ["Pmf", "Ladder", "Window", "int_convolve", "float_convolve", "powers", "finish_level",
            "trim"]
@@ -341,6 +341,7 @@ FLOAT_SIZE_CAP = 2**20
 class Ladder:
     """Memoized levels 0..n of a per-base recursion over the nonsimple group.
 
+    Level 0 is a count or probability of 1 at index ``offset``;
     ``step(m, d, level)`` returns level d + 1 from level d without side
     effects; ``size(m, d)`` is the number of indices of level d. A level is
     a `Window` in either precision, and each is checked before it is
@@ -351,19 +352,24 @@ class Ladder:
     floats renormalized, so callers can share them.
     """
 
-    def __init__(self, seed, step, size):
-        self._seed = seed
+    def __init__(self, offset: int, step, size):
+        self._offset = offset
         self._step = step
         self._size = size
-        self._levels: dict[int, list[Window]] = {}
+        self._levels: dict[tuple[str, int], list[Window]] = {}
         self._lock = threading.Lock()
 
-    def level(self, m: int, n: int) -> Window:
-        """Level n for base m, extending the memo as needed."""
+    def level(self, m: int, n: int, mode: str) -> Window:
+        """Level n for base m in ``mode`` ("exact" or "float"), extending the memo
+        of (mode, m) as needed; m^n above the mode's cap is refused first."""
+        if mode not in ("exact", "float"):
+            raise ValueError(f"unknown mode {mode!r}")
+        check_size(m, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
         with self._lock:
-            if m not in self._levels:
-                self._levels[m] = [self._checked(m, 0, self._seed, [])]
-            levels = self._levels[m]
+            if (mode, m) not in self._levels:
+                seed = Window(self._offset, np.ones(1, object if mode == "exact" else np.float64))
+                self._levels[mode, m] = [self._checked(m, 0, seed, [])]
+            levels = self._levels[mode, m]
             while len(levels) <= n:
                 d = len(levels)
                 levels.append(self._checked(m, d, self._step(m, d - 1, levels[-1]), levels))

@@ -85,7 +85,7 @@ def _law(module, base, n):
 def zero_filled(module, base, n):
     """The depth-n float law as masses of values 1..base^n: the ladder's
     window with zeros around it (and, for cycles, between its atoms)."""
-    window = module._FLOAT_LADDER.level(base, n)
+    window = module._LADDER.level(base, n, "float")
     if module is lis:
         masses = np.zeros(base**n + 1)  # index = value
         masses[window.offset : window.offset + len(window.masses)] = window.masses
@@ -127,7 +127,7 @@ def test_levels_no_fft_made_match_the_untrimmed_ladder(ladder):
 
 def test_trimmed_mass_stays_below_the_drift_guard(ladder):
     module, base, top, _, made_by_fft = ladder
-    levels = [module._FLOAT_LADDER.level(base, n) for n in range(top + 1)]
+    levels = [module._LADDER.level(base, n, "float") for n in range(top + 1)]
     assert all(w.cut == 0.0 for w, fft in zip(levels, made_by_fft) if not fft)
     assert 0.0 < sum(w.cut for w in levels) < 1e-9
 
@@ -137,7 +137,7 @@ def test_trimmed_mass_stays_below_the_drift_guard(ladder):
     (cycles, 21_362, lambda offset: offset + 1),  # compressed index j holds k = j + 1
 ], ids=["lis", "cycles"])
 def test_depth_20_window_is_a_small_part_of_the_support(module, size, first_value):
-    window = module._FLOAT_LADDER.level(2, 20)
+    window = module._LADDER.level(2, 20, "float")
     pmf = _law(module, 2, 20)
     assert len(pmf.masses) == len(window.masses) == size < 0.1 * 2**20
     assert pmf.support.start == first_value(window.offset)

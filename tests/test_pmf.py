@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -194,8 +195,8 @@ def test_depth_12_ladders_make_no_check_mismatch(monkeypatch):
     fft_multiply, multiply = pmf._fft_multiply, pmf._multiply
     monkeypatch.setattr(pmf, "_fft_multiply", fft_counting)
     monkeypatch.setattr(pmf, "_multiply", multiply_counting)
-    monkeypatch.setattr(lis._EXACT_LADDER, "_levels", {})
-    monkeypatch.setattr(cycles._EXACT_LADDER, "_levels", {})
+    monkeypatch.setattr(lis._LADDER, "_levels", {})
+    monkeypatch.setattr(cycles._LADDER, "_levels", {})
     lis.nonsimple_lis_counts(12)
     cycles.nonsimple_cycle_counts(2, 12)
     cycles.nonsimple_cycle_counts(3, 7)
@@ -265,39 +266,34 @@ def test_ladder_checks_each_level():
 
     # Count windows: one leaving [0, size), and counts off the group order 2.
     with pytest.raises(ArithmeticError, match="window"):
-        Ladder(Window(0, _counts(1)), lambda m, d, level: Window(1, _counts(0, 2)), size).level(2, 1)
+        Ladder(0, lambda m, d, level: Window(1, _counts(0, 2)), size).level(2, 1, "exact")
     with pytest.raises(ArithmeticError, match="window"):
-        Ladder(Window(0, _counts(1)), lambda m, d, level: Window(-1, _counts(2)), size).level(2, 1)
+        Ladder(0, lambda m, d, level: Window(-1, _counts(2)), size).level(2, 1, "exact")
     with pytest.raises(ArithmeticError, match="group order"):
-        Ladder(Window(0, _counts(1)), lambda m, d, level: Window(0, _counts(1, 0)), size).level(2, 1)
+        Ladder(0, lambda m, d, level: Window(0, _counts(1, 0)), size).level(2, 1, "exact")
     with pytest.raises(ArithmeticError, match="group order"):
-        Ladder(Window(0, _counts(1)), lambda m, d, level: Window(0, _counts(2, 1)), size).level(2, 1)
+        Ladder(0, lambda m, d, level: Window(0, _counts(2, 1)), size).level(2, 1, "exact")
     with pytest.raises(FloatingPointError):
-        Ladder(Window(0, np.array([1.0])), lambda m, d, level: Window(0, np.array([0.5, 0.4])),
-               size).level(2, 1)
+        Ladder(0, lambda m, d, level: Window(0, np.array([0.5, 0.4])), size).level(2, 1, "float")
     with pytest.raises(ArithmeticError, match="window"):
-        Ladder(Window(0, np.array([1.0])), lambda m, d, level: Window(1, np.array([0.5, 0.5])),
-               size).level(2, 1)
+        Ladder(0, lambda m, d, level: Window(1, np.array([0.5, 0.5])), size).level(2, 1, "float")
     # The cut mass counts against the drift guard: 6e-10 cut passes, and
     # 6e-10 cut plus 6e-10 lost to drift does not.
     def cuts(lost):
-        return Ladder(Window(0, np.array([1.0])),
-                      lambda m, d, level: Window(0, np.array([0.5, 0.5 - lost]), 6e-10), size)
+        return Ladder(0, lambda m, d, level: Window(0, np.array([0.5, 0.5 - lost]), 6e-10), size)
 
-    assert cuts(6e-10).level(2, 1).cut == 6e-10
+    assert cuts(6e-10).level(2, 1, "float").cut == 6e-10
     with pytest.raises(FloatingPointError, match="drift"):
-        cuts(1.2e-9).level(2, 1)
+        cuts(1.2e-9).level(2, 1, "float")
     # Each level cuts 4e-10 and passes alone; the third brings the total to 1.2e-9.
-    cutting = Ladder(Window(0, np.array([1.0])),
-                     lambda m, d, level: Window(0, np.append(level.masses, 0.0) * (1 - 4e-10), 4e-10),
+    cutting = Ladder(0, lambda m, d, level: Window(0, np.append(level.masses, 0.0) * (1 - 4e-10), 4e-10),
                      size)
-    assert cutting.level(2, 2).cut == 4e-10
+    assert cutting.level(2, 2, "float").cut == 4e-10
     with pytest.raises(FloatingPointError, match="trimmed mass"):
-        cutting.level(2, 3)
+        cutting.level(2, 3, "float")
     # Group orders 1, 2, 2^3: level d puts all of them on one atom.
-    ok = Ladder(Window(0, _counts(1)),
-                lambda m, d, level: Window(d + 1, _counts(m ** (2 ** (d + 1) - 1))), size)
-    assert ok.level(2, 2).offset == 2 and ok.level(2, 2).masses.tolist() == [8]
+    ok = Ladder(0, lambda m, d, level: Window(d + 1, _counts(m ** (2 ** (d + 1) - 1))), size)
+    assert ok.level(2, 2, "exact").offset == 2 and ok.level(2, 2, "exact").masses.tolist() == [8]
 
 
 def test_trim_cuts_only_the_tails_below_the_floor():
@@ -338,15 +334,41 @@ def test_powers_report_the_fft(monkeypatch):
 def test_ladder_levels_are_read_only(module):
     # Both memos hand out shared levels, exact counts included; none can be
     # changed in place, and a count Pmf holds its own copy.
-    for ladder in (module._EXACT_LADDER, module._FLOAT_LADDER):
-        level = ladder.level(2, 3)
+    for mode in ("exact", "float"):
+        level = module._LADDER.level(2, 3, mode)
         with pytest.raises(ValueError, match="read-only"):
             level.masses[0] = level.masses[0]
         with pytest.raises(AttributeError):
             level.masses = None
     law = lis.nonsimple_lis_counts(3) if module is lis else cycles.nonsimple_cycle_counts(2, 3)
     law.masses[0] += 1
-    assert module._EXACT_LADDER.level(2, 3).masses[0] == law.masses[0] - 1
+    assert module._LADDER.level(2, 3, "exact").masses[0] == law.masses[0] - 1
+
+
+@pytest.mark.parametrize("module", [lis, cycles])
+@pytest.mark.parametrize("n, mode, message", [
+    (21, "bogus", "unknown mode 'bogus'"),
+    (21, "float", "m^n = 2^21 exceeds the float cap 1048576"),
+    (14, "exact", "m^n = 2^14 exceeds the exact cap 8192"),
+])
+def test_refused_ladder_calls_build_nothing(module, n, mode, message):
+    module._LADDER.level(2, 3, "exact")
+    module._LADDER.level(2, 3, "float")
+    memo = {key: list(levels) for key, levels in module._LADDER._levels.items()}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        module._LADDER.level(2, n, mode)
+    assert module._LADDER._levels.keys() == memo.keys()
+    for key, levels in module._LADDER._levels.items():
+        assert len(levels) == len(memo[key]) and all(a is b for a, b in zip(levels, memo[key])), key
+
+
+@pytest.mark.parametrize("module", [lis, cycles])
+def test_float_levels_add_no_exact_level(monkeypatch, module):
+    monkeypatch.setattr(module._LADDER, "_levels", {})
+    module._LADDER.level(2, 5, "float")
+    module._LADDER.level(3, 2, "float")
+    assert {key: len(levels) for key, levels in module._LADDER._levels.items()} == {
+        ("float", 2): 6, ("float", 3): 3}
 
 
 @pytest.mark.parametrize("module, law, depth", [
@@ -354,7 +376,7 @@ def test_ladder_levels_are_read_only(module):
     (cycles, lambda n: cycles.nonsimple_cycle_counts(2, n, "float"), 16),
 ])
 def test_ladder_threads_compute_each_level_once(monkeypatch, module, law, depth):
-    ladder = module._FLOAT_LADDER
+    ladder = module._LADDER
     monkeypatch.setattr(ladder, "_levels", {})
     sequential = law(depth)
     monkeypatch.setattr(ladder, "_levels", {})
@@ -374,7 +396,7 @@ def test_ladder_threads_compute_each_level_once(monkeypatch, module, law, depth)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(ladder._levels[2]) == depth + 1
+    assert len(ladder._levels["float", 2]) == depth + 1
     for pmf in results:
         assert pmf.offset == sequential.offset
         assert np.array_equal(pmf.masses, sequential.masses)

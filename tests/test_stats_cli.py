@@ -167,11 +167,17 @@ class TestCli:
             "lis_moments.csv": "b652ead53fdce05baab21d1c2ee1959f32254d1689e0e4ec007c86adbe6cfa99"}),
         (["cycles-table", "--p", "5", "--n", "0..5"], {
             "cycle_counts.csv": "76328e18d7dff870a57388bd512f25ea1062b731b2c2b3aed6a019d9304a2c44"}),
+        (["lis-table", "--mode", "float", "--m", "5", "--n", "0..8"], {
+            "lis_counts.csv": "2fb8b6385afc2c8addc1d09c58fd56160bb5fd92abb049978d691d78d50648ef",
+            "lis_moments.csv": "c0d02e0b6bea4212c308c7c8842790d06b2dbdcb4b0af929a9e03964a5be8a68"}),
+        (["cycles-table", "--mode", "float", "--p", "7", "--n", "0..7"], {
+            "cycle_counts.csv": "b68335c86374d0adb12778fe2276523711890f3a36517dde3903d8e7969ecd15"}),
     ])
     def test_exact_tables_pinned(self, tmp_path, args, digests):
-        # SHA-256 of exact tables the benchmark's reference does not hold (it
-        # has m = 2 and p = 2, 3). Exact LIS levels for m >= 3 start at
+        # SHA-256 of tables the benchmark's reference does not hold (it has
+        # m = 2 and p = 2, 3). Exact LIS levels for m >= 3 start at
         # ceil(m/2)^n, and the rows of value 1 up to there are still written.
+        # The float cases pin the float ladders' bytes, windows included.
         out = run_cli(args, tmp_path)
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
@@ -306,7 +312,7 @@ class TestCli:
                 "pmf._multiply = counting\n"
                 f"assert cli.main(['fit', '--mode', 'exact', '--n', '3..12', '--out', {str(tmp_path)!r}]) == 0\n"
                 "assert bits and max(bits) < 2**23, max(bits)\n"
-                "assert len(lis._EXACT_LADDER._levels[2]) == 12\n")
+                "assert len(lis._LADDER._levels['exact', 2]) == 12\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
@@ -349,6 +355,16 @@ class TestCli:
         m2 = data[2]
         assert Fraction(int(m2["numerator"]), int(m2["denominator"])) == Fraction(49, 13)
         assert all(d["p"] == 7 and d["float"] > 0 for d in data)
+
+    def test_density_past_the_double_range(self, tmp_path, capsys):
+        # t = 0 lies below the atom 1, and from t = 1e307 on t lam^20 is inf, past
+        # the largest atom 2^20: f = 0 on every row, with no OverflowError.
+        out = run_cli(["density", "--p", "2", "--n", "20", "--t", "0:1e308:1e307"], tmp_path)
+        with (out / "density.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t", "f"] and len(rows) == 11
+        assert all(float(f) == 0.0 for _, f in rows)
+        assert capsys.readouterr().err == ""
 
     def test_density_and_fixed_points(self, tmp_path):
         out = run_cli(["density", "--p", "2", "--n", "10", "--t", "0.5:1.5:0.5"], tmp_path / "f")
@@ -608,7 +624,7 @@ class TestCli:
                              ids=["cycles-p2", "cycles-p3", "lis-m2", "lis-m3"])
     def test_float_tables_write_only_the_window(self, tmp_path, module, base, n):
         # The rows the zero-filled law wrote, less its zero rows outside the window.
-        window = module._FLOAT_LADDER.level(base, n)
+        window = module._LADDER.level(base, n, "float")
         masses = zero_filled(module, base, n)
         if module is lis:
             argv = ["lis-table", "--m", str(base)]
