@@ -211,7 +211,7 @@ def cmd_lis_table(args, seed: int) -> dict:
         pmf = lis.nonsimple_lis_counts(n, mode=args.mode, m=args.m)
         cum = 0.0
         for k, mass in zip(pmf.support, pmf.masses):
-            cum += mass / pmf.total if pmf.mode == "count" else float(mass)
+            cum += float(mass) if pmf.total is None else mass / pmf.total
             count_rows.append((n, k, mass, cum))
         m1, m2 = pmf.moment(1), pmf.moment(2)
         moment_rows.append((n, float(m1), float(m2), args.mode))
@@ -220,12 +220,18 @@ def cmd_lis_table(args, seed: int) -> dict:
 
 
 def _gepp_inputs(ensemble: str, N: int, rngs) -> np.ndarray:
-    """One matrix per substream, stacked, for a GEPP ensemble."""
+    """One matrix per substream, each written into one stack as it is drawn."""
     if ensemble in _BUTTERFLY_SHAPES:
         shape = _BUTTERFLY_SHAPES[ensemble]
         angles = [gepp.sample_spec("diagonal", shape, N, rng).angles for rng in rngs]
         return gepp.build_butterflies("diagonal", shape, N, angles)
-    return np.stack([gepp.ensemble_sample(ensemble, N, rng) for rng in rngs])
+    first = gepp.ensemble_sample(ensemble, N, rngs[0])
+    out = np.empty((len(rngs), *first.shape), first.dtype)
+    out[0] = first
+    del first
+    for t, rng in enumerate(rngs[1:], 1):
+        out[t] = gepp.ensemble_sample(ensemble, N, rng)
+    return out
 
 
 def _sample_lis(ensemble: str, N: int, trials: int, seed: int) -> tuple[float, float]:
@@ -366,7 +372,7 @@ def _census(m: int, n: int, simple: bool, stat) -> Counter:
 
 
 def _is_law(census: Counter, pmf: Pmf) -> bool:
-    """True when the census equals the count-mode pmf on its nonzero support."""
+    """True when the census equals the exact pmf on its nonzero support."""
     return dict(census) == {k: c for k, c in zip(pmf.support, pmf.masses) if c}
 
 
@@ -479,7 +485,7 @@ def _verify_checks(seed: int):
 
     def chk_fixed_points():
         census = _census(2, 3, False, lambda p: cycle_stats(p).fixed_points)
-        law = Pmf(0, [census[k] for k in range(max(census) + 1)], "count")
+        law = Pmf(0, [census[k] for k in range(max(census) + 1)])
         closed = abs(cycles.x_star(3) - (math.sqrt(3.0) - 1.0) / 2.0) < 1e-12
         return (law.p(0) == cycles.no_fixed_point_prob(2, 3) and closed
                 and all(law.moment(k) == cycles.fixed_point_moments(2, 3, k) for k in (1, 2)))

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import check_size, group_order, tree_size
-from .pmf import Ladder, Pmf, Window, finish_level, powers
+from .groups import check_size, tree_size
+from .pmf import Ladder, Pmf, finish_level, powers
 
 __all__ = [
     "simple_cycle_dist",
@@ -70,7 +70,7 @@ def simple_cycle_dist(p: int, n: int) -> Pmf:
     masses = [0] * (N - N // p + 1)
     masses[0] = N - 1
     masses[-1] = 1
-    return Pmf(N // p, masses, "count", total=N)
+    return Pmf(N // p, masses, total=N)
 
 
 def _mobius(n: int) -> int:
@@ -111,7 +111,7 @@ def simple_cd_dist(m: int, n: int, d: int) -> Pmf:
     masses = [0] * (N // d + 1)
     masses[0] = m**n - hit
     masses[-1] = hit
-    return Pmf(0, masses, "count", total=m**n)
+    return Pmf(0, masses, total=m**n)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def simple_cd_dist(m: int, n: int, d: int) -> Pmf:
 # ---------------------------------------------------------------------------
 
 
-def _step(p: int, d: int, level: Window) -> Window:
+def _step(p: int, d: int, level: Pmf) -> tuple[int, np.ndarray, float]:
     """s_{d+1} from s_d on the compressed index: (p-1) free s_d + shift_1(s_d^(*p)),
     with free = p^(p^d - 1) for counts and 1 for probabilities, which
     `pmf.finish_level` then divides by p."""
@@ -163,12 +163,10 @@ def nonsimple_cycle_counts(p: int, n: int, mode: str = "exact") -> Pmf:
     if n < 0:
         raise ValueError("n >= 0")
     _require_prime(p)
-    window = _LADDER.level(p, n, mode)
-    masses = np.zeros((p - 1) * (len(window.masses) - 1) + 1, window.masses.dtype)
-    masses[:: p - 1] = window.masses
-    if masses.dtype == object:
-        return Pmf(1, masses, "count", total=group_order(p, n, simple=False))
-    return Pmf(1 + (p - 1) * window.offset, masses, "float")
+    level = _LADDER.level(p, n, mode)
+    spread = np.zeros((p - 1) * (len(level.masses) - 1) + 1, level.masses.dtype)
+    spread[:: p - 1] = level.masses
+    return Pmf(1 + (p - 1) * level.offset, spread)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import check_size, group_order
+from .groups import check_size
 from .permutations import Permutation
-from .pmf import EXACT_SIZE_CAP, Ladder, Pmf, Window, finish_level, powers
+from .pmf import EXACT_SIZE_CAP, Ladder, Pmf, finish_level, powers
 
 __all__ = [
     "lis",
@@ -90,7 +90,7 @@ def simple_lis_pmf(m: int, n: int) -> Pmf:
         counts = nxt
     top = max(counts)
     masses = [counts.get(v, 0) for v in range(1, top + 1)]
-    return Pmf(1, masses, "count", total=m**n)
+    return Pmf(1, masses, total=m**n)
 
 
 def simple_lds_pmf(m: int, n: int) -> Pmf:
@@ -106,7 +106,7 @@ def simple_lds_pmf(m: int, n: int) -> Pmf:
     counts = {2**k: math.comb(n, k) * (m - 1) ** k for k in range(n + 1)}
     top = 2**n
     masses = [counts.get(v, 0) for v in range(1, top + 1)]
-    return Pmf(1, masses, "count", total=m**n)
+    return Pmf(1, masses, total=m**n)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def _max_law(oa: int, a: np.ndarray, ob: int, b: np.ndarray) -> tuple[int, np.nd
     return lo, out
 
 
-def _sums(level: Window, k: int) -> tuple[list[tuple[int, np.ndarray]], bool]:
+def _sums(level: Pmf, k: int) -> tuple[list[tuple[int, np.ndarray]], bool]:
     """(offset, masses) of the sums S_0..S_k of 0..k iid values from
     ``level``, and whether a convolution took the float FFT."""
     pw, fft = powers(level.masses, k)
@@ -222,7 +222,7 @@ def _sums(level: Window, k: int) -> tuple[list[tuple[int, np.ndarray]], bool]:
     return [(0, ones)] + [(j * level.offset, s) for j, s in enumerate(pw, 1)], fft
 
 
-def _step(m: int, d: int, level: Window) -> Window:
+def _step(m: int, d: int, level: Pmf) -> tuple[int, np.ndarray, float]:
     """Depth d+1 from depth d: the max/sum update summed over e, for counts
     or (`pmf.finish_level` then divides by m) probabilities."""
     sums, fft = _sums(level, m)
@@ -246,11 +246,11 @@ _LADDER = Ladder(1, _step, _level_size)  # depth 0: L = 1
 def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     """Law of the nonsimple-group LIS at depth n, on values 1..m^n.
 
-    Exact mode returns big-integer counts summing to the group order; float
-    mode runs the same recursion on normalized masses (direct convolution,
-    switching to FFT with a mass-drift guard above 4096 support points) and
-    returns the ladder's window, whose values are the `Pmf`'s support. Both
-    refuse m^n above their size cap (`pmf.Ladder.level`).
+    Exact mode returns big-integer counts, from value 1; float mode runs
+    the same recursion on normalized masses (direct convolution, switching
+    to FFT with a mass-drift guard above 4096 support points) and returns
+    the ladder's level itself, whose window is its support. Both refuse m^n
+    above their size cap (`pmf.Ladder.level`).
 
     The FFT's error is absolute, about 1e-18 per mass, so a float level
     made through it (the first is depth 14 at m = 2, 8 at m = 3) keeps only
@@ -260,11 +260,10 @@ def nonsimple_lis_counts(n: int, mode: str = "exact", m: int = 2) -> Pmf:
     """
     if m < 2 or n < 0:
         raise ValueError("need m >= 2, n >= 0")
-    window = _LADDER.level(m, n, mode)  # index = value
-    if window.masses.dtype == object:  # counts from ceil(m/2)^n
-        return Pmf(1, [0] * (window.offset - 1) + window.masses.tolist(), "count",
-                   total=group_order(m, n, simple=False))
-    return Pmf(window.offset, window.masses, "float")
+    level = _LADDER.level(m, n, mode)  # index = value
+    if level.total is None:
+        return level
+    return Pmf(1, np.concatenate((np.zeros(level.offset - 1, object), level.masses)))  # from ceil(m/2)^n
 
 
 def nonsimple_lis_mean(n: int, m: int = 2) -> Fraction:
@@ -285,8 +284,9 @@ def nonsimple_lis_mean(n: int, m: int = 2) -> Fraction:
     check_size(m, n, EXACT_SIZE_CAP, "exact")
     if n == 0:
         return Fraction(1)
-    total = group_order(m, n - 1, simple=False)
-    sums, _ = _sums(_LADDER.level(m, n - 1, "exact"), m - 1)
+    level = _LADDER.level(m, n - 1, "exact")
+    total = level.total
+    sums, _ = _sums(level, m - 1)
     acc = m * _value_sum(*sums[1]) * total ** (m - 1)
     for e in range(1, m):
         acc += _value_sum(*_max_law(*sums[m - e], *sums[e]))

@@ -1,10 +1,10 @@
-"""Integer-supported probability mass functions in two precision modes.
+"""Integer-supported probability mass functions in two precisions.
 
-A `Pmf` holds masses for the contiguous value range [offset, offset+len).
-Modes:
-
-* ``count``    exact nonnegative big-integer counts plus their total;
-* ``float``    float64 probabilities (normalized to ~1e-9).
+A `Pmf` holds the masses of the contiguous value range [offset, offset+len)
+and reads its precision off them: a float numpy array holds float64
+probabilities (summing to 1 within 1e-9), anything else exact nonnegative
+big-integer counts, held as an object array of Python ints, with their
+total. A `Pmf` is immutable.
 
 Exact convolutions use Kronecker substitution (pack the coefficient list
 into one big integer, multiply once, unpack), which is far faster than
@@ -21,31 +21,29 @@ Each of the LIS and Stirling recursions runs on one `Ladder`, which refuses
 a level's support size m^n above `EXACT_SIZE_CAP` = 8192 (depth 13 for m = 2,
 8 for m = 3) or `FLOAT_SIZE_CAP` = 2^20 (depth 20 for m = 2, 12 for m = 3).
 
-A ladder level is a `Window` in both precisions: the masses of one
-contiguous run of support points, from an offset. Exact levels hold their
-counts as a read-only numpy object array of Python ints, float levels their
-float64 probabilities, so each statistic writes its step once: `powers`
-convolves in the array's precision and `finish_level` closes the step. A
-float step that convolved through the FFT has an absolute error of about
+A ladder level is a `Pmf` in both precisions: the masses of one
+contiguous run of support points, from an offset. So each statistic writes
+its step once: `powers` convolves in the array's precision and
+`finish_level` closes the step. A float step that convolved through the
+FFT has an absolute error of about
 1e-18 per mass, so its level keeps only the window from the first to the
 last mass at or above `TRIM_FLOOR` = 1e-13 of the peak (`trim`); the mass
 cut from the two tails counts against the 1e-9 drift guard. Levels made by
-direct or exact convolution keep their whole support. A float law is the
-`Pmf` of its level's window alone, 0 off it: at depth 20 that is 45,478 of
+direct or exact convolution keep their whole support. A float law is its
+level's window alone, 0 off it: at depth 20 that is 45,478 of
 the 2^20 LIS values (m = 2) and 21,362 of the 2^20 Stirling values (p = 2).
 """
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from .groups import check_size, group_order
 
-__all__ = ["Pmf", "Ladder", "Window", "int_convolve", "float_convolve", "powers", "finish_level",
-           "trim"]
+__all__ = ["Pmf", "Ladder", "int_convolve", "float_convolve", "powers", "finish_level", "trim"]
 
 _FFT_THRESHOLD = 4096
 # Size of the smaller operand, in bits, from which `_multiply` takes the FFT.
@@ -235,33 +233,26 @@ def powers(x: np.ndarray, k: int) -> tuple[list[np.ndarray], bool]:
     return out, fft
 
 
-class Window(NamedTuple):
-    """A ladder level: ``masses[i]`` is the count or probability at index
-    offset + i, and ``cut`` the mass `trim` removed from the level's tails."""
-
-    offset: int
-    masses: np.ndarray
-    cut: float = 0.0
-
-
-def finish_level(offset: int, masses: np.ndarray, k: int, fft: bool) -> Window:
-    """The level a step summed over its k equally likely branches into
-    ``masses`` (indexed from ``offset``): counts as they are; probabilities
-    divided by k, and trimmed (`trim`) when a convolution took the FFT."""
+def finish_level(offset: int, masses: np.ndarray, k: int, fft: bool) -> tuple[int, np.ndarray, float]:
+    """The raw level ``(offset, masses, cut)`` a step summed over its k
+    equally likely branches into ``masses`` (indexed from ``offset``): counts
+    as they are; probabilities divided by k, and trimmed (`trim`) when a
+    convolution took the FFT."""
     if masses.dtype == object:
-        return Window(offset, masses)
+        return offset, masses, 0.0
     masses /= float(k)
-    return trim(offset, masses) if fft else Window(offset, masses)
+    return trim(offset, masses) if fft else (offset, masses, 0.0)
 
 
-def trim(offset: int, masses: np.ndarray) -> Window:
+def trim(offset: int, masses: np.ndarray) -> tuple[int, np.ndarray, float]:
     """The window of ``masses`` (indexed from ``offset``) from its first to
-    its last mass at or above `TRIM_FLOOR` times the peak."""
+    its last mass at or above `TRIM_FLOOR` times the peak, as ``(offset,
+    masses, cut)`` with ``cut`` the mass of the two tails left out."""
     kept = masses >= TRIM_FLOOR * masses.max()
     lo = int(kept.argmax())
     hi = len(masses) - int(kept[::-1].argmax())
     cut = float(masses[:lo].sum() + masses[hi:].sum())
-    return Window(offset + lo, masses[lo:hi], cut)
+    return offset + lo, masses[lo:hi], cut
 
 
 def _renormalized(masses: np.ndarray, cut: float) -> np.ndarray:
@@ -274,35 +265,41 @@ def _renormalized(masses: np.ndarray, cut: float) -> np.ndarray:
     return masses / total
 
 
+@dataclass(frozen=True, eq=False)
 class Pmf:
-    """Distribution on integers with contiguous support storage."""
+    """``masses[i]`` is the count or probability of offset + i. A float
+    array holds probabilities and ``total`` is None; anything else is counts
+    in an object array, which must sum to a Python int, ``total`` (floats and
+    numpy integers, which wrap at 2^63, are refused). An ndarray is taken
+    over, not copied, and made read-only. ``cut`` is the mass `trim` left
+    out of a ladder level's tails."""
 
-    __slots__ = ("offset", "masses", "mode", "total")
+    offset: int
+    masses: np.ndarray
+    total: int | None = field(default=None, kw_only=True)
+    cut: float = field(default=0.0, kw_only=True)
 
-    def __init__(self, offset: int, masses, mode: str, total: int | None = None):
-        if mode not in ("count", "float"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.offset = int(offset)
-        self.mode = mode
-        if mode == "count":
-            self.masses = [int(v) for v in masses]
-            if any(v < 0 for v in self.masses):
-                raise ValueError("negative count")
-            s = sum(self.masses)
-            self.total = s if total is None else int(total)
-            if s != self.total:
-                raise ValueError("counts do not sum to the stated total")
-        else:
-            arr = np.asarray(masses, dtype=np.float64).copy()
-            if (arr < 0).any():
+    def __post_init__(self):
+        masses = self.masses
+        if isinstance(masses, np.ndarray) and masses.dtype.kind == "f":
+            if self.total is not None:
+                raise ValueError("float masses take no total")
+            if (masses < 0).any():
                 raise ValueError("negative mass")
-            if abs(arr.sum() - 1.0) > _FLOAT_MASS_TOL:
-                raise ValueError(f"float masses sum to {arr.sum()!r}, not 1")
-            arr.setflags(write=False)
-            self.masses = arr
-            self.total = None
-
-    # -- basic accessors ---------------------------------------------------
+            if abs(masses.sum() - 1.0) > _FLOAT_MASS_TOL:
+                raise ValueError(f"float masses sum to {masses.sum()!r}, not 1")
+        else:
+            masses = np.asarray(masses, dtype=object)
+            total = masses.sum()
+            if type(total) is not int:
+                raise ValueError(f"counts sum to a {type(total).__name__}, not a Python int")
+            if (masses < 0).any():
+                raise ValueError("negative count")
+            if self.total is not None and total != self.total:
+                raise ValueError("counts do not sum to the stated total")
+            object.__setattr__(self, "total", total)
+        masses.setflags(write=False)
+        object.__setattr__(self, "masses", masses)
 
     @property
     def support(self) -> range:
@@ -313,22 +310,18 @@ class Pmf:
         i = value - self.offset
         if 0 <= i < len(self.masses):
             return self.masses[i]
-        return 0 if self.mode == "count" else 0.0
+        return 0.0 if self.total is None else 0
 
     def p(self, value: int):
-        """Probability of ``value`` (Fraction in count mode, float otherwise)."""
+        """Probability of ``value`` (Fraction for counts, float otherwise)."""
         m = self.mass(value)
-        if self.mode == "count":
-            return Fraction(m, self.total)
-        return m
-
-    # -- moments -----------------------------------------------------------
+        return m if self.total is None else Fraction(m, self.total)
 
     def moment(self, k: int):
-        """E X^k, exact in count mode."""
-        if self.mode == "float":
+        """E X^k, exact for counts."""
+        if self.total is None:
             vals = np.arange(self.offset, self.offset + len(self.masses), dtype=np.float64)
-            return float(np.asarray(self.masses) @ vals**k)
+            return float(self.masses @ vals**k)
         acc = sum(m * (self.offset + i) ** k for i, m in enumerate(self.masses))
         return Fraction(acc, self.total)
 
@@ -343,23 +336,23 @@ class Ladder:
 
     Level 0 is a count or probability of 1 at index ``offset``;
     ``step(m, d, level)`` returns level d + 1 from level d without side
-    effects; ``size(m, d)`` is the number of indices of level d. A level is
-    a `Window` in either precision, and each is checked before it is
-    appended under the lock: it must lie within those indices; exact counts
-    (an object array) must sum to the group order m**tree_size(m, d); float
+    effects, as a raw ``(offset, masses, cut)``; ``size(m, d)`` is the
+    number of indices of level d. Each is checked before it is appended
+    under the lock: it must lie within those indices; exact counts (an
+    object array) must sum to the group order m**tree_size(m, d); float
     masses must pass the 1e-9 drift guard, and the mass cut from all levels
-    of base m so far must stay below 1e-9. Levels are stored read-only, and
-    floats renormalized, so callers can share them.
+    of base m so far must stay below 1e-9. It is stored as a `Pmf`, floats
+    renormalized, so callers share it as an immutable law.
     """
 
     def __init__(self, offset: int, step, size):
         self._offset = offset
         self._step = step
         self._size = size
-        self._levels: dict[tuple[str, int], list[Window]] = {}
+        self._levels: dict[tuple[str, int], list[Pmf]] = {}
         self._lock = threading.Lock()
 
-    def level(self, m: int, n: int, mode: str) -> Window:
+    def level(self, m: int, n: int, mode: str) -> Pmf:
         """Level n for base m in ``mode`` ("exact" or "float"), extending the memo
         of (mode, m) as needed; m^n above the mode's cap is refused first."""
         if mode not in ("exact", "float"):
@@ -367,15 +360,15 @@ class Ladder:
         check_size(m, n, EXACT_SIZE_CAP if mode == "exact" else FLOAT_SIZE_CAP, mode)
         with self._lock:
             if (mode, m) not in self._levels:
-                seed = Window(self._offset, np.ones(1, object if mode == "exact" else np.float64))
-                self._levels[mode, m] = [self._checked(m, 0, seed, [])]
+                seed = np.ones(1, object if mode == "exact" else np.float64)
+                self._levels[mode, m] = [self._checked(m, 0, (self._offset, seed, 0.0), [])]
             levels = self._levels[mode, m]
             while len(levels) <= n:
                 d = len(levels)
                 levels.append(self._checked(m, d, self._step(m, d - 1, levels[-1]), levels))
             return levels[n]
 
-    def _checked(self, m: int, d: int, new: Window, below: list[Window]) -> Window:
+    def _checked(self, m: int, d: int, new: tuple[int, np.ndarray, float], below: list[Pmf]) -> Pmf:
         size = self._size(m, d)
         offset, masses, cut = new
         if offset < 0 or offset + len(masses) > size:
@@ -389,5 +382,4 @@ class Ladder:
             if spent >= _FLOAT_MASS_TOL:
                 raise FloatingPointError(f"trimmed mass {spent:.3e} exceeds 1e-9")
             masses = _renormalized(masses, cut)
-        masses.setflags(write=False)
-        return Window(offset, masses, cut)
+        return Pmf(offset, masses, cut=cut)

@@ -22,7 +22,7 @@ def chi_square(observed, expected) -> ChiSquareResult:
     """Pearson chi-square of observed counts against expected probabilities.
 
     `observed` maps cell -> count (or is a sequence aligned with `expected`);
-    `expected` is a count-mode Pmf or a same-length probability sequence.
+    `expected` is a Pmf of counts or a same-length probability sequence.
     Every expected mass must be positive and the supports must agree. The
     p-value is the regularized upper incomplete gamma Q(df/2, stat/2) with
     df = cells - 1.

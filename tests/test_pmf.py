@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflylab import cycles, lis
-from butterflylab.pmf import (TRIM_FLOOR, Ladder, Pmf, Window, float_convolve, int_convolve,
-                              powers, trim)
+from butterflylab.pmf import TRIM_FLOOR, Ladder, Pmf, float_convolve, int_convolve, powers, trim
 from butterflylab.pmf import _INT_FFT_BITS as CROSS
 from butterflylab import pmf
 from butterflylab.pmf import _CHECK_PRIME as P
@@ -217,7 +216,7 @@ def test_depth_12_exact_levels_pinned():
 
 
 def test_count_mode_total_and_probability():
-    pmf = Pmf(1, [1, 3, 4], "count")
+    pmf = Pmf(1, [1, 3, 4])
     assert pmf.total == 8
     assert pmf.p(2) == Fraction(3, 8)
     assert pmf.p(99) == 0
@@ -226,17 +225,17 @@ def test_count_mode_total_and_probability():
 
 def test_count_mode_total_mismatch():
     with pytest.raises(ValueError):
-        Pmf(1, [1, 1], "count", total=3)
+        Pmf(1, [1, 1], total=3)
 
 
 def test_float_mode_sum_guard():
-    Pmf(0, [0.5, 0.5], "float")
+    Pmf(0, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        Pmf(0, [0.5, 0.4], "float")
+        Pmf(0, np.array([0.5, 0.4]))
 
 
 def test_convolution_count_mode():
-    two = Pmf(2, int_convolve([1] * 6, [1] * 6), "count")
+    two = Pmf(2, int_convolve([1] * 6, [1] * 6))
     assert two.total == 36
     assert two.p(7) == Fraction(6, 36)
     assert two.moment(1) == Fraction(7)
@@ -266,43 +265,42 @@ def test_ladder_checks_each_level():
 
     # Count windows: one leaving [0, size), and counts off the group order 2.
     with pytest.raises(ArithmeticError, match="window"):
-        Ladder(0, lambda m, d, level: Window(1, _counts(0, 2)), size).level(2, 1, "exact")
+        Ladder(0, lambda m, d, level: (1, _counts(0, 2), 0.0), size).level(2, 1, "exact")
     with pytest.raises(ArithmeticError, match="window"):
-        Ladder(0, lambda m, d, level: Window(-1, _counts(2)), size).level(2, 1, "exact")
+        Ladder(0, lambda m, d, level: (-1, _counts(2), 0.0), size).level(2, 1, "exact")
     with pytest.raises(ArithmeticError, match="group order"):
-        Ladder(0, lambda m, d, level: Window(0, _counts(1, 0)), size).level(2, 1, "exact")
+        Ladder(0, lambda m, d, level: (0, _counts(1, 0), 0.0), size).level(2, 1, "exact")
     with pytest.raises(ArithmeticError, match="group order"):
-        Ladder(0, lambda m, d, level: Window(0, _counts(2, 1)), size).level(2, 1, "exact")
+        Ladder(0, lambda m, d, level: (0, _counts(2, 1), 0.0), size).level(2, 1, "exact")
     with pytest.raises(FloatingPointError):
-        Ladder(0, lambda m, d, level: Window(0, np.array([0.5, 0.4])), size).level(2, 1, "float")
+        Ladder(0, lambda m, d, level: (0, np.array([0.5, 0.4]), 0.0), size).level(2, 1, "float")
     with pytest.raises(ArithmeticError, match="window"):
-        Ladder(0, lambda m, d, level: Window(1, np.array([0.5, 0.5])), size).level(2, 1, "float")
+        Ladder(0, lambda m, d, level: (1, np.array([0.5, 0.5]), 0.0), size).level(2, 1, "float")
     # The cut mass counts against the drift guard: 6e-10 cut passes, and
     # 6e-10 cut plus 6e-10 lost to drift does not.
     def cuts(lost):
-        return Ladder(0, lambda m, d, level: Window(0, np.array([0.5, 0.5 - lost]), 6e-10), size)
+        return Ladder(0, lambda m, d, level: (0, np.array([0.5, 0.5 - lost]), 6e-10), size)
 
     assert cuts(6e-10).level(2, 1, "float").cut == 6e-10
     with pytest.raises(FloatingPointError, match="drift"):
         cuts(1.2e-9).level(2, 1, "float")
     # Each level cuts 4e-10 and passes alone; the third brings the total to 1.2e-9.
-    cutting = Ladder(0, lambda m, d, level: Window(0, np.append(level.masses, 0.0) * (1 - 4e-10), 4e-10),
-                     size)
+    cutting = Ladder(0, lambda m, d, level: (0, np.append(level.masses, 0.0) * (1 - 4e-10), 4e-10), size)
     assert cutting.level(2, 2, "float").cut == 4e-10
     with pytest.raises(FloatingPointError, match="trimmed mass"):
         cutting.level(2, 3, "float")
     # Group orders 1, 2, 2^3: level d puts all of them on one atom.
-    ok = Ladder(0, lambda m, d, level: Window(d + 1, _counts(m ** (2 ** (d + 1) - 1))), size)
+    ok = Ladder(0, lambda m, d, level: (d + 1, _counts(m ** (2 ** (d + 1) - 1)), 0.0), size)
     assert ok.level(2, 2, "exact").offset == 2 and ok.level(2, 2, "exact").masses.tolist() == [8]
 
 
 def test_trim_cuts_only_the_tails_below_the_floor():
     # Peak 0.5: a mass at the floor stays, and so does a tiny interior one.
     masses = np.array([1e-20, 0.0, TRIM_FLOOR * 0.5, 0.5, 1e-16, 0.5, TRIM_FLOOR * 0.4, 0.0])
-    w = trim(10, masses)
-    assert w.offset == 12
-    assert list(w.masses) == [TRIM_FLOOR * 0.5, 0.5, 1e-16, 0.5]
-    assert w.cut == 1e-20 + TRIM_FLOOR * 0.4
+    offset, kept, cut = trim(10, masses)
+    assert offset == 12
+    assert list(kept) == [TRIM_FLOOR * 0.5, 0.5, 1e-16, 0.5]
+    assert cut == 1e-20 + TRIM_FLOOR * 0.4
 
 
 def test_powers_report_the_fft(monkeypatch):
@@ -333,16 +331,64 @@ def test_powers_report_the_fft(monkeypatch):
 @pytest.mark.parametrize("module", [lis, cycles])
 def test_ladder_levels_are_read_only(module):
     # Both memos hand out shared levels, exact counts included; none can be
-    # changed in place, and a count Pmf holds its own copy.
+    # changed in place.
     for mode in ("exact", "float"):
         level = module._LADDER.level(2, 3, mode)
         with pytest.raises(ValueError, match="read-only"):
             level.masses[0] = level.masses[0]
         with pytest.raises(AttributeError):
             level.masses = None
-    law = lis.nonsimple_lis_counts(3) if module is lis else cycles.nonsimple_cycle_counts(2, 3)
-    law.masses[0] += 1
-    assert module._LADDER.level(2, 3, "exact").masses[0] == law.masses[0] - 1
+
+
+@pytest.mark.parametrize("law", [
+    lambda: lis.simple_lis_pmf(2, 3),
+    lambda: lis.simple_lds_pmf(3, 2),
+    lambda: cycles.simple_cycle_dist(3, 2),
+    lambda: cycles.simple_cd_dist(4, 2, 2),
+    lambda: lis.nonsimple_lis_counts(3),
+    lambda: lis.nonsimple_lis_counts(3, "float"),
+    lambda: lis.nonsimple_lis_counts(2, m=3),
+    lambda: cycles.nonsimple_cycle_counts(2, 3),
+    lambda: cycles.nonsimple_cycle_counts(3, 2, "float"),
+    lambda: lis._LADDER.level(2, 3, "exact"),
+    lambda: cycles._LADDER.level(2, 3, "float"),
+], ids=["simple-lis", "simple-lds", "simple-cycles", "simple-cd", "lis-exact", "lis-float",
+        "lis-exact-m3", "cycles-exact", "cycles-float", "lis-level", "cycles-level"])
+def test_every_law_handed_out_is_immutable(law):
+    pmf = law()
+    for attr, value in (("offset", 7), ("masses", [1]), ("total", 3), ("cut", 0.5)):
+        with pytest.raises(AttributeError):
+            setattr(pmf, attr, value)
+    with pytest.raises(ValueError, match="read-only"):
+        pmf.masses[0] += 1
+
+
+def test_precision_is_read_off_the_masses():
+    # Counts past 2^63 stay exact: a list is never read through a float array.
+    for masses in ([2**63, 1], [1, 2**70]):
+        pmf = Pmf(0, masses)
+        assert type(pmf.total) is int and pmf.total == sum(masses)
+        assert pmf.masses.dtype == object and pmf.masses.tolist() == masses
+        assert pmf.p(1) == Fraction(masses[1], sum(masses))
+    # Floats and numpy integers, which wrap at 2^63, are refused as counts.
+    for masses in ([0.5, 0.5], [np.int64(1), np.int64(2)], [1, np.int64(2)]):
+        with pytest.raises(ValueError, match="not a Python int"):
+            Pmf(0, masses)
+    # A float array holds probabilities, and no total.
+    flt = Pmf(3, np.array([0.25, 0.75]))
+    assert flt.total is None and flt.p(4) == 0.75 and flt.mass(9) == 0.0
+    with pytest.raises(ValueError, match="no total"):
+        Pmf(0, np.array([0.5, 0.5]), total=1)
+    # The precision is not an argument.
+    with pytest.raises(TypeError):
+        Pmf(0, [1, 1], "count")
+
+
+def test_an_array_is_taken_over_not_copied():
+    counts = np.array([1, 2], dtype=object)
+    probs = np.array([0.5, 0.5])
+    for masses in (counts, probs):
+        assert Pmf(0, masses).masses is masses and not masses.flags.writeable
 
 
 @pytest.mark.parametrize("module", [lis, cycles])
