@@ -37,10 +37,12 @@ _PERMUTATION_ENSEMBLES = ("uniform", "bs-scalar", "ns-scalar")
 _BUTTERFLY_SHAPES = {"bs-diag": "simple", "ns-diag": "nonsimple"}
 
 # Matrix entries per gepp_perm_batch call in lis-mc: 16384 trials at N = 4,
-# 16 at N = 128, 4 at N = 256, one at a time from N = 512 on. Over 10
-# alternated perfbench mc-small runs (2 cores, 1 BLAS thread) 1 << 18 took
-# a median wall_s of 3.00 s against 3.65 s for 1 << 16, and peak RSS was
-# 57.7 MB for both.
+# 16 at N = 128, 4 at N = 256, one at a time from N = 512 on. Measured when
+# mc-small took about 3 s, before the LAPACK and modulus routes
+# (BENCH_blocked_gepp.json; 2 cores, 1 BLAS thread): over 10 alternated
+# perfbench runs 1 << 18 took a median wall_s of 3.00 s against 3.65 s for
+# 1 << 16, at 57.7 MB peak RSS for both. A larger stack would raise the
+# peak RSS of the GUE rows.
 BATCH_ENTRIES = 1 << 18
 # Largest order lis-mc eliminates. One trial at N = 2^11 peaks at 293 MB of
 # RSS for gue and 150 MB for bernoulli; at 2^12 one GUE matrix is 268 MB,
@@ -223,7 +225,10 @@ def _gepp_inputs(ensemble: str, N: int, rngs) -> np.ndarray:
     """One matrix per substream, each written into one stack as it is drawn."""
     if ensemble in _BUTTERFLY_SHAPES:
         shape = _BUTTERFLY_SHAPES[ensemble]
-        angles = [gepp.sample_spec("diagonal", shape, N, rng).angles for rng in rngs]
+        # The draw of `gepp.sample_spec`, written straight into the stack's rows.
+        angles = np.empty((len(rngs), gepp.angle_count("diagonal", shape, N)))
+        for row, rng in zip(angles, rngs):
+            row[:] = rng.uniform(0.0, 2.0 * math.pi, size=row.size)
         return gepp.build_butterflies("diagonal", shape, N, angles)
     first = gepp.ensemble_sample(ensemble, N, rngs[0])
     out = np.empty((len(rngs), *first.shape), first.dtype)
@@ -253,8 +258,10 @@ def _sample_lis(ensemble: str, N: int, trials: int, seed: int) -> tuple[float, f
         chunk = max(1, BATCH_ENTRIES // N**2)
         for lo in range(0, trials, chunk):
             rngs = [substream(seed, e, N, t) for t in range(lo, min(lo + chunk, trials))]
+            # The rows are argsort outputs, permutations by construction, so
+            # patience sorting reads them without a `Permutation` check.
             for t, row in enumerate(gepp.gepp_perm_batch(_gepp_inputs(ensemble, N, rngs)), lo):
-                vals[t] = lis.lis(Permutation(row))
+                vals[t] = lis._patience(row)
     return float(vals.mean()), float(vals.std(ddof=1)) if trials > 1 else 0.0
 
 
@@ -421,10 +428,13 @@ def _verify_checks(seed: int):
 
     def chk_batch_gepp_agrees():
         # Gaussian 6 x 6 matrices take dgetrf; Bernoulli ones of order
-        # 2 * PANEL_WIDTH take one exact panel, then dgetrf.
-        bern = substream(seed, 2)
+        # 2 * PANEL_WIDTH take one exact panel, then dgetrf; GUE ones take
+        # the recursive modulus-pivot route.
+        bern, gue = substream(seed, 2), substream(seed, 3)
         for mats in (rng.normal(size=(20, 6, 6)),
                      np.stack([gepp.ensemble_sample("bernoulli", 2 * gepp.PANEL_WIDTH, bern)
+                               for _ in range(4)]),
+                     np.stack([gepp.ensemble_sample("gue", 2 * gepp.PANEL_WIDTH + 3, gue)
                                for _ in range(4)])):
             batch = gepp.gepp_perm_batch(mats)
             if any(gepp.gepp(A).perm != Permutation(row) for A, row in zip(mats, batch)):

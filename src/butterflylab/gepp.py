@@ -5,13 +5,15 @@ complex-modulus pivoting used by the GUE experiment). The pivot rule is
 ``i_k = min(argmax_{j>=k} |A^(k)_{jk}|)``; the returned permutation sigma
 satisfies ``P_sigma A = L U`` with ``P_sigma e_k = e_{sigma(k)}``.
 
-`gepp` and `gepp_perm_batch` run one elimination kernel, `_panel` over
-`_column_step`; a pivot is a near tie only when some multiplier has
-|l_jk| >= 1 - TIE_RTOL. In `gepp_perm_batch`, real stacks go to LAPACK
-``dgetrf``, bound with ctypes from the OpenBLAS that numpy already has
-loaded, so no scipy module is imported; all-integer ones above order
-`PANEL_WIDTH` after one exact panel. Other stacks run the kernel in panels
-of `PANEL_WIDTH` columns.
+`gepp` reads its factors off `_eliminate`, the full-width rank-1 loop of
+`_column_step`s, which is also the oracle of `gepp_perm_batch`'s two fast
+routes: LAPACK ``dgetrf`` for real stacks and a recursive modulus-pivot
+elimination for the rest. Both are bound with ctypes from the OpenBLAS
+that numpy already has loaded, so no scipy module is imported. A fast
+permutation stands only when every multiplier it made has
+|l_jk| < 1 - TIE_RTOL; the other matrices re-run the rank-1 loop.
+Integer-valued stacks first run `PANEL_WIDTH` columns of that loop, whose
+exact ties only it resolves.
 """
 from __future__ import annotations
 
@@ -42,11 +44,15 @@ __all__ = [
 
 TIE_RTOL = 2.0**-40
 SINGULAR_FLOOR = 1e-300
-# Columns per panel of the blocked elimination. On one GUE matrix at
-# N = 512 (1 BLAS thread) widths 16 to 32 all run 4x faster than the rank-1
-# loop; on stacks of 16 to 64 matrices at N = 64 and 128, widths 8 to 32
-# gain 1.2-2x.
+# Columns of the exact first panel of an integer-valued stack. Over 324
+# Bernoulli matrices at N = 64..512 the last multiplier of modulus 1 came
+# by step 15 (median 8).
 PANEL_WIDTH = 32
+# Columns a leaf of the recursive elimination takes in numpy column steps;
+# wider nodes are halves joined by a triangular solve and one matmul. On GUE
+# stacks (1 BLAS thread) 8 beats 16 by 5-7% at N = 64 and 128 and loses 10%
+# at N = 16, where 16 is one leaf; 4 loses to both.
+LEAF_WIDTH = 8
 
 
 class SingularMatrixError(ValueError):
@@ -67,7 +73,7 @@ class GeppResult:
 
 
 def gepp(A: np.ndarray) -> GeppResult:
-    """Partial-pivoting factors of a square matrix, read off `_eliminate` at full width.
+    """Partial-pivoting factors of a square matrix, read off `_eliminate`.
 
     Raises `SingularMatrixError` at the first k with |U[k, k]| < `SINGULAR_FLOOR`:
     that is the column maximum step k pivoted on, and with every multiplier
@@ -79,7 +85,7 @@ def gepp(A: np.ndarray) -> GeppResult:
     if not np.isfinite(A).all():
         raise ValueError("matrix has NaN or Inf entries")
     N = A.shape[0]
-    perm = Permutation(_eliminate(A[None], N)[0][0])
+    perm = Permutation(_eliminate(A[None])[0])
     small = np.flatnonzero(np.abs(np.diagonal(A)) < SINGULAR_FLOOR)
     if small.size:
         raise SingularMatrixError(f"no usable pivot in column {small[0] + 1}")
@@ -89,64 +95,80 @@ def gepp(A: np.ndarray) -> GeppResult:
 def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
     """Permutation factors (0-based one-line arrays) for a stack of matrices.
 
-    Returns shape (T, N). Two routes give the full-width permutations:
+    Returns shape (T, N), the permutations of the full-width rank-1 loop
+    `_eliminate`. Two fast routes share one shape, ``(A, rows) -> (perm, ok)``:
 
     - LAPACK ``dgetrf`` (`_getrf_perms`) for real stacks, when numpy's
       OpenBLAS exports it; ``idamax`` takes the first maximal |entry|, the
-      min-index rule. An all-integer stack (Bernoulli) has exact ties that
-      only the rank-1 loop resolves: its first `PANEL_WIDTH` columns run
-      through `_panel`, and ``dgetrf`` factors the Schur complement left.
-    - the kernel, `_eliminate(W, PANEL_WIDTH)`, for the rest: complex
-      stacks (``zgetrf`` pivots on |Re| + |Im|, not the modulus), empty
-      ones, real ones when ``dgetrf`` is missing, and all-integer ones up
-      to order `PANEL_WIDTH`, where the exact panel is the whole kernel.
+      min-index rule.
+    - `_modulus_perms`, a recursive elimination with the modulus pivot, for
+      complex stacks (``zgetrf`` pivots on |Re| + |Im|) and for real ones
+      when ``dgetrf`` is missing.
 
-    The first panel is the rank-1 loop's own steps, so its pivots are the
-    full-width ones and its multipliers do not count. Later steps round
-    differently, so a matrix keeps their permutation only when each
-    multiplier they made has |l_jk| < 1 - TIE_RTOL; the others re-run full
-    width. The guard does not see a column that depends on earlier ones: it
-    reduces to rounding noise, and on such singular matrices the routes may
-    pick different pivots.
+    An integer-valued stack (Bernoulli, or Gaussian integers) has exact
+    ties that only the rank-1 loop resolves: its first `PANEL_WIDTH`
+    columns run through `_panel`, and the fast route factors the Schur
+    complement left. Up to that order, and for empty stacks, the panel is
+    the whole elimination.
+
+    A fast route rounds differently from the rank-1 loop, so a matrix keeps
+    its permutation only when each multiplier the route made has
+    |l_jk| < 1 - TIE_RTOL; the others re-run `_eliminate`. The exact
+    panel's multipliers do not count. The guard does not see a column that
+    depends on earlier ones: it reduces to rounding noise, and on such
+    singular matrices the routes may pick different pivots.
     """
     A = np.asarray(mats)
     T, N, M = A.shape
     if M != N:
         raise ValueError("matrices must be square")
-    real = not np.iscomplexobj(A)
-    dtype = np.float64 if real else complex
-    lapack = real and A.size and _dgetrf() is not None
-    integer = lapack and np.array_equal(A, np.rint(A))
-    if not lapack or (integer and N <= PANEL_WIDTH):
-        perm, lmax = _eliminate(A.astype(dtype), PANEL_WIDTH)
-        ok = lmax < 1.0 - TIE_RTOL
-    elif not integer:
-        perm, ok = _getrf_perms(A)
-    else:
+    dtype = complex if np.iscomplexobj(A) else np.float64
+    fast = _getrf_perms if dtype is np.float64 and _blas("dgetrf") is not None else _modulus_perms
+    if not _integer_valued(A):
+        perm, ok = fast(A)
+    elif T and N > PANEL_WIDTH:
         W = A.astype(dtype)
         rows = np.tile(np.arange(N), (T, 1))
-        _panel(W, rows, 0, PANEL_WIDTH)
-        perm, ok = _getrf_perms(W[:, PANEL_WIDTH:, PANEL_WIDTH:], rows)
+        _panel(W, rows, PANEL_WIDTH)
+        perm, ok = fast(W[:, PANEL_WIDTH:, PANEL_WIDTH:], rows)
+    else:
+        return _eliminate(A.astype(dtype))
     if not ok.all():
-        perm[~ok] = _eliminate(A[~ok].astype(dtype), N)[0]
+        perm[~ok] = _eliminate(A[~ok].astype(dtype))
     return perm
 
 
-_DGETRF_LOCK = threading.Lock()
+def _integer_valued(A: np.ndarray) -> bool:
+    """A == rint(A) everywhere; the first column settles most float stacks."""
+    return all(np.array_equal(X, np.rint(X)) for X in (A[..., :1], A))
 
 
-def _dgetrf():
-    """numpy's LAPACK ``dgetrf`` as a ctypes function, or None; looked up once.
+_LOOKUP_LOCK = threading.Lock()
+_I64 = ctypes.POINTER(ctypes.c_int64)
+_ARGTYPES = {
+    # m, n, A, lda, ipiv, info
+    "getrf": [_I64, _I64, ctypes.c_void_p, _I64, ctypes.c_void_p, _I64],
+    # n, A, lda, k1, k2, ipiv, incx
+    "laswp": [_I64, ctypes.c_void_p, _I64, _I64, _I64, ctypes.c_void_p, _I64],
+    # side, uplo, transa, diag, m, n, alpha, A, lda, B, ldb
+    "trsm": [ctypes.c_char_p] * 4 + [_I64, _I64, ctypes.c_void_p, ctypes.c_void_p, _I64,
+                                     ctypes.c_void_p, _I64],
+}
 
+
+def _blas(name: str):
+    """numpy's ``dgetrf``, ``dtrsm``, ``ztrsm``, ``dlaswp`` or ``zlaswp``, or None.
+
+    The routine comes as a ctypes function, each name looked up once.
     Thread-safe: concurrent first callers wait for one lookup.
     """
-    with _DGETRF_LOCK:
-        return _find_dgetrf()
+    with _LOOKUP_LOCK:
+        return _find_blas(name)
 
 
 @functools.cache
-def _find_dgetrf():
-    """ILP64 ``dgetrf`` from the libraries numpy's linalg extension links.
+def _find_blas(name: str):
+    """ILP64 ``name`` from the libraries numpy's linalg extension links.
 
     dlsym on the extension's handle also searches its dependencies: numpy
     >= 2 wheels bundle scipy-openblas with prefixed ILP64 names, numpy 1.x
@@ -160,11 +182,10 @@ def _find_dgetrf():
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    for name in ("scipy_dgetrf_64_", "dgetrf_64_"):
-        fn = getattr(lib, name, None)
+    for symbol in (f"scipy_{name}_64_", f"{name}_64_"):
+        fn = getattr(lib, symbol, None)
         if fn is not None:
-            i64 = ctypes.POINTER(ctypes.c_int64)
-            fn.argtypes = [i64, i64, ctypes.c_void_p, i64, ctypes.c_void_p, i64]
+            fn.argtypes = _ARGTYPES[name[1:]]
             fn.restype = None
             return fn
     return None
@@ -174,19 +195,11 @@ def _getrf_perms(A: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndar
     """LAPACK permutations of a real stack, and which of them pass the tie guard.
 
     One copy of A holds each matrix in column-major order; ``dgetrf``
-    factors it in place and leaves A intact. Per matrix, ``ipiv`` (1-based)
-    says step k swapped rows k and ipiv[k]; replaying the swaps gives the
-    row order, whose argsort is the permutation. ``info > 0`` marks an
-    exactly zero pivot column, which swaps nothing: the min-index
-    convention. Row k of a column-major matrix is column k of the factor,
-    so L's multipliers are the entries right of the diagonal.
-
-    When A is the trailing Schur complement of a stack eliminated up to
-    some column, ``rows`` holds that stack's row orders (T, M), M >= N: the
-    swaps are replayed on its last N entries, and the permutations are
-    those of the whole matrices.
+    factors it in place and leaves A intact. ``info > 0`` marks an exactly
+    zero pivot column, which swaps nothing: the min-index convention.
+    `_read_factor` takes it from there.
     """
-    dgetrf = _dgetrf()
+    dgetrf = _blas("dgetrf")
     T, N, _ = A.shape
     F = np.array(A.transpose(0, 2, 1), dtype=np.float64, order="C")
     ipiv = np.empty((T, N), dtype=np.int64)
@@ -197,40 +210,163 @@ def _getrf_perms(A: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndar
         dgetrf(n, n, f0 + t * F.strides[0], n, p0 + t * ipiv.strides[0], info)
         if info.value < 0:
             raise ValueError(f"dgetrf rejected argument {-info.value}")
-    if rows is None:
-        rows = np.tile(np.arange(N), (T, 1))
-    done = rows.shape[1] - N
-    orders = rows.tolist()
-    for order, swaps in zip(orders, (ipiv - 1 + done).tolist()):
-        for k, j in enumerate(swaps, done):
-            order[k], order[j] = order[j], order[k]
-    np.abs(F, out=F)
-    F *= np.triu(np.ones((N, N), bool), 1)
-    ok = F.max(axis=(1, 2)) < 1.0 - TIE_RTOL
-    return np.argsort(orders, axis=1, kind="stable"), ok
+    return _read_factor(F, ipiv, rows)
 
 
-def _eliminate(W: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Modulus-pivot elimination of a stack in panels of `width` columns; overwrites W.
+def _modulus_perms(A: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Modulus-pivot permutations of a stack, and which of them pass the tie guard.
 
-    Returns the permutations and each matrix's largest multiplier modulus
-    after the first panel (0 with one panel). Each panel is one `_panel`
-    call. The first runs the rank-1 loop's own operations; with width >= N
-    it is the only one, and this is the oracle for the blocked case, whose
-    later panels round differently.
+    Toledo's recursive LU on a column-major copy of A: `_recurse` splits the
+    columns in halves down to `LEAF_WIDTH`, so nearly all the arithmetic is
+    BLAS triangular solves and matmuls, and a leaf step is a pivot search,
+    a row swap, a division and a rank-1 update of the leaf's own columns.
+    ``ipiv`` is LAPACK's (1-based), and `_read_factor` takes it from there.
+    """
+    T, N, _ = A.shape
+    F = np.array(A.transpose(0, 2, 1), dtype=complex if np.iscomplexobj(A) else np.float64,
+                 order="C")
+    ipiv = np.empty((T, N), dtype=np.int64)
+    _recurse(F, ipiv, 0, N)
+    return _read_factor(F, ipiv, rows)
+
+
+def _read_factor(F: np.ndarray, ipiv: np.ndarray,
+                 rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations and tie guard of column-major factors F.
+
+    Step k swapped rows k and ipiv[k] - 1. `_swap_rows` replays the swaps
+    on the labels 0..N-1, which leaves each matrix's row order, whose
+    argsort is the permutation. Row k of a column-major matrix is column k
+    of the factor, so L's multipliers are the entries right of the
+    diagonal; F is spent reading them. When F factors the trailing Schur
+    complement of a stack eliminated up to some column, ``rows`` holds that
+    stack's row orders (T, M), M >= N: its last N entries are reordered, and
+    the permutations are those of the whole matrices.
+    """
+    T, N, _ = F.shape
+    labels = np.tile(np.arange(N, dtype=np.float64), (T, 1, 1))
+    _swap_rows(labels, ipiv, 0, 1, 0, N)
+    order = labels[:, 0].astype(np.int64)
+    if rows is not None:
+        done = rows.shape[1] - N
+        order = np.concatenate([rows[:, :done], np.take_along_axis(rows[:, done:], order, 1)], 1)
+    L = np.abs(F, out=F) if F.dtype == np.float64 else np.abs(F)
+    L *= np.triu(np.ones((N, N), bool), 1)
+    ok = L.max(axis=(1, 2)) < 1.0 - TIE_RTOL
+    return np.argsort(order, axis=1, kind="stable"), ok
+
+
+def _recurse(F: np.ndarray, ipiv: np.ndarray, p: int, e: int) -> None:
+    """Eliminates columns p..e-1 of a column-major stack whose first p are done.
+
+    On return every swap of steps p..e-1 is applied to those columns, and
+    to no other. The left half's swaps reach the right half before its
+    unit-lower block turns the right half's top rows into rows of U; one
+    stacked matmul subtracts their product with the left half's
+    multipliers from the rows below. Columns left of p never need the
+    swaps when e = N: only the guard reads them, in any row order.
+    """
+    if e - p <= LEAF_WIDTH:
+        _leaf(F, ipiv, p, e)
+        return
+    h = (p + e) // 2
+    _recurse(F, ipiv, p, h)
+    _swap_rows(F, ipiv, h, e, p, h)
+    A = F.transpose(0, 2, 1)
+    _unit_lower_solve(A[:, p:h, p:h], A[:, p:h, h:e])
+    F[:, h:e, h:] -= F[:, h:e, p:h] @ F[:, p:h, h:]
+    _recurse(F, ipiv, h, e)
+    if e < F.shape[1]:
+        _swap_rows(F, ipiv, p, h, h, e)
+
+
+def _leaf(F: np.ndarray, ipiv: np.ndarray, p: int, e: int) -> None:
+    """Column steps p..e-1 on a column-major stack, updating only those columns.
+
+    Step k takes the first row of maximal modulus in column k, rows k and
+    up, as its pivot, records it in ``ipiv[:, k]`` and swaps it into row k
+    of the leaf's columns, divides the column below by the pivot and
+    updates the leaf's columns right of k. A zero pivot column is left as
+    it is, so it swaps and eliminates nothing (the min-index convention).
+    """
+    for k in range(p, e):
+        j = np.argmax(np.abs(F[:, k, k:]), axis=1) + k
+        ipiv[:, k] = j + 1
+        _swap_step(F, p, e, k, j)
+        piv = F[:, k, k, None]
+        np.divide(F[:, k, k + 1 :], piv, out=F[:, k, k + 1 :], where=piv != 0)
+        F[:, k + 1 : e, k + 1 :] -= F[:, k + 1 : e, k, None] * F[:, k, None, k + 1 :]
+
+
+def _swap_step(F: np.ndarray, c0: int, c1: int, k: int, j: np.ndarray) -> None:
+    """Swaps row k with row j[t] of each matrix t, in columns c0..c1-1 of a column-major stack."""
+    tix = np.arange(len(F))
+    row = F[:, c0:c1, k].copy()
+    F[:, c0:c1, k] = F[tix, c0:c1, j]
+    F[tix, c0:c1, j] = row
+
+
+def _swap_rows(F: np.ndarray, ipiv: np.ndarray, c0: int, c1: int, k0: int, k1: int) -> None:
+    """Applies the row swaps of steps k0..k1-1 to columns c0..c1-1 of a column-major stack.
+
+    The stack is (T, columns, rows); step k swapped rows k and ipiv[:, k] - 1.
+    LAPACK ``dlaswp``/``zlaswp`` swaps in place, one call per matrix; when
+    the symbol is missing, each step is one `_swap_step`.
+    """
+    laswp = _blas("zlaswp" if np.iscomplexobj(F) else "dlaswp")
+    if laswp is None:
+        for k in range(k0, k1):
+            _swap_step(F, c0, c1, k, ipiv[:, k] - 1)
+        return
+    n, ld, first, last, one = (ctypes.c_int64(v) for v in (c1 - c0, F.shape[2], k0 + 1, k1, 1))
+    f0, p0 = F.ctypes.data + c0 * F.strides[1], ipiv.ctypes.data
+    for t in range(len(F)):
+        laswp(n, f0 + t * F.strides[0], ld, first, last, p0 + t * ipiv.strides[0], one)
+
+
+def _unit_lower_solve(L: np.ndarray, B: np.ndarray) -> None:
+    """Overwrites each B[t] with X solving unit_lower(L[t]) X = B[t].
+
+    L and B are views of one stack, both row-major or both column-major.
+    BLAS ``dtrsm``/``ztrsm`` solves in place, one call per matrix; a
+    row-major pair is the transposed system X^T L^T = B^T in BLAS's
+    column-major terms. ``np.linalg.solve`` stands in when the symbol is
+    missing.
+    """
+    T, n, m = B.shape
+    trsm = _blas("ztrsm" if np.iscomplexobj(B) else "dtrsm")
+    if trsm is None:
+        B[...] = np.linalg.solve(np.tril(L, -1) + np.eye(n), B)
+        return
+    item = B.itemsize
+    if B.strides[2] == item:
+        side, uplo, rows, cols, ld = b"R", b"U", m, n, B.strides[1] // item
+    else:
+        side, uplo, rows, cols, ld = b"L", b"L", n, m, B.strides[2] // item
+    if (L.strides[1:] if side == b"R" else L.strides[:0:-1]) != (ld * item, item):
+        raise ValueError("L and B must share one memory order and leading dimension")
+    one = np.ones(1, B.dtype)
+    rows, cols, ld = ctypes.c_int64(rows), ctypes.c_int64(cols), ctypes.c_int64(ld)
+    alpha, l0, b0 = one.ctypes.data, L.ctypes.data, B.ctypes.data
+    for t in range(T):
+        trsm(side, uplo, b"N", b"U", rows, cols, alpha, l0 + t * L.strides[0], ld,
+             b0 + t * B.strides[0], ld)
+
+
+def _eliminate(W: np.ndarray) -> np.ndarray:
+    """Full-width modulus-pivot elimination of a stack; overwrites W, returns the permutations.
+
+    This is the rank-1 loop, one `_column_step` per column: the oracle
+    that both fast routes are guarded against.
     """
     T, N, _ = W.shape
     rows = np.tile(np.arange(N), (T, 1))
-    lmax = np.zeros(T)
-    for p in range(0, N - 1, width):
-        panel_max = _panel(W, rows, p, min(p + width, N))
-        if p:
-            lmax = np.maximum(lmax, panel_max)
-    return np.argsort(rows, axis=1, kind="stable"), lmax
+    _panel(W, rows, N)
+    return np.argsort(rows, axis=1, kind="stable")
 
 
-def _panel(W: np.ndarray, rows: np.ndarray, p: int, e: int) -> np.ndarray:
-    """Eliminates columns p..e-1 of a stack whose first p are done; returns their max |l|.
+def _panel(W: np.ndarray, rows: np.ndarray, e: int) -> None:
+    """Eliminates the first e columns of a stack with the rank-1 loop's own steps.
 
     `_column_step` eliminates column by column and updates only the
     panel's own columns. After it, one unit-lower solve gives the panel's
@@ -238,14 +374,11 @@ def _panel(W: np.ndarray, rows: np.ndarray, p: int, e: int) -> np.ndarray:
     ``W[:, e:, e:]``.
     """
     N = W.shape[1]
-    for k in range(p, min(e, N - 1)):
+    for k in range(min(e, N - 1)):
         _column_step(W, rows, k, e)
-    lmax = np.abs(np.tril(W[:, p:, p:e], -1)).max(axis=(1, 2))
     if e < N:
-        U12 = W[:, p:e, e:]
-        U12[...] = np.linalg.solve(np.tril(W[:, p:e, p:e], -1) + np.eye(e - p), U12)
-        W[:, e:, e:] -= W[:, e:, p:e] @ U12
-    return lmax
+        _unit_lower_solve(W[:, :e, :e], W[:, :e, e:])
+        W[:, e:, e:] -= W[:, e:, :e] @ W[:, :e, e:]
 
 
 def _column_step(W: np.ndarray, rows: np.ndarray, k: int, e: int) -> np.ndarray:

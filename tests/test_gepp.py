@@ -21,7 +21,17 @@ from butterflylab.gepp import (
     sample_spec,
 )
 from butterflylab import gepp as gepp_module
-from butterflylab.gepp import PANEL_WIDTH, TIE_RTOL, _column_step, _eliminate, _getrf_perms
+from butterflylab.gepp import (
+    LEAF_WIDTH,
+    PANEL_WIDTH,
+    TIE_RTOL,
+    _blas,
+    _column_step,
+    _eliminate,
+    _getrf_perms,
+    _modulus_perms,
+    _unit_lower_solve,
+)
 from butterflylab.rng import substream
 
 
@@ -77,11 +87,10 @@ def swap_count(A) -> int:
 def max_multiplier(A) -> float:
     """Largest |l_jk| of the full-width elimination, the quantity the tie rule bounds.
 
-    Read off the lower triangle that `_eliminate` leaves in W: its own
-    return value leaves out the first panel, which here is every column.
+    Read off the lower triangle that `_eliminate` leaves in W.
     """
     W = np.array(A)[None]
-    _eliminate(W, len(A))
+    _eliminate(W)
     return float(np.abs(np.tril(W[0], -1)).max())
 
 
@@ -182,13 +191,13 @@ class TestGepp:
     def test_one_full_width_elimination(self, monkeypatch):
         seen = []
 
-        def spy(W, width):
-            seen.append(W.shape + (width,))
-            return _eliminate(W, width)
+        def spy(W):
+            seen.append(W.shape)
+            return _eliminate(W)
 
         monkeypatch.setattr(gepp_module, "_eliminate", spy)
         gepp(ensemble_sample("gue", 2 * PANEL_WIDTH + 3, substream(31, 26)))
-        assert seen == [(1, 2 * PANEL_WIDTH + 3, 2 * PANEL_WIDTH + 3, 2 * PANEL_WIDTH + 3)]
+        assert seen == [(1, 2 * PANEL_WIDTH + 3, 2 * PANEL_WIDTH + 3)]
 
     def test_rejects_nan(self):
         A = np.eye(3)
@@ -254,9 +263,8 @@ def _stack(kind: str, N: int, count: int, seed: int) -> np.ndarray:
 
 
 def full_width(mats) -> np.ndarray:
-    """Permutations from the rank-1 loop, `_eliminate` with one panel."""
-    W = np.array(mats)
-    return _eliminate(W, W.shape[-1])[0]
+    """Permutations from the rank-1 loop, `_eliminate`."""
+    return _eliminate(np.array(mats))
 
 
 def singular_bernoulli(N: int, count: int, seed: int) -> np.ndarray:
@@ -278,20 +286,28 @@ def singular_bernoulli(N: int, count: int, seed: int) -> np.ndarray:
     return mats
 
 
+SYMBOLS = ("dgetrf", "dtrsm", "ztrsm", "dlaswp", "zlaswp")
+
+
+def hide_symbols(monkeypatch, *names) -> None:
+    """Makes `gepp._blas` report the given symbols, and no others, as missing."""
+    monkeypatch.setattr(gepp_module, "_blas", lambda name: None if name in names else _blas(name))
+
+
 def spy_routes(monkeypatch) -> list:
-    """Record each `_getrf_perms` call as ("getrf", T) and each `_eliminate` as (T, width)."""
+    """Record each `_getrf_perms`, `_modulus_perms` and `_eliminate` call as (route, T)."""
     seen = []
 
-    def getrf(A, rows=None):
-        seen.append(("getrf", len(A)))
-        return _getrf_perms(A, rows)
+    def spy(name, route):
+        def call(A, *rest):
+            seen.append((name, len(A)))
+            return route(A, *rest)
 
-    def eliminate(W, width):
-        seen.append((len(W), width))
-        return _eliminate(W, width)
+        monkeypatch.setattr(gepp_module, route.__name__, call)
 
-    monkeypatch.setattr(gepp_module, "_getrf_perms", getrf)
-    monkeypatch.setattr(gepp_module, "_eliminate", eliminate)
+    spy("getrf", _getrf_perms)
+    spy("modulus", _modulus_perms)
+    spy("full", _eliminate)
     return seen
 
 
@@ -300,14 +316,14 @@ def check_routes(monkeypatch, kind: str, N: int, calls: list, count: int, seed: 
     """The route tests' one check: `_stack(kind, N, count, seed)` gives the
     full-width bytes, and makes the calls `calls` as `spy_routes` records them.
 
-    Real stacks take dgetrf, integer ones above PANEL_WIDTH after one exact
-    panel; the rest, integer ones up to PANEL_WIDTH too, run the kernel in
-    panels of PANEL_WIDTH. `lapack=False` hides numpy's dgetrf.
+    Real stacks take dgetrf and complex ones the modulus route, integer ones
+    above PANEL_WIDTH after one exact panel; integer ones up to PANEL_WIDTH
+    run the full-width loop. `lapack=False` hides numpy's dgetrf.
     """
     mats = _stack(kind, N, count, seed)
     expected = full_width(mats)
     if not lapack:
-        monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
+        hide_symbols(monkeypatch, "dgetrf")
     seen = spy_routes(monkeypatch)
     assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
     assert seen == calls
@@ -318,7 +334,7 @@ def check_panel_ties(monkeypatch, mats: np.ndarray, calls: list) -> None:
     loop, all of them inside the first panel; only multipliers past it count
     toward the guard, so none is rejected and `calls` has no re-run."""
     W = mats.copy()
-    expected = _eliminate(W, W.shape[-1])[0]
+    expected = _eliminate(W)
     ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
     assert ties.any(axis=(1, 2)).all()
     assert not ties[:, :, PANEL_WIDTH:].any()
@@ -363,10 +379,10 @@ class TestLapackBranch:
         assert np.array_equal(ok, np.abs(np.tril(L, -1)).max(axis=(1, 2)) < 1.0 - TIE_RTOL)
 
     def test_integer_stack_skips_lapack(self, monkeypatch):
-        # Up to PANEL_WIDTH an integer stack is one exact panel: the kernel
-        # route, with no dgetrf call.
+        # Up to PANEL_WIDTH an integer stack is one exact panel: the
+        # full-width loop, with no dgetrf call.
         for N in (1, 5, PANEL_WIDTH):
-            check_routes(monkeypatch, "bernoulli", N, [(4, PANEL_WIDTH)], 4, 48)
+            check_routes(monkeypatch, "bernoulli", N, [("full", 4)], 4, 48)
 
     def test_integer_stack_factors_the_schur_complement(self, monkeypatch):
         # Above PANEL_WIDTH the first panel runs the rank-1 loop's steps and
@@ -380,7 +396,7 @@ class TestLapackBranch:
             seen.append((A.shape, None if rows is None else rows.shape))
             return _getrf_perms(A, rows)
 
-        def refuse(W, width):
+        def refuse(W):
             raise AssertionError("no matrix of this stack is a near tie past the panel")
 
         monkeypatch.setattr(gepp_module, "_getrf_perms", getrf)
@@ -420,11 +436,11 @@ class TestLapackBranch:
         expected = full_width(mats)
         seen = spy_routes(monkeypatch)
         assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
-        assert seen == [("getrf", 3), (3, N)]
+        assert seen == [("getrf", 3), ("full", 3)]
 
     def test_panel_ties_do_not_count(self, monkeypatch):
         # Integer ties fall in the first columns of a Bernoulli stack; the
-        # complex case is `TestBlockedPath::test_panel_ties_do_not_count`.
+        # Gaussian-integer case is `TestBlockedPath::test_panel_ties_do_not_count`.
         check_panel_ties(monkeypatch, _stack("bernoulli", 128, 4, 66), [("getrf", 4)])
 
     def test_bernoulli_ties_fall_back(self):
@@ -471,36 +487,38 @@ class TestLapackBranch:
         expected = full_width(mats)
         seen = spy_routes(monkeypatch)
         assert np.array_equal(gepp_perm_batch(mats), expected)
-        assert seen == [("getrf", 2), (1, N)]
+        assert seen == [("getrf", 2), ("full", 1)]
 
     @pytest.mark.parametrize(("kind", "N", "widths"), [
-        ("goe", 16, [(4, PANEL_WIDTH)]),
-        ("goe", PANEL_WIDTH, [(4, PANEL_WIDTH)]),
-        ("goe", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
-        ("bs-diag", 256, [(4, PANEL_WIDTH)]),
-        ("bernoulli", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
-        ("bernoulli", 5, [(4, PANEL_WIDTH)]),
-        ("gue", 2 * PANEL_WIDTH, [(4, PANEL_WIDTH)]),
+        ("goe", 16, [("modulus", 4)]),
+        ("goe", PANEL_WIDTH, [("modulus", 4)]),
+        ("goe", 2 * PANEL_WIDTH, [("modulus", 4)]),
+        ("bs-diag", 256, [("modulus", 4)]),
+        ("bernoulli", 2 * PANEL_WIDTH, [("modulus", 4)]),
+        ("bernoulli", 5, [("full", 4)]),
+        ("gue", 2 * PANEL_WIDTH, [("modulus", 4)]),
     ])
     def test_without_numpy_lapack(self, monkeypatch, kind, N, widths):
-        # A numpy whose BLAS exports no ILP64 dgetrf: every stack, integer
-        # ones too, runs `_eliminate(W, PANEL_WIDTH)`, guarded past its
-        # first panel. `widths` are the calls as `spy_routes` records them.
+        # A numpy whose BLAS exports no ILP64 dgetrf: real stacks take the
+        # modulus route, integer ones above PANEL_WIDTH after the exact
+        # panel. `widths` are the calls as `spy_routes` records them.
         check_routes(monkeypatch, kind, N, widths, 4, 61, lapack=False)
 
     def test_lookup_is_once_and_threads_agree(self):
-        # More threads than cores, a short switch interval, disjoint stacks:
-        # every thread sees the one looked-up function and the serial result.
-        stacks = [_stack("goe", N, 4, 62) for N in (16, 64, 128, 256) for _ in range(2)]
+        # More threads than cores, a short switch interval, disjoint stacks
+        # that need every symbol: each thread sees the one looked-up function
+        # per symbol and the serial result.
+        stacks = [_stack(kind, N, 4, 62) for N in (16, 64, 128, 256) for kind in ("goe", "gue")]
+        stacks += [_stack("bernoulli", N, 4, 62) for N in (64, 128)]
         expected = [gepp_perm_batch(s) for s in stacks]
-        gepp_module._find_dgetrf.cache_clear()
+        gepp_module._find_blas.cache_clear()
         found, results = [None] * len(stacks), [None] * len(stacks)
         start = threading.Barrier(len(stacks))
 
         def work(i):
             start.wait()
-            found[i] = gepp_module._dgetrf()
             results[i] = gepp_perm_batch(stacks[i])
+            found[i] = [gepp_module._blas(name) for name in SYMBOLS]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -513,8 +531,9 @@ class TestLapackBranch:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert gepp_module._find_dgetrf.cache_info().misses == 1
-        assert found[0] is not None and all(f is found[0] for f in found)
+        assert gepp_module._find_blas.cache_info().misses == len(SYMBOLS)
+        assert all(f is not None for f in found[0])
+        assert all(a is b for f in found for a, b in zip(f, found[0]))
         for got, want in zip(results, expected):
             assert np.array_equal(got, want)
 
@@ -558,25 +577,25 @@ def near_tie(N: int, k: int, seed: int, kind: str = "goe") -> np.ndarray:
 
 
 class TestBlockedPath:
-    """Complex stacks, and real ones when numpy's LAPACK is not found, run
-    the blocked elimination; multipliers past its first panel are guarded,
-    and the full-width elimination is the oracle."""
+    """Complex stacks, and real ones when numpy's LAPACK is not found, take
+    the recursive modulus-pivot route; every multiplier it makes is
+    guarded, and the full-width elimination is the oracle."""
 
     @pytest.mark.parametrize("N", [64, 128, 512])
     @pytest.mark.parametrize("kind", ["goe", "gue", "bs-diag", "ns-diag"])
     def test_matches_full_width(self, kind, N):
         count = 1 if N == 512 else 4
         mats = _stack(kind, N, count, 51)
-        perm, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
-        assert (lmax < 1.0 - TIE_RTOL).all()
+        perm, ok = _modulus_perms(mats)
+        assert ok.all()
         expected = full_width(mats)
         assert np.array_equal(perm, expected)
         assert np.array_equal(gepp_perm_batch(mats), expected)
 
     def test_complex_256(self):
         mats = _stack("gue", 256, 2, 52)
-        perm, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
-        assert (lmax < 1.0 - TIE_RTOL).all()
+        perm, ok = _modulus_perms(mats)
+        assert ok.all()
         assert np.array_equal(perm, full_width(mats))
         assert np.array_equal(gepp_perm_batch(mats), perm)
 
@@ -584,25 +603,42 @@ class TestBlockedPath:
     def test_near_tie_in_second_panel_is_rejected(self, kind):
         N, k = 2 * PANEL_WIDTH, PANEL_WIDTH + 5
         A = near_tie(N, k, 53, kind)
-        _, lmax = _eliminate(A[None].copy(), PANEL_WIDTH)
-        assert lmax[0] >= 1.0 - TIE_RTOL
+        assert not _modulus_perms(A[None])[1][0]
         assert np.abs(np.tril(gepp(A).lower, -1)).max() >= 1.0 - TIE_RTOL
         assert np.array_equal(gepp_perm_batch(A[None]), full_width(A[None]))
 
+    @pytest.mark.parametrize("k", [0, 5, LEAF_WIDTH, PANEL_WIDTH - 1, PANEL_WIDTH + 9, 61])
+    @pytest.mark.parametrize("kind", ["goe", "gue"])
+    def test_near_tie_is_rejected_at_any_step(self, monkeypatch, kind, k):
+        # The modulus route guards every multiplier, the first leaf's and the
+        # first PANEL_WIDTH columns' too: the near tie re-runs full width,
+        # and its neighbour in the stack does not.
+        N = 2 * PANEL_WIDTH
+        mats = np.stack([_stack(kind, N, 1, 70)[0], near_tie(N, k, 70, kind)])
+        assert _modulus_perms(mats)[1].tolist() == [True, False]
+        expected = full_width(mats)
+        hide_symbols(monkeypatch, "dgetrf")
+        seen = spy_routes(monkeypatch)
+        assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+        assert seen == [("modulus", 2), ("full", 1)]
+
     def test_zero_pivot_column_in_later_panel(self):
-        mats = _stack("goe", 128, 2, 54)
-        mats[0, :, 2 * PANEL_WIDTH + 3] = 0.0
-        perm, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
-        assert (lmax < 1.0 - TIE_RTOL).all()
-        assert np.array_equal(perm, full_width(mats))
-        assert np.array_equal(gepp_perm_batch(mats), perm)
+        # A zero column anywhere, leaf or not, swaps and eliminates nothing:
+        # its multipliers are 0, so it passes the guard.
+        for kind in ("goe", "gue"):
+            mats = _stack(kind, 128, 4, 54)
+            for t, j in enumerate((0, LEAF_WIDTH - 1, 2 * PANEL_WIDTH + 3, 127)):
+                mats[t, :, j] = 0.0
+            perm, ok = _modulus_perms(mats)
+            assert ok.all()
+            assert np.array_equal(perm, full_width(mats))
+            assert np.array_equal(gepp_perm_batch(mats), perm)
 
     def test_mixed_stack_keeps_row_order(self):
         N = 2 * PANEL_WIDTH
-        goe = _stack("goe", N, 2, 55)
-        mats = np.stack([goe[0], near_tie(N, N - 3, 55), goe[1], near_tie(N, 40, 56)])
-        _, lmax = _eliminate(mats.copy(), PANEL_WIDTH)
-        assert (lmax < 1.0 - TIE_RTOL).tolist() == [True, False, True, False]
+        gue = _stack("gue", N, 2, 55)
+        mats = np.stack([gue[0], near_tie(N, N - 3, 55, "gue"), gue[1], near_tie(N, 40, 56, "gue")])
+        assert _modulus_perms(mats)[1].tolist() == [True, False, True, False]
         sig = gepp_perm_batch(mats)
         for i in range(len(mats)):
             assert np.array_equal(sig[i], full_width(mats[i][None])[0])
@@ -610,16 +646,13 @@ class TestBlockedPath:
     @pytest.mark.parametrize("N", [1, 2, 5, PANEL_WIDTH, 2 * PANEL_WIDTH])
     @pytest.mark.parametrize("kind", ["goe", "gue", "bernoulli"])
     def test_full_width_is_the_rank1_loop(self, kind, N):
-        # One panel runs the rank-1 loop operation for operation: the same
+        # `_eliminate` runs the rank-1 loop operation for operation: the same
         # permutations and the same bytes in the overwritten stack.
         mats = np.stack([ensemble_sample(kind, N, substream(57, N, t)) for t in range(5)])
         mats[1, :, N // 2] = 0.0
         ref, W = mats.copy(), mats.copy()
         expected = rank1_reference(ref)
-        assert np.array_equal(_eliminate(W, N)[0], expected)
-        assert W.tobytes() == ref.tobytes()
-        W = mats.copy()
-        assert np.array_equal(_eliminate(W, N + 7)[0], expected)
+        assert np.array_equal(_eliminate(W), expected)
         assert W.tobytes() == ref.tobytes()
         assert np.array_equal(gepp_perm_batch(mats), expected)
 
@@ -627,31 +660,45 @@ class TestBlockedPath:
         ("goe", PANEL_WIDTH, [("getrf", 1)]),
         ("bernoulli", 2 * PANEL_WIDTH, [("getrf", 1)]),
         ("goe", 2 * PANEL_WIDTH, [("getrf", 1)]),
-        ("gue", 2 * PANEL_WIDTH, [(1, PANEL_WIDTH)]),
-        ("gue", 512, [(1, PANEL_WIDTH)]),
+        ("gue", 2 * PANEL_WIDTH, [("modulus", 1)]),
+        ("gue", 512, [("modulus", 1)]),
         ("goe", 256, [("getrf", 1)]),
         ("goe", 1, [("getrf", 1)]),
         ("ns-diag", 128, [("getrf", 1)]),
-        ("gue", PANEL_WIDTH, [(1, PANEL_WIDTH)]),
+        ("gue", PANEL_WIDTH, [("modulus", 1)]),
         ("bernoulli", 512, [("getrf", 1)]),
     ])
     def test_routing(self, monkeypatch, kind, N, widths):
         # With dgetrf found: real stacks take it, integer ones above
-        # PANEL_WIDTH after one exact panel, and complex ones run the
-        # kernel. `widths` are the calls as `spy_routes` records them.
+        # PANEL_WIDTH after one exact panel, and complex ones take the
+        # modulus route. `widths` are the calls as `spy_routes` records them.
         check_routes(monkeypatch, kind, N, widths, 1, 58)
 
     @pytest.mark.parametrize("N", [5, PANEL_WIDTH, PANEL_WIDTH + 1, 2 * PANEL_WIDTH + 7, 128])
     @pytest.mark.parametrize("kind", ["goe", "gue", "bernoulli"])
-    def test_guard_max_is_past_the_first_panel(self, kind, N):
-        # `_eliminate`'s second value, the one the guard reads, is the largest
-        # |l| that the panels after the first leave in W's lower triangle,
-        # and 0 with one panel.
-        W = _stack(kind, N, 3, 69)
-        lmax = _eliminate(W, PANEL_WIDTH)[1]
-        later = np.abs(np.tril(W, -1)[:, :, PANEL_WIDTH:])
-        assert np.array_equal(lmax, later.max(axis=(1, 2)) if later.size else np.zeros(3))
-        assert (lmax > 0).all() == (N > PANEL_WIDTH + 1)
+    def test_guard_max_is_past_the_first_panel(self, monkeypatch, kind, N):
+        # The guard reads every multiplier the fast route leaves in its
+        # factor: all of them for float stacks, and for integer ones those
+        # of the Schur complement past the exact first panel, none up to
+        # order PANEL_WIDTH.
+        mats = _stack(kind, N, 3, 69)
+        real, seen = gepp_module._read_factor, []
+
+        def read_factor(F, ipiv, rows):
+            lmax = np.abs(np.triu(F, 1)).max(axis=(1, 2))
+            perm, ok = real(F, ipiv, rows)
+            seen.append((F.shape[1], lmax, ok))
+            return perm, ok
+
+        monkeypatch.setattr(gepp_module, "_read_factor", read_factor)
+        assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
+        if kind == "bernoulli" and N <= PANEL_WIDTH:
+            assert seen == []
+            return
+        [(order, lmax, ok)] = seen
+        assert order == (N - PANEL_WIDTH if kind == "bernoulli" else N)
+        assert np.array_equal(ok, lmax < 1.0 - TIE_RTOL)
+        assert (lmax > 0).all() == (order > 1)
 
     def test_rejected_rows_rerun_full_width(self, monkeypatch):
         # Built first: near_tie runs gepp, which the spy would record.
@@ -660,34 +707,122 @@ class TestBlockedPath:
         expected = full_width(mats)
         seen = spy_routes(monkeypatch)
         assert np.array_equal(gepp_perm_batch(mats), expected)
-        assert seen == [(2, PANEL_WIDTH), (1, N)]
+        assert seen == [("modulus", 2), ("full", 1)]
 
     def test_integer_oracle_without_lapack(self, monkeypatch):
-        # The blocked kernel on Bernoulli stacks, singular draws mixed in,
-        # against the full-width loop. A matrix whose multipliers of modulus
-        # 1 all lie in the first panel passes the guard: only the matrices
-        # with a multiplier at the tie bound past it re-run.
-        monkeypatch.setattr(gepp_module, "_dgetrf", lambda: None)
+        # The modulus route on the Schur complements of Bernoulli stacks,
+        # singular draws mixed in, against the full-width loop. A matrix
+        # whose multipliers of modulus 1 all lie in the first panel passes
+        # the guard: only the matrices with a multiplier at the tie bound
+        # past it re-run.
+        hide_symbols(monkeypatch, "dgetrf")
         early = reruns = 0
         for N, count in {33: 320, 48: 160, 64: 128, 128: 48}.items():
             mats = singular_bernoulli(N, count, 67)
             W = mats.copy()
-            expected = _eliminate(W, N)[0]
+            expected = _eliminate(W)
             ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
             only_first = ties.any(axis=(1, 2)) & ~ties[:, :, PANEL_WIDTH:].any(axis=(1, 2))
-            rejected = _eliminate(mats.copy(), PANEL_WIDTH)[1] >= 1.0 - TIE_RTOL
+            seen = spy_routes(monkeypatch)
+            spied, oks = gepp_module._modulus_perms, []
+
+            def modulus(A, rows):
+                perm, ok = spied(A, rows)
+                oks.append(ok)
+                return perm, ok
+
+            monkeypatch.setattr(gepp_module, "_modulus_perms", modulus)
+            assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
+            [rejected] = [~ok for ok in oks]
             assert not rejected[only_first].any()
             early, reruns = early + int(only_first.sum()), reruns + int(rejected.sum())
-            seen = spy_routes(monkeypatch)
-            assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
-            assert seen == [(count, PANEL_WIDTH)] + [(int(rejected.sum()), N)] * int(rejected.any())
+            reruns_seen = [("full", int(rejected.sum()))] * int(rejected.any())
+            assert seen == [("modulus", count)] + reruns_seen
         assert early >= 600 and reruns > 0
 
+    @pytest.mark.parametrize(("kind", "lapack", "counts"), [
+        ("gue", True, {2: 2000, 4: 1500, 8: 800, 16: 400, 32: 200, 64: 64, 128: 32, 256: 4,
+                       512: 1}),
+        *[(kind, False, {2: 200, 4: 200, 8: 100, 16: 100, 32: 50, 64: 16, 128: 8, 256: 2})
+          for kind in ("goe", "bs-diag", "ns-diag")],
+    ])
+    def test_oracle_at_lis_mc_stack_sizes(self, monkeypatch, kind, lapack, counts):
+        # The modulus route in the stacks `lis-mc` hands it (at most
+        # BATCH_ENTRIES entries), byte for byte against the full-width loop,
+        # with no matrix rejected; real stacks with dgetrf hidden.
+        from butterflylab.cli import BATCH_ENTRIES
+
+        if not lapack:
+            hide_symbols(monkeypatch, "dgetrf")
+        for N, count in counts.items():
+            mats = _stack(kind, N, count, 71)
+            chunk = max(1, BATCH_ENTRIES // N**2)
+            for lo in range(0, count, chunk):
+                stack = mats[lo : lo + chunk]
+                perm, ok = _modulus_perms(stack)
+                assert ok.all()
+                assert perm.tobytes() == full_width(stack).tobytes()
+                assert gepp_perm_batch(stack).tobytes() == perm.tobytes()
+
+    @pytest.mark.parametrize("lapack", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_empty_and_order_one(self, monkeypatch, dtype, lapack):
+        # No matrices, or matrices of order 0 or 1, on every route: the
+        # identity permutations, shaped (T, N).
+        if not lapack:
+            hide_symbols(monkeypatch, *SYMBOLS)
+        for T, N in ((0, 0), (0, 1), (0, 5), (0, 2 * PANEL_WIDTH), (3, 0), (3, 1)):
+            for value in (0.0, 0.5, 1.0):
+                sig = gepp_perm_batch(np.full((T, N, N), value, dtype))
+                assert sig.shape == (T, N)
+                assert np.array_equal(sig, np.tile(np.arange(N), (T, 1)))
+
+    @pytest.mark.parametrize("hidden", [("dtrsm", "ztrsm"), ("dlaswp", "zlaswp"), SYMBOLS])
+    def test_missing_symbols_give_the_same_outputs(self, monkeypatch, hidden):
+        # np.linalg.solve stands in for trsm and numpy swaps for laswp: every
+        # route still gives the full-width permutations.
+        stacks = [_stack(kind, N, 3, 72) for kind in ("goe", "gue", "bernoulli")
+                  for N in (LEAF_WIDTH + 1, 2 * PANEL_WIDTH + 3, 128)]
+        stacks.append(_stack("bernoulli", 128, 4, 66) + 1j * _stack("bernoulli", 128, 4, 68))
+        expected = [full_width(mats) for mats in stacks]
+        hide_symbols(monkeypatch, *hidden)
+        for mats, want in zip(stacks, expected):
+            assert gepp_perm_batch(mats).tobytes() == want.tobytes()
+            if not np.iscomplexobj(mats):
+                hide_symbols(monkeypatch, "dgetrf", *hidden)
+                assert gepp_perm_batch(mats).tobytes() == want.tobytes()
+                hide_symbols(monkeypatch, *hidden)
+
+    @pytest.mark.parametrize("trsm", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_unit_lower_solve(self, monkeypatch, dtype, trsm):
+        # Both memory orders of a stacked unit-lower system, against
+        # np.linalg.solve; without trsm it is np.linalg.solve. Multipliers
+        # of modulus at most 0.1 keep the systems well conditioned.
+        rng = substream(73)
+        W = rng.normal(size=(3, 40, 40)).astype(dtype)
+        if dtype is np.complex128:
+            W += 1j * rng.normal(size=W.shape)
+        n = 24
+        W[:, :n, :n] *= 0.1 / np.abs(W[:, :n, :n]).max()
+        want = np.linalg.solve(np.tril(W[:, :n, :n], -1) + np.eye(n), W[:, :n, n:])
+        if not trsm:
+            hide_symbols(monkeypatch, "dtrsm", "ztrsm")
+        for A in (W.copy(), np.array(W.transpose(0, 2, 1), order="C").transpose(0, 2, 1)):
+            before = A.copy()
+            _unit_lower_solve(A[:, :n, :n], A[:, :n, n:])
+            assert np.abs(A[:, :n, n:] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(A[:, :, :n], before[:, :, :n])
+            assert np.array_equal(A[:, n:], before[:, n:])
+            if not trsm:
+                assert np.array_equal(A[:, :n, n:], want)
+
     def test_panel_ties_do_not_count(self, monkeypatch):
-        # A complex stack with entries in {0, 1, i, 1 + i} takes the kernel;
-        # its ties, like the Bernoulli ones, fall in the first panel.
+        # A complex stack with entries in {0, 1, i, 1 + i} is integer-valued:
+        # its ties, like the Bernoulli ones, fall in the exact first panel,
+        # and the modulus route factors the Schur complement.
         mats = _stack("bernoulli", 128, 4, 66) + 1j * _stack("bernoulli", 128, 4, 68)
-        check_panel_ties(monkeypatch, mats, [(4, PANEL_WIDTH)])
+        check_panel_ties(monkeypatch, mats, [("modulus", 4)])
 
 
 class TestIntermediateForms:
