@@ -44,9 +44,10 @@ _BUTTERFLY_SHAPES = {"bs-diag": "simple", "ns-diag": "nonsimple"}
 # 1 << 16, at 57.7 MB peak RSS for both. A larger stack would raise the
 # peak RSS of the GUE rows.
 BATCH_ENTRIES = 1 << 18
-# Largest order lis-mc eliminates. One trial at N = 2^11 peaks at 293 MB of
-# RSS for gue and 150 MB for bernoulli; at 2^12 one GUE matrix is 268 MB,
-# and the input stack and its working copy hold three of them.
+# Largest order lis-mc eliminates. One trial at N = 2^11 peaks at 212 MB of
+# RSS for gue and 135 MB for bernoulli (1 BLAS thread); at 2^12 one GUE
+# matrix is 268 MB, and the input stack, its one working copy and the
+# guard's real moduli hold two and a half of them.
 GEPP_MAX_N = 1 << 11
 # Largest degree m^n of an exact fixed-points iterate. m = 2, n = 20 takes
 # about 3.7 s; n = 22 took 58.6 s, about 16x per two levels.
@@ -54,8 +55,8 @@ FIXED_POINTS_MAX_DEGREE = 1 << 20
 # Largest base of the bounds table; each base allocates O(m), and
 # --m 2..16384 takes about 2.1 s.
 BOUNDS_MAX_M = 1 << 14
-# Most values of an --n/--m range or a density --t grid; a grid of 10^6
-# points takes about 4.1 s at p = 2, n = 12.
+# Most values of an --n/--m range or a density --t grid, and most lis-mc
+# --trials; a grid of 10^6 points takes about 4.1 s at p = 2, n = 12.
 MAX_VALUES = 1 << 20
 # Bound on k_max^3 * bits(p) for moments (`_k_max_cap`). limit_moments
 # costs about k^5 log(p)^1.6: m_k has about k^2 log2(p) bits, and step k
@@ -273,6 +274,8 @@ def cmd_lis_mc(args, seed: int) -> dict:
     ns = _parse_range(args.n)
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.trials > MAX_VALUES:  # each row holds one float per trial
+        raise ValueError(f"--trials {args.trials} exceeds {MAX_VALUES}")
     gepp_ensembles = [e for e in ensembles if e not in _PERMUTATION_ENSEMBLES]
     for n in ns:
         if n < 0:
@@ -591,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensembles", default="", type=lambda text: text or ",".join(ENSEMBLES),
                    help=f"comma list from {','.join(ENSEMBLES)} (default all)")
     p.add_argument("--n", default="2..8")
-    p.add_argument("--trials", type=int, default=0, help="override per-ensemble defaults")
+    p.add_argument("--trials", type=int, default=0,
+                   help=f"override per-ensemble defaults, at most {MAX_VALUES} (2^20)")
     p.set_defaults(fn=cmd_lis_mc)
 
     p = sub.add_parser("fit", help="power-law exponent regression on LIS means")

@@ -5,15 +5,15 @@ complex-modulus pivoting used by the GUE experiment). The pivot rule is
 ``i_k = min(argmax_{j>=k} |A^(k)_{jk}|)``; the returned permutation sigma
 satisfies ``P_sigma A = L U`` with ``P_sigma e_k = e_{sigma(k)}``.
 
-`gepp` reads its factors off `_eliminate`, the full-width rank-1 loop of
-`_column_step`s, which is also the oracle of `gepp_perm_batch`'s two fast
-routes: LAPACK ``dgetrf`` for real stacks and a recursive modulus-pivot
-elimination for the rest. Both are bound with ctypes from the OpenBLAS
-that numpy already has loaded, so no scipy module is imported. A fast
-permutation stands only when every multiplier it made has
-|l_jk| < 1 - TIE_RTOL; the other matrices re-run the rank-1 loop.
-Integer-valued stacks first run `PANEL_WIDTH` columns of that loop, whose
-exact ties only it resolves.
+`gepp` and `gepp_perm_batch` share one kernel, `_factor`, on a
+column-major copy of the stack. `_leaf`, the rank-1 loop of column steps,
+runs all the columns for `gepp`, the first `PANEL_WIDTH` of an
+integer-valued stack and none of a float stack; LAPACK ``dgetrf`` (real
+stacks) or a recursive modulus-pivot elimination with `_leaf` leaves
+factors the rest. Both are bound with ctypes from the OpenBLAS that numpy
+already has loaded, so no scipy module is imported. A fast permutation
+stands only when every multiplier it made has |l_jk| < 1 - TIE_RTOL; the
+other matrices re-run the rank-1 loop at full width.
 """
 from __future__ import annotations
 
@@ -73,74 +73,88 @@ class GeppResult:
 
 
 def gepp(A: np.ndarray) -> GeppResult:
-    """Partial-pivoting factors of a square matrix, read off `_eliminate`.
+    """Partial-pivoting factors of a square matrix, read off the full-width rank-1 loop.
 
     Raises `SingularMatrixError` at the first k with |U[k, k]| < `SINGULAR_FLOOR`:
     that is the column maximum step k pivoted on, and with every multiplier
     at most 1 in modulus the steps after a tiny pivot cannot overflow.
     """
-    A = np.array(A, dtype=complex) if np.iscomplexobj(A) else np.array(A, dtype=np.float64)
+    A = np.asarray(A, dtype=complex if np.iscomplexobj(A) else np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(A).all():
         raise ValueError("matrix has NaN or Inf entries")
     N = A.shape[0]
-    perm = Permutation(_eliminate(A[None])[0])
-    small = np.flatnonzero(np.abs(np.diagonal(A)) < SINGULAR_FLOOR)
+    perm, _, F = _factor(A[None], N)
+    W = F[0].T
+    small = np.flatnonzero(np.abs(np.diagonal(W)) < SINGULAR_FLOOR)
     if small.size:
         raise SingularMatrixError(f"no usable pivot in column {small[0] + 1}")
-    return GeppResult(perm, np.tril(A, -1) + np.eye(N), np.triu(A))
+    return GeppResult(Permutation(perm[0]), np.tril(W, -1) + np.eye(N), np.triu(W))
 
 
 def gepp_perm_batch(mats: np.ndarray) -> np.ndarray:
     """Permutation factors (0-based one-line arrays) for a stack of matrices.
 
-    Returns shape (T, N), the permutations of the full-width rank-1 loop
-    `_eliminate`. Two fast routes share one shape, ``(A, rows) -> (perm, ok)``:
-
-    - LAPACK ``dgetrf`` (`_getrf_perms`) for real stacks, when numpy's
-      OpenBLAS exports it; ``idamax`` takes the first maximal |entry|, the
-      min-index rule.
-    - `_modulus_perms`, a recursive elimination with the modulus pivot, for
-      complex stacks (``zgetrf`` pivots on |Re| + |Im|) and for real ones
-      when ``dgetrf`` is missing.
-
-    An integer-valued stack (Bernoulli, or Gaussian integers) has exact
-    ties that only the rank-1 loop resolves: its first `PANEL_WIDTH`
-    columns run through `_panel`, and the fast route factors the Schur
-    complement left. Up to that order, and for empty stacks, the panel is
-    the whole elimination.
+    Returns shape (T, N), the permutations of the full-width rank-1 loop.
+    `_factor` runs that loop on the first `PANEL_WIDTH` columns of an
+    integer-valued stack (Bernoulli, or Gaussian integers), whose exact
+    ties only it resolves, and a fast route factors the rest: ``dgetrf``
+    (`_getrf`) for real stacks when numpy's OpenBLAS exports it, whose
+    ``idamax`` takes the first maximal |entry|, the min-index rule; else
+    `_recurse`, with the modulus pivot (``zgetrf`` pivots on |Re| + |Im|).
 
     A fast route rounds differently from the rank-1 loop, so a matrix keeps
     its permutation only when each multiplier the route made has
-    |l_jk| < 1 - TIE_RTOL; the others re-run `_eliminate`. The exact
-    panel's multipliers do not count. The guard does not see a column that
-    depends on earlier ones: it reduces to rounding noise, and on such
+    |l_jk| < 1 - TIE_RTOL; the others re-run the loop at full width. The
+    exact panel's multipliers do not count. The guard does not see a column
+    that depends on earlier ones: it reduces to rounding noise, and on such
     singular matrices the routes may pick different pivots.
     """
     A = np.asarray(mats)
     T, N, M = A.shape
     if M != N:
         raise ValueError("matrices must be square")
-    dtype = complex if np.iscomplexobj(A) else np.float64
-    fast = _getrf_perms if dtype is np.float64 and _blas("dgetrf") is not None else _modulus_perms
-    if not _integer_valued(A):
-        perm, ok = fast(A)
-    elif T and N > PANEL_WIDTH:
-        W = A.astype(dtype)
-        rows = np.tile(np.arange(N), (T, 1))
-        _panel(W, rows, PANEL_WIDTH)
-        perm, ok = fast(W[:, PANEL_WIDTH:, PANEL_WIDTH:], rows)
-    else:
-        return _eliminate(A.astype(dtype))
+    perm, ok, _ = _factor(A, PANEL_WIDTH if _integer_valued(A) else 0)
     if not ok.all():
-        perm[~ok] = _eliminate(A[~ok].astype(dtype))
+        perm[~ok] = _factor(A[~ok], N)[0]
     return perm
 
 
 def _integer_valued(A: np.ndarray) -> bool:
     """A == rint(A) everywhere; the first column settles most float stacks."""
     return all(np.array_equal(X, np.rint(X)) for X in (A[..., :1], A))
+
+
+def _factor(A: np.ndarray, exact: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Permutations of a stack, which of them pass the tie guard, and its factor F.
+
+    F is a column-major copy: row k of matrix t is F[t, :, k]. `_leaf`
+    eliminates the first p = min(exact, N) columns, `_join` leaves their
+    Schur complement in the rest, and `_getrf` or `_recurse` factors it in
+    place. Step k swapped rows k and ipiv[:, k] - 1; replayed on the labels
+    0..N-1, the swaps leave each row order, whose argsort is the
+    permutation. Only multipliers past column p are guarded, and the guard
+    spends them, so F is the whole factor only when p = N.
+    """
+    T, N, _ = A.shape
+    F = np.array(A.transpose(0, 2, 1), dtype=complex if np.iscomplexobj(A) else np.float64,
+                 order="C")
+    ipiv = np.empty((T, N), dtype=np.int64)
+    p = min(exact, N)
+    _leaf(F, ipiv, 0, p)
+    ok = np.ones(T, dtype=bool)
+    if p < N:
+        if p:
+            _join(F, ipiv, 0, p, N)
+        if F.dtype == np.float64 and _blas("dgetrf") is not None:
+            _getrf(F, ipiv, p)
+        else:
+            _recurse(F, ipiv, p, N)
+        ok = _guard(F, p)
+    labels = np.tile(np.arange(N, dtype=np.float64), (T, 1, 1))
+    _swap_rows(labels, ipiv, 0, 1, 0, N)
+    return np.argsort(labels[:, 0].astype(np.int64), axis=1, kind="stable"), ok, F
 
 
 _LOOKUP_LOCK = threading.Lock()
@@ -191,93 +205,70 @@ def _find_blas(name: str):
     return None
 
 
-def _getrf_perms(A: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK permutations of a real stack, and which of them pass the tie guard.
+def _getrf(F: np.ndarray, ipiv: np.ndarray, p: int) -> None:
+    """LAPACK ``dgetrf`` on the trailing block F[t, p:, p:] of each column-major matrix.
 
-    One copy of A holds each matrix in column-major order; ``dgetrf``
-    factors it in place and leaves A intact. ``info > 0`` marks an exactly
-    zero pivot column, which swaps nothing: the min-index convention.
-    `_read_factor` takes it from there.
+    Each block is factored in place, leading dimension N; its pivots count
+    from the block's first row, so p is added to them. ``info > 0`` marks
+    an exactly zero pivot column, which swaps nothing: the min-index rule.
     """
     dgetrf = _blas("dgetrf")
-    T, N, _ = A.shape
-    F = np.array(A.transpose(0, 2, 1), dtype=np.float64, order="C")
-    ipiv = np.empty((T, N), dtype=np.int64)
-    n, info = ctypes.c_int64(N), ctypes.c_int64()
+    T, N, _ = F.shape
+    m, lda, info = ctypes.c_int64(N - p), ctypes.c_int64(N), ctypes.c_int64()
     # Raw addresses: a `.ctypes` view per matrix costs more than a small factorization.
-    f0, p0 = F.ctypes.data, ipiv.ctypes.data
+    f0 = F.ctypes.data + p * (F.strides[1] + F.strides[2])
+    p0 = ipiv.ctypes.data + p * ipiv.strides[1]
     for t in range(T):
-        dgetrf(n, n, f0 + t * F.strides[0], n, p0 + t * ipiv.strides[0], info)
+        dgetrf(m, m, f0 + t * F.strides[0], lda, p0 + t * ipiv.strides[0], info)
         if info.value < 0:
             raise ValueError(f"dgetrf rejected argument {-info.value}")
-    return _read_factor(F, ipiv, rows)
+    ipiv[:, p:] += p
 
 
-def _modulus_perms(A: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Modulus-pivot permutations of a stack, and which of them pass the tie guard.
+def _guard(F: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices made every multiplier past column p below 1 - TIE_RTOL in modulus.
 
-    Toledo's recursive LU on a column-major copy of A: `_recurse` splits the
-    columns in halves down to `LEAF_WIDTH`, so nearly all the arithmetic is
-    BLAS triangular solves and matmuls, and a leaf step is a pivot search,
-    a row swap, a division and a rank-1 update of the leaf's own columns.
-    ``ipiv`` is LAPACK's (1-based), and `_read_factor` takes it from there.
+    Column k of L lies right of the diagonal in row k of the column-major
+    factor. A real factor's moduli are taken in place.
     """
-    T, N, _ = A.shape
-    F = np.array(A.transpose(0, 2, 1), dtype=complex if np.iscomplexobj(A) else np.float64,
-                 order="C")
-    ipiv = np.empty((T, N), dtype=np.int64)
-    _recurse(F, ipiv, 0, N)
-    return _read_factor(F, ipiv, rows)
-
-
-def _read_factor(F: np.ndarray, ipiv: np.ndarray,
-                 rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Permutations and tie guard of column-major factors F.
-
-    Step k swapped rows k and ipiv[k] - 1. `_swap_rows` replays the swaps
-    on the labels 0..N-1, which leaves each matrix's row order, whose
-    argsort is the permutation. Row k of a column-major matrix is column k
-    of the factor, so L's multipliers are the entries right of the
-    diagonal; F is spent reading them. When F factors the trailing Schur
-    complement of a stack eliminated up to some column, ``rows`` holds that
-    stack's row orders (T, M), M >= N: its last N entries are reordered, and
-    the permutations are those of the whole matrices.
-    """
-    T, N, _ = F.shape
-    labels = np.tile(np.arange(N, dtype=np.float64), (T, 1, 1))
-    _swap_rows(labels, ipiv, 0, 1, 0, N)
-    order = labels[:, 0].astype(np.int64)
-    if rows is not None:
-        done = rows.shape[1] - N
-        order = np.concatenate([rows[:, :done], np.take_along_axis(rows[:, done:], order, 1)], 1)
-    L = np.abs(F, out=F) if F.dtype == np.float64 else np.abs(F)
-    L *= np.triu(np.ones((N, N), bool), 1)
-    ok = L.max(axis=(1, 2)) < 1.0 - TIE_RTOL
-    return np.argsort(order, axis=1, kind="stable"), ok
+    B = F[:, p:, p:]
+    L = np.abs(B, out=B) if B.dtype == np.float64 else np.abs(B)
+    L *= np.triu(np.ones(B.shape[1:], bool), 1)
+    return L.max(axis=(1, 2)) < 1.0 - TIE_RTOL
 
 
 def _recurse(F: np.ndarray, ipiv: np.ndarray, p: int, e: int) -> None:
     """Eliminates columns p..e-1 of a column-major stack whose first p are done.
 
-    On return every swap of steps p..e-1 is applied to those columns, and
-    to no other. The left half's swaps reach the right half before its
-    unit-lower block turns the right half's top rows into rows of U; one
-    stacked matmul subtracts their product with the left half's
-    multipliers from the rows below. Columns left of p never need the
-    swaps when e = N: only the guard reads them, in any row order.
+    Toledo's recursive LU: the columns split in halves down to `LEAF_WIDTH`,
+    and `_join` hands the right half what the left one eliminated, so
+    nearly all the arithmetic is BLAS triangular solves and matmuls. On
+    return every swap of steps p..e-1 is applied to those columns, and to
+    no other. Columns left of p never need the swaps when e = N: neither
+    the guard nor the permutation reads them.
     """
     if e - p <= LEAF_WIDTH:
         _leaf(F, ipiv, p, e)
         return
     h = (p + e) // 2
     _recurse(F, ipiv, p, h)
+    _join(F, ipiv, p, h, e)
+    _recurse(F, ipiv, h, e)
+    if e < F.shape[1]:
+        _swap_rows(F, ipiv, p, h, h, e)
+
+
+def _join(F: np.ndarray, ipiv: np.ndarray, p: int, h: int, e: int) -> None:
+    """Brings columns h..e-1 of a column-major stack past steps p..h-1, done on columns p..h-1.
+
+    The steps' swaps reach the columns before the steps' unit-lower block
+    turns their top rows into rows of U; one stacked matmul subtracts
+    their product with the steps' multipliers from the rows below.
+    """
     _swap_rows(F, ipiv, h, e, p, h)
     A = F.transpose(0, 2, 1)
     _unit_lower_solve(A[:, p:h, p:h], A[:, p:h, h:e])
     F[:, h:e, h:] -= F[:, h:e, p:h] @ F[:, p:h, h:]
-    _recurse(F, ipiv, h, e)
-    if e < F.shape[1]:
-        _swap_rows(F, ipiv, p, h, h, e)
 
 
 def _leaf(F: np.ndarray, ipiv: np.ndarray, p: int, e: int) -> None:
@@ -288,6 +279,8 @@ def _leaf(F: np.ndarray, ipiv: np.ndarray, p: int, e: int) -> None:
     of the leaf's columns, divides the column below by the pivot and
     updates the leaf's columns right of k. A zero pivot column is left as
     it is, so it swaps and eliminates nothing (the min-index convention).
+    Over all N columns this is the rank-1 loop. Its update multiplies
+    l * u, in that order: a complex product's last bits depend on it.
     """
     for k in range(p, e):
         j = np.argmax(np.abs(F[:, k, k:]), axis=1) + k
@@ -295,7 +288,7 @@ def _leaf(F: np.ndarray, ipiv: np.ndarray, p: int, e: int) -> None:
         _swap_step(F, p, e, k, j)
         piv = F[:, k, k, None]
         np.divide(F[:, k, k + 1 :], piv, out=F[:, k, k + 1 :], where=piv != 0)
-        F[:, k + 1 : e, k + 1 :] -= F[:, k + 1 : e, k, None] * F[:, k, None, k + 1 :]
+        F[:, k + 1 : e, k + 1 :] -= F[:, k, None, k + 1 :] * F[:, k + 1 : e, k, None]
 
 
 def _swap_step(F: np.ndarray, c0: int, c1: int, k: int, j: np.ndarray) -> None:
@@ -327,82 +320,26 @@ def _swap_rows(F: np.ndarray, ipiv: np.ndarray, c0: int, c1: int, k0: int, k1: i
 def _unit_lower_solve(L: np.ndarray, B: np.ndarray) -> None:
     """Overwrites each B[t] with X solving unit_lower(L[t]) X = B[t].
 
-    L and B are views of one stack, both row-major or both column-major.
-    BLAS ``dtrsm``/``ztrsm`` solves in place, one call per matrix; a
-    row-major pair is the transposed system X^T L^T = B^T in BLAS's
-    column-major terms. ``np.linalg.solve`` stands in when the symbol is
-    missing.
+    L and B are column-major views of one stack. BLAS ``dtrsm``/``ztrsm``
+    solves in place, one call per matrix; ``np.linalg.solve`` stands in
+    when the symbol is missing.
     """
     T, n, m = B.shape
+    if not B.size:  # nothing to solve, and an empty stack's strides are all 0
+        return
     trsm = _blas("ztrsm" if np.iscomplexobj(B) else "dtrsm")
     if trsm is None:
         B[...] = np.linalg.solve(np.tril(L, -1) + np.eye(n), B)
         return
-    item = B.itemsize
-    if B.strides[2] == item:
-        side, uplo, rows, cols, ld = b"R", b"U", m, n, B.strides[1] // item
-    else:
-        side, uplo, rows, cols, ld = b"L", b"L", n, m, B.strides[2] // item
-    if (L.strides[1:] if side == b"R" else L.strides[:0:-1]) != (ld * item, item):
-        raise ValueError("L and B must share one memory order and leading dimension")
+    item, ld = B.itemsize, B.strides[2] // B.itemsize
+    if B.strides[1] != item or L.strides[1:] != (item, ld * item):
+        raise ValueError("L and B must be column-major views of one stack")
     one = np.ones(1, B.dtype)
-    rows, cols, ld = ctypes.c_int64(rows), ctypes.c_int64(cols), ctypes.c_int64(ld)
+    rows, cols, ld = ctypes.c_int64(n), ctypes.c_int64(m), ctypes.c_int64(ld)
     alpha, l0, b0 = one.ctypes.data, L.ctypes.data, B.ctypes.data
     for t in range(T):
-        trsm(side, uplo, b"N", b"U", rows, cols, alpha, l0 + t * L.strides[0], ld,
+        trsm(b"L", b"L", b"N", b"U", rows, cols, alpha, l0 + t * L.strides[0], ld,
              b0 + t * B.strides[0], ld)
-
-
-def _eliminate(W: np.ndarray) -> np.ndarray:
-    """Full-width modulus-pivot elimination of a stack; overwrites W, returns the permutations.
-
-    This is the rank-1 loop, one `_column_step` per column: the oracle
-    that both fast routes are guarded against.
-    """
-    T, N, _ = W.shape
-    rows = np.tile(np.arange(N), (T, 1))
-    _panel(W, rows, N)
-    return np.argsort(rows, axis=1, kind="stable")
-
-
-def _panel(W: np.ndarray, rows: np.ndarray, e: int) -> None:
-    """Eliminates the first e columns of a stack with the rank-1 loop's own steps.
-
-    `_column_step` eliminates column by column and updates only the
-    panel's own columns. After it, one unit-lower solve gives the panel's
-    rows of U and one stacked matmul leaves the Schur complement in
-    ``W[:, e:, e:]``.
-    """
-    N = W.shape[1]
-    for k in range(min(e, N - 1)):
-        _column_step(W, rows, k, e)
-    if e < N:
-        _unit_lower_solve(W[:, :e, :e], W[:, :e, e:])
-        W[:, e:, e:] -= W[:, e:, :e] @ W[:, :e, e:]
-
-
-def _column_step(W: np.ndarray, rows: np.ndarray, k: int, e: int) -> np.ndarray:
-    """Elimination step k on a stack, updating columns k+1..e-1; returns the pivot rows.
-
-    The pivot is the first row of maximal modulus in column k, rows k and
-    up; it is swapped into row k of W and of the row orders ``rows``. A zero
-    pivot column contributes no swap and no elimination (min-index
-    convention), so singular draws pass through instead of poisoning the
-    batch.
-    """
-    tix = np.arange(len(W))
-    j = np.argmax(np.abs(W[:, k:, k]), axis=1) + k
-    rk, rj = W[tix, k].copy(), W[tix, j].copy()
-    W[tix, k], W[tix, j] = rj, rk
-    ok, oj = rows[tix, k].copy(), rows[tix, j].copy()
-    rows[tix, k], rows[tix, j] = oj, ok
-    piv = W[:, k, k]
-    safe = np.where(piv == 0, 1.0, piv)
-    mult = W[:, k + 1 :, k] / safe[:, None]
-    mult[piv == 0] = 0.0
-    W[:, k + 1 :, k + 1 : e] -= mult[:, :, None] * W[:, None, k, k + 1 : e]
-    W[:, k + 1 :, k] = mult
-    return j
 
 
 # ---------------------------------------------------------------------------

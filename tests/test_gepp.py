@@ -26,10 +26,11 @@ from butterflylab.gepp import (
     PANEL_WIDTH,
     TIE_RTOL,
     _blas,
-    _column_step,
-    _eliminate,
-    _getrf_perms,
-    _modulus_perms,
+    _factor,
+    _getrf,
+    _guard,
+    _leaf,
+    _recurse,
     _unit_lower_solve,
 )
 from butterflylab.rng import substream
@@ -67,15 +68,44 @@ def reconstruction_error(A, res):
     return np.abs(res.perm.matrix() @ A - res.lower @ res.upper).max()
 
 
-def eliminate_steps(A, k: int) -> tuple[np.ndarray, list[int]]:
-    """The working matrix after elimination steps 0..k-1, and each step's pivot row.
+def rank1_reference(A, steps: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked rank-1 elimination, one full-width update per column, on a copy of A.
 
-    Runs `_column_step` k times at full width on a one-matrix stack, as
-    `gepp` does; column k of the result is that column of A^(k+1).
+    Runs `steps` steps (by default all N - 1) and returns the permutations
+    of the row order they leave, the working stack, and each step's pivot
+    rows, shape (T, steps). Column k = steps of the working stack is that
+    column of A^(k+1). This is the oracle of every GEPP route; it shares no
+    code with them.
     """
-    W = np.array(A)[None]
-    rows = np.arange(len(A))[None]
-    return W[0], [int(_column_step(W, rows, j, len(A))[0]) for j in range(k)]
+    W = np.array(A)
+    T, N, _ = W.shape
+    steps = max(N - 1, 0) if steps is None else steps
+    rows = np.tile(np.arange(N), (T, 1))
+    pivots = np.empty((T, steps), dtype=np.int64)
+    tix = np.arange(T)
+    for k in range(steps):
+        j = np.argmax(np.abs(W[:, k:, k]), axis=1) + k
+        pivots[:, k] = j
+        rk, rj = W[tix, k].copy(), W[tix, j].copy()
+        W[tix, k], W[tix, j] = rj, rk
+        ok, oj = rows[tix, k].copy(), rows[tix, j].copy()
+        rows[tix, k], rows[tix, j] = oj, ok
+        piv = W[:, k, k]
+        safe = np.where(piv == 0, 1.0, piv)
+        mult = W[:, k + 1 :, k] / safe[:, None]
+        mult[piv == 0] = 0.0
+        W[:, k + 1 :, k + 1 :] -= mult[:, :, None] * W[:, None, k, k + 1 :]
+        W[:, k + 1 :, k] = mult
+    return np.argsort(rows, axis=1, kind="stable"), W, pivots
+
+
+def eliminate_steps(A, k: int) -> tuple[np.ndarray, list[int]]:
+    """The working matrix after `rank1_reference`'s steps 0..k-1, and each step's pivot row.
+
+    Column k of the result is that column of A^(k+1).
+    """
+    _, W, pivots = rank1_reference(np.array(A)[None], k)
+    return W[0], pivots[0].tolist()
 
 
 def swap_count(A) -> int:
@@ -87,10 +117,9 @@ def swap_count(A) -> int:
 def max_multiplier(A) -> float:
     """Largest |l_jk| of the full-width elimination, the quantity the tie rule bounds.
 
-    Read off the lower triangle that `_eliminate` leaves in W.
+    Read off the lower triangle that `rank1_reference` leaves.
     """
-    W = np.array(A)[None]
-    _eliminate(W)
+    W = rank1_reference(np.array(A)[None])[1]
     return float(np.abs(np.tril(W[0], -1)).max())
 
 
@@ -166,7 +195,7 @@ class TestGepp:
 
     @pytest.mark.parametrize("kind", ["goe", "gue", "bernoulli", "permutation"])
     def test_factors_are_the_rank1_loop(self, kind):
-        # gepp reads L, U and sigma off one full-width `_eliminate`; the
+        # gepp reads L, U and sigma off one full-width `_leaf`; the
         # stacked rank-1 reference must give the same bytes.
         checked = 0
         for N in (1, 2, 5, 17, 40):
@@ -180,24 +209,33 @@ class TestGepp:
                     res = gepp(A)
                 except SingularMatrixError:
                     continue
-                W = A[None].astype(res.upper.dtype)
-                perm = rank1_reference(W)[0]
-                assert res.perm.map.tobytes() == perm.tobytes()
+                perm, W, _ = rank1_reference(A[None].astype(res.upper.dtype))
+                assert res.perm.map.tobytes() == perm[0].tobytes()
                 assert res.lower.tobytes() == (np.tril(W[0], -1) + np.eye(N)).tobytes()
                 assert res.upper.tobytes() == np.triu(W[0]).tobytes()
                 checked += 1
         assert checked >= 10
 
     def test_one_full_width_elimination(self, monkeypatch):
-        seen = []
+        # One `_factor` call whose exact columns are all N: one `_leaf` over
+        # every column, and neither fast route.
+        N, seen = 2 * PANEL_WIDTH + 3, []
+        routes = spy_routes(monkeypatch)
+        routed = gepp_module._factor
 
-        def spy(W):
-            seen.append(W.shape)
-            return _eliminate(W)
+        def factor(A, exact):
+            seen.append((A.shape, exact))
+            return routed(A, exact)
 
-        monkeypatch.setattr(gepp_module, "_eliminate", spy)
-        gepp(ensemble_sample("gue", 2 * PANEL_WIDTH + 3, substream(31, 26)))
-        assert seen == [(1, 2 * PANEL_WIDTH + 3, 2 * PANEL_WIDTH + 3)]
+        def leaf(F, ipiv, p, e):
+            seen.append(("leaf", p, e))
+            return _leaf(F, ipiv, p, e)
+
+        monkeypatch.setattr(gepp_module, "_factor", factor)
+        monkeypatch.setattr(gepp_module, "_leaf", leaf)
+        gepp(ensemble_sample("gue", N, substream(31, 26)))
+        assert seen == [((1, N, N), N), ("leaf", 0, N)]
+        assert routes == [("full", 1)]
 
     def test_rejects_nan(self):
         A = np.eye(3)
@@ -263,8 +301,8 @@ def _stack(kind: str, N: int, count: int, seed: int) -> np.ndarray:
 
 
 def full_width(mats) -> np.ndarray:
-    """Permutations from the rank-1 loop, `_eliminate`."""
-    return _eliminate(np.array(mats))
+    """Permutations from the rank-1 loop, `rank1_reference`."""
+    return rank1_reference(mats)[0]
 
 
 def singular_bernoulli(N: int, count: int, seed: int) -> np.ndarray:
@@ -295,20 +333,69 @@ def hide_symbols(monkeypatch, *names) -> None:
 
 
 def spy_routes(monkeypatch) -> list:
-    """Record each `_getrf_perms`, `_modulus_perms` and `_eliminate` call as (route, T)."""
+    """Record each route a `_factor` call takes as (route, T).
+
+    "getrf" is a `_getrf` call, "modulus" an outermost `_recurse` call, and
+    "full" a `_factor` call whose exact columns are all of them: the rank-1
+    loop at full width.
+    """
+    seen, depth = [], []
+
+    def factor(A, exact):
+        if exact >= A.shape[1]:
+            seen.append(("full", len(A)))
+        return _factor(A, exact)
+
+    def getrf(F, ipiv, p):
+        seen.append(("getrf", len(F)))
+        return _getrf(F, ipiv, p)
+
+    def recurse(F, ipiv, p, e):
+        if not depth:
+            seen.append(("modulus", len(F)))
+        depth.append(p)
+        try:
+            return _recurse(F, ipiv, p, e)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(gepp_module, "_factor", factor)
+    monkeypatch.setattr(gepp_module, "_getrf", getrf)
+    monkeypatch.setattr(gepp_module, "_recurse", recurse)
+    return seen
+
+
+def spy_guard(monkeypatch) -> list:
+    """Record each `_guard` call as (order of the guarded block, its largest |multiplier|, ok)."""
     seen = []
 
-    def spy(name, route):
-        def call(A, *rest):
-            seen.append((name, len(A)))
-            return route(A, *rest)
+    def guard(F, p):
+        lmax = np.abs(np.triu(F[:, p:, p:], 1)).max(axis=(1, 2))
+        ok = _guard(F, p)
+        seen.append((F.shape[1] - p, lmax, ok))
+        return ok
 
-        monkeypatch.setattr(gepp_module, route.__name__, call)
-
-    spy("getrf", _getrf_perms)
-    spy("modulus", _modulus_perms)
-    spy("full", _eliminate)
+    monkeypatch.setattr(gepp_module, "_guard", guard)
     return seen
+
+
+def record_dgetrf(monkeypatch) -> list:
+    """Record each ``dgetrf`` call as (m, n, lda, info), info as it returned."""
+    real, calls = _blas("dgetrf"), []
+
+    def dgetrf(m, n, a, lda, ipiv, info):
+        real(m, n, a, lda, ipiv, info)
+        calls.append((m.value, n.value, lda.value, info.value))
+
+    monkeypatch.setattr(gepp_module, "_blas", lambda name: dgetrf if name == "dgetrf" else _blas(name))
+    return calls
+
+
+def modulus_route(mats) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations and guard of the modulus route over every column, dgetrf hidden."""
+    with pytest.MonkeyPatch.context() as mp:
+        hide_symbols(mp, "dgetrf")
+        return _factor(mats, 0)[:2]
 
 
 def check_routes(monkeypatch, kind: str, N: int, calls: list, count: int, seed: int,
@@ -333,8 +420,7 @@ def check_panel_ties(monkeypatch, mats: np.ndarray, calls: list) -> None:
     """Every matrix of `mats` has a multiplier of modulus 1 in the full-width
     loop, all of them inside the first panel; only multipliers past it count
     toward the guard, so none is rejected and `calls` has no re-run."""
-    W = mats.copy()
-    expected = _eliminate(W)
+    expected, W, _ = rank1_reference(mats)
     ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
     assert ties.any(axis=(1, 2)).all()
     assert not ties[:, :, PANEL_WIDTH:].any()
@@ -353,8 +439,7 @@ class TestLapackBranch:
         for kind in ["goe", "bs-diag", "ns-diag"] if kind == "goe" or (N > 1 and N & (N - 1) == 0)])
     def test_matches_elimination(self, monkeypatch, kind, N):
         mats = _stack(kind, N, 1 if N == 512 else 3, 43)
-        _, ok = _getrf_perms(mats)
-        assert ok.all()
+        assert _factor(mats, 0)[1].all()
         expected = full_width(mats)
         seen = spy_routes(monkeypatch)
         sig = gepp_perm_batch(mats)
@@ -368,11 +453,12 @@ class TestLapackBranch:
     def test_getrf_perms_match_lu(self, kind):
         # scipy's `lu` with p_indices is a test-only oracle for the replayed
         # swaps, and its L for the tie guard read off the combined factor.
+        # A float stack's `_factor` is dgetrf over every column.
         from scipy.linalg import lu
 
         mats = _stack(kind, 512, 3, 47)
         before = mats.copy()
-        perm, ok = _getrf_perms(mats)
+        perm, ok, _ = _factor(mats, 0)
         p, L, _ = lu(mats, p_indices=True, check_finite=False)
         assert np.array_equal(mats, before)
         assert np.array_equal(perm, p)
@@ -386,41 +472,61 @@ class TestLapackBranch:
 
     def test_integer_stack_factors_the_schur_complement(self, monkeypatch):
         # Above PANEL_WIDTH the first panel runs the rank-1 loop's steps and
-        # dgetrf gets the Schur complement it leaves, of order N - PANEL_WIDTH.
+        # dgetrf factors the Schur complement it leaves in place: a block of
+        # order N - PANEL_WIDTH inside each matrix of leading dimension N.
+        # No matrix of this stack is a near tie past the panel, so none re-runs.
         N = 256
         mats = _stack("bernoulli", N, 2, 48)
         before, expected = mats.copy(), full_width(mats)
-        seen = []
-
-        def getrf(A, rows=None):
-            seen.append((A.shape, None if rows is None else rows.shape))
-            return _getrf_perms(A, rows)
-
-        def refuse(W):
-            raise AssertionError("no matrix of this stack is a near tie past the panel")
-
-        monkeypatch.setattr(gepp_module, "_getrf_perms", getrf)
-        monkeypatch.setattr(gepp_module, "_eliminate", refuse)
+        calls = record_dgetrf(monkeypatch)
+        seen = spy_routes(monkeypatch)
         assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
         assert np.array_equal(mats, before)
-        assert seen == [((2, N - PANEL_WIDTH, N - PANEL_WIDTH), (2, N))]
+        assert seen == [("getrf", 2)]
+        assert [c[:3] for c in calls] == [(N - PANEL_WIDTH, N - PANEL_WIDTH, N)] * 2
+
+    @pytest.mark.parametrize(("N", "zero"), [
+        (PANEL_WIDTH + 1, None), (PANEL_WIDTH + 1, PANEL_WIDTH), (2 * PANEL_WIDTH, PANEL_WIDTH + 9)])
+    def test_getrf_factors_the_trailing_block_in_place(self, monkeypatch, N, zero):
+        # `_getrf` on the stack `rank1_reference` leaves after PANEL_WIDTH
+        # steps: dgetrf factors each trailing block in place, with lda = N,
+        # and takes the reference's later pivots, counted from row 0; the
+        # factor agrees to rounding, and the columns and rows outside the
+        # block are untouched. An exactly zero column inside the block is
+        # info > 0 counted from the block, and swaps nothing. N = 33 leaves
+        # a Schur complement of order 1.
+        p = PANEL_WIDTH
+        mats = _stack("goe", N, 3, 74)
+        if zero is not None:
+            mats[1, :, zero] = 0.0
+        _, full, pivots = rank1_reference(mats)
+        _, W, first = rank1_reference(mats, p)
+        F = np.array(W.transpose(0, 2, 1), order="C")
+        ipiv = np.zeros((3, N), dtype=np.int64)
+        ipiv[:, :p] = first + 1
+        calls = record_dgetrf(monkeypatch)
+        _getrf(F, ipiv, p)
+        infos = [zero - p + 1 if zero is not None and t == 1 else 0 for t in range(3)]
+        assert calls == [(N - p, N - p, N, info) for info in infos]
+        assert np.array_equal(ipiv[:, :-1] - 1, pivots) and (ipiv[:, -1] == N).all()
+        if zero is not None:
+            assert ipiv[1, zero] == zero + 1
+        outside = np.ones((N, N), bool)
+        outside[p:, p:] = False
+        assert np.array_equal(F[:, outside], W.transpose(0, 2, 1)[:, outside])
+        block = full.transpose(0, 2, 1)[:, p:, p:]
+        assert np.abs(F[:, p:, p:] - block).max() <= 1e-12 * np.abs(block).max()
 
     def test_integer_oracle(self, monkeypatch):
         # 2000 Bernoulli matrices, singular draws mixed in, against the
         # full-width loop. A repeated row that outlives the panel ties
         # exactly in the Schur complement, so the guard sends it to the re-run.
-        rejected = []
-
-        def getrf(A, rows=None):
-            perm, ok = _getrf_perms(A, rows)
-            rejected.append(int((~ok).sum()))
-            return perm, ok
-
-        monkeypatch.setattr(gepp_module, "_getrf_perms", getrf)
+        guards = spy_guard(monkeypatch)
         counts = {33: 800, 48: 500, 64: 400, 128: 220, 256: 64, 512: 16}
         for N, count in counts.items():
             mats = singular_bernoulli(N, count, 64)
             assert gepp_perm_batch(mats).tobytes() == full_width(mats).tobytes()
+        rejected = [int((~ok).sum()) for _, _, ok in guards]
         assert len(rejected) == len(counts) and 0 < sum(rejected) <= sum(counts.values()) // 16
 
     @pytest.mark.parametrize("N", [PANEL_WIDTH + 8, 2 * PANEL_WIDTH, 3 * PANEL_WIDTH])
@@ -432,7 +538,7 @@ class TestLapackBranch:
         mats = np.zeros((3, N, N))
         mats[:, :PANEL_WIDTH, :PANEL_WIDTH] = np.eye(PANEL_WIDTH)
         mats[:, PANEL_WIDTH:, PANEL_WIDTH:] = B
-        assert not _getrf_perms(B)[1].any()
+        assert not _factor(B, 0)[1].any()
         expected = full_width(mats)
         seen = spy_routes(monkeypatch)
         assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
@@ -445,8 +551,7 @@ class TestLapackBranch:
 
     def test_bernoulli_ties_fall_back(self):
         mats = _stack("bernoulli", 256, 3, 44)
-        _, ok = _getrf_perms(mats)
-        assert not ok.any()
+        assert not _factor(mats, 0)[1].any()
         assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
 
     def test_zero_pivot_column(self):
@@ -457,7 +562,7 @@ class TestLapackBranch:
             mats[0, :, j] = 0.0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                perm, ok = _getrf_perms(mats)
+                perm, ok, _ = _factor(mats, 0)
                 sig = gepp_perm_batch(mats)
             assert ok.all()
             assert np.array_equal(perm, full_width(mats))
@@ -467,8 +572,7 @@ class TestLapackBranch:
         goe = _stack("goe", 256, 2, 46)
         bern = _stack("bernoulli", 256, 2, 46)
         mats = np.stack([goe[0], bern[0], goe[1], bern[1]])
-        _, ok = _getrf_perms(mats)
-        assert ok.tolist() == [True, False, True, False]
+        assert _factor(mats, 0)[1].tolist() == [True, False, True, False]
         sig = gepp_perm_batch(mats)
         for i in range(len(mats)):
             assert np.array_equal(sig[i], full_width(mats[i][None])[0])
@@ -483,7 +587,7 @@ class TestLapackBranch:
         # near_tie runs gepp, so it is built before the spy goes in.
         A = near_tie(N, N - 3, 60)
         mats = np.stack([_stack("goe", N, 1, 60)[0], A])
-        assert _getrf_perms(mats)[1].tolist() == [True, False]
+        assert _factor(mats, 0)[1].tolist() == [True, False]
         expected = full_width(mats)
         seen = spy_routes(monkeypatch)
         assert np.array_equal(gepp_perm_batch(mats), expected)
@@ -538,26 +642,6 @@ class TestLapackBranch:
             assert np.array_equal(got, want)
 
 
-def rank1_reference(W: np.ndarray) -> np.ndarray:
-    """Stacked rank-1 elimination, one full-width update per column; overwrites W."""
-    T, N, _ = W.shape
-    rows = np.tile(np.arange(N), (T, 1))
-    tix = np.arange(T)
-    for k in range(N - 1):
-        j = np.argmax(np.abs(W[:, k:, k]), axis=1) + k
-        rk, rj = W[tix, k].copy(), W[tix, j].copy()
-        W[tix, k], W[tix, j] = rj, rk
-        ok, oj = rows[tix, k].copy(), rows[tix, j].copy()
-        rows[tix, k], rows[tix, j] = oj, ok
-        piv = W[:, k, k]
-        safe = np.where(piv == 0, 1.0, piv)
-        mult = W[:, k + 1 :, k] / safe[:, None]
-        mult[piv == 0] = 0.0
-        W[:, k + 1 :, k + 1 :] -= mult[:, :, None] * W[:, None, k, k + 1 :]
-        W[:, k + 1 :, k] = mult
-    return np.argsort(rows, axis=1, kind="stable")
-
-
 def near_tie(N: int, k: int, seed: int, kind: str = "goe") -> np.ndarray:
     """A row-shuffled random matrix whose step k has a near pivot tie.
 
@@ -586,7 +670,7 @@ class TestBlockedPath:
     def test_matches_full_width(self, kind, N):
         count = 1 if N == 512 else 4
         mats = _stack(kind, N, count, 51)
-        perm, ok = _modulus_perms(mats)
+        perm, ok = modulus_route(mats)
         assert ok.all()
         expected = full_width(mats)
         assert np.array_equal(perm, expected)
@@ -594,7 +678,7 @@ class TestBlockedPath:
 
     def test_complex_256(self):
         mats = _stack("gue", 256, 2, 52)
-        perm, ok = _modulus_perms(mats)
+        perm, ok = modulus_route(mats)
         assert ok.all()
         assert np.array_equal(perm, full_width(mats))
         assert np.array_equal(gepp_perm_batch(mats), perm)
@@ -603,7 +687,7 @@ class TestBlockedPath:
     def test_near_tie_in_second_panel_is_rejected(self, kind):
         N, k = 2 * PANEL_WIDTH, PANEL_WIDTH + 5
         A = near_tie(N, k, 53, kind)
-        assert not _modulus_perms(A[None])[1][0]
+        assert not modulus_route(A[None])[1][0]
         assert np.abs(np.tril(gepp(A).lower, -1)).max() >= 1.0 - TIE_RTOL
         assert np.array_equal(gepp_perm_batch(A[None]), full_width(A[None]))
 
@@ -615,7 +699,7 @@ class TestBlockedPath:
         # and its neighbour in the stack does not.
         N = 2 * PANEL_WIDTH
         mats = np.stack([_stack(kind, N, 1, 70)[0], near_tie(N, k, 70, kind)])
-        assert _modulus_perms(mats)[1].tolist() == [True, False]
+        assert modulus_route(mats)[1].tolist() == [True, False]
         expected = full_width(mats)
         hide_symbols(monkeypatch, "dgetrf")
         seen = spy_routes(monkeypatch)
@@ -629,7 +713,7 @@ class TestBlockedPath:
             mats = _stack(kind, 128, 4, 54)
             for t, j in enumerate((0, LEAF_WIDTH - 1, 2 * PANEL_WIDTH + 3, 127)):
                 mats[t, :, j] = 0.0
-            perm, ok = _modulus_perms(mats)
+            perm, ok = modulus_route(mats)
             assert ok.all()
             assert np.array_equal(perm, full_width(mats))
             assert np.array_equal(gepp_perm_batch(mats), perm)
@@ -638,7 +722,7 @@ class TestBlockedPath:
         N = 2 * PANEL_WIDTH
         gue = _stack("gue", N, 2, 55)
         mats = np.stack([gue[0], near_tie(N, N - 3, 55, "gue"), gue[1], near_tie(N, 40, 56, "gue")])
-        assert _modulus_perms(mats)[1].tolist() == [True, False, True, False]
+        assert modulus_route(mats)[1].tolist() == [True, False, True, False]
         sig = gepp_perm_batch(mats)
         for i in range(len(mats)):
             assert np.array_equal(sig[i], full_width(mats[i][None])[0])
@@ -646,14 +730,15 @@ class TestBlockedPath:
     @pytest.mark.parametrize("N", [1, 2, 5, PANEL_WIDTH, 2 * PANEL_WIDTH])
     @pytest.mark.parametrize("kind", ["goe", "gue", "bernoulli"])
     def test_full_width_is_the_rank1_loop(self, kind, N):
-        # `_eliminate` runs the rank-1 loop operation for operation: the same
-        # permutations and the same bytes in the overwritten stack.
+        # `_factor` with every column exact runs the rank-1 loop operation
+        # for operation: the same permutations, and the same bytes in its
+        # column-major factor as in the reference's working stack.
         mats = np.stack([ensemble_sample(kind, N, substream(57, N, t)) for t in range(5)])
         mats[1, :, N // 2] = 0.0
-        ref, W = mats.copy(), mats.copy()
-        expected = rank1_reference(ref)
-        assert np.array_equal(_eliminate(W), expected)
-        assert W.tobytes() == ref.tobytes()
+        expected, W, _ = rank1_reference(mats)
+        perm, ok, F = _factor(mats, N)
+        assert np.array_equal(perm, expected) and ok.all()
+        assert F.transpose(0, 2, 1).tobytes() == W.tobytes()
         assert np.array_equal(gepp_perm_batch(mats), expected)
 
     @pytest.mark.parametrize(("kind", "N", "widths"), [
@@ -682,15 +767,7 @@ class TestBlockedPath:
         # of the Schur complement past the exact first panel, none up to
         # order PANEL_WIDTH.
         mats = _stack(kind, N, 3, 69)
-        real, seen = gepp_module._read_factor, []
-
-        def read_factor(F, ipiv, rows):
-            lmax = np.abs(np.triu(F, 1)).max(axis=(1, 2))
-            perm, ok = real(F, ipiv, rows)
-            seen.append((F.shape[1], lmax, ok))
-            return perm, ok
-
-        monkeypatch.setattr(gepp_module, "_read_factor", read_factor)
+        seen = spy_guard(monkeypatch)
         assert np.array_equal(gepp_perm_batch(mats), full_width(mats))
         if kind == "bernoulli" and N <= PANEL_WIDTH:
             assert seen == []
@@ -719,21 +796,13 @@ class TestBlockedPath:
         early = reruns = 0
         for N, count in {33: 320, 48: 160, 64: 128, 128: 48}.items():
             mats = singular_bernoulli(N, count, 67)
-            W = mats.copy()
-            expected = _eliminate(W)
+            expected, W, _ = rank1_reference(mats)
             ties = np.abs(np.tril(W, -1)) >= 1.0 - TIE_RTOL
             only_first = ties.any(axis=(1, 2)) & ~ties[:, :, PANEL_WIDTH:].any(axis=(1, 2))
             seen = spy_routes(monkeypatch)
-            spied, oks = gepp_module._modulus_perms, []
-
-            def modulus(A, rows):
-                perm, ok = spied(A, rows)
-                oks.append(ok)
-                return perm, ok
-
-            monkeypatch.setattr(gepp_module, "_modulus_perms", modulus)
+            guards = spy_guard(monkeypatch)
             assert gepp_perm_batch(mats).tobytes() == expected.tobytes()
-            [rejected] = [~ok for ok in oks]
+            [rejected] = [~ok for _, _, ok in guards]
             assert not rejected[only_first].any()
             early, reruns = early + int(only_first.sum()), reruns + int(rejected.sum())
             reruns_seen = [("full", int(rejected.sum()))] * int(rejected.any())
@@ -759,7 +828,7 @@ class TestBlockedPath:
             chunk = max(1, BATCH_ENTRIES // N**2)
             for lo in range(0, count, chunk):
                 stack = mats[lo : lo + chunk]
-                perm, ok = _modulus_perms(stack)
+                perm, ok = modulus_route(stack)
                 assert ok.all()
                 assert perm.tobytes() == full_width(stack).tobytes()
                 assert gepp_perm_batch(stack).tobytes() == perm.tobytes()
@@ -796,9 +865,10 @@ class TestBlockedPath:
     @pytest.mark.parametrize("trsm", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_unit_lower_solve(self, monkeypatch, dtype, trsm):
-        # Both memory orders of a stacked unit-lower system, against
-        # np.linalg.solve; without trsm it is np.linalg.solve. Multipliers
-        # of modulus at most 0.1 keep the systems well conditioned.
+        # A column-major stacked unit-lower system, against np.linalg.solve;
+        # without trsm it is np.linalg.solve, in either memory order, and
+        # trsm refuses a row-major pair. Multipliers of modulus at most 0.1
+        # keep the systems well conditioned.
         rng = substream(73)
         W = rng.normal(size=(3, 40, 40)).astype(dtype)
         if dtype is np.complex128:
@@ -808,7 +878,8 @@ class TestBlockedPath:
         want = np.linalg.solve(np.tril(W[:, :n, :n], -1) + np.eye(n), W[:, :n, n:])
         if not trsm:
             hide_symbols(monkeypatch, "dtrsm", "ztrsm")
-        for A in (W.copy(), np.array(W.transpose(0, 2, 1), order="C").transpose(0, 2, 1)):
+        column_major = np.array(W.transpose(0, 2, 1), order="C").transpose(0, 2, 1)
+        for A in (column_major,) if trsm else (column_major, W.copy()):
             before = A.copy()
             _unit_lower_solve(A[:, :n, :n], A[:, :n, n:])
             assert np.abs(A[:, :n, n:] - want).max() <= 1e-12 * np.abs(want).max()
@@ -816,6 +887,9 @@ class TestBlockedPath:
             assert np.array_equal(A[:, n:], before[:, n:])
             if not trsm:
                 assert np.array_equal(A[:, :n, n:], want)
+        if trsm:
+            with pytest.raises(ValueError, match="column-major"):
+                _unit_lower_solve(W[:, :n, :n], W[:, :n, n:])
 
     def test_panel_ties_do_not_count(self, monkeypatch):
         # A complex stack with entries in {0, 1, i, 1 + i} is integer-valued:

@@ -197,6 +197,8 @@ class TestCli:
         (["lis-mc", "--ensembles", "gue", "--n", "2,12", "--trials", "1"], None),
         (["lis-mc", "--n=-1..-1", "--ensembles", "goe"], None),
         (["lis-mc", "--ensembles", "goe", "--n", "2..2", "--trials", "-1"], None),
+        (["lis-mc", "--ensembles", "goe", "--n", "2..2", "--trials", "100000000000"], None),
+        (["lis-mc", "--ensembles", "uniform", "--n", "2..2", "--trials", "1048577"], None),
         (["sample", "--trials", "-1"], None),
         (["lis-table", "--n", "3..1"], None),
         (["cycles-table", "--n", "3..1"], None),
