@@ -248,7 +248,9 @@ def _sample_lis(ensemble: str, N: int, trials: int, seed: int) -> tuple[float, f
         for t in range(trials):
             rng = substream(seed, e, N, t)
             if ensemble == "uniform":
-                vals[t] = lis.lis(fisher_yates(N, rng))
+                # `fisher_yates`'s draw, a permutation by construction, so
+                # patience sorting reads it without a `Permutation` check.
+                vals[t] = lis._patience(rng.permutation(N))
             elif ensemble == "bs-scalar":
                 vals[t] = groups.lis(groups.sample_simple(2, n, rng))
             else:

@@ -6,16 +6,18 @@ probabilities (summing to 1 within 1e-9), anything else exact nonnegative
 big-integer counts, held as an object array of Python ints, with their
 total. A `Pmf` is immutable.
 
-Exact convolutions use Kronecker substitution (pack the coefficient list
-into one big integer, multiply once, unpack), which is far faster than
-schoolbook convolution once the counts run to thousands of bits. Once both
-packed integers reach `_INT_FFT_BITS` bits, the multiply is a numpy float
-FFT on 12-bit limbs; every such product is checked modulo the prime
-2^61 - 1 and replaced by CPython's integer product if the check fails, so
-the counts stay exact. The 8.4M-bit square behind depth 12 then takes
-about 0.17 s instead of 3.5 s. Float convolutions are direct up to 4096
-points and run through the same numpy FFT (`_fft_convolve`) beyond, so one
-FFT serves both precisions.
+Exact convolutions use Harvey's multipoint Kronecker substitution (KS2:
+pack the coefficient lists into big integers evaluated at +2^B and -2^B,
+multiply twice, unpack the even and the odd coefficients), which is far
+faster than schoolbook convolution once the counts run to thousands of
+bits, and whose two products are each half the size of classic Kronecker
+substitution's one. Once both packed integers reach `_INT_FFT_BITS` bits,
+the multiply is a numpy float FFT on 12-bit limbs; every such product is
+checked modulo the prime 2^61 - 1 and replaced by CPython's integer
+product if the check fails, so the counts stay exact. The two 4.2M-bit
+squares behind depth 12 then take about 0.1 s together. Float convolutions
+are direct up to 4096 points and run through the same numpy FFT
+(`_fft_convolve`) beyond, so one FFT serves both precisions.
 
 Each of the LIS and Stirling recursions runs on one `Ladder`, which refuses
 a level's support size m^n above `EXACT_SIZE_CAP` = 8192 (depth 13 for m = 2,
@@ -47,13 +49,16 @@ __all__ = ["Pmf", "Ladder", "int_convolve", "float_convolve", "powers", "finish_
 
 _FFT_THRESHOLD = 4096
 # Size of the smaller operand, in bits, from which `_multiply` takes the FFT.
-# The checked FFT on 12-bit limbs meets CPython's Karatsuba near 28k bits,
-# for squares and products alike: at 2^15 bits a square takes 0.35 ms
-# against 0.40 ms, at 2^16 0.62 ms against 1.26 ms (medians; one core,
-# Python 3.11, numpy 2.4). The crossover stays at 2^16: the only ladder
-# products between 2^15 and 2^16 bits are two squares, worth about 0.25 ms
-# together.
-_INT_FFT_BITS = 1 << 16
+# The checked FFT on 12-bit limbs meets CPython's Karatsuba between 2^14.5
+# and 2^15 bits: a square takes 0.37 ms against 0.28 ms at 2^14.5, 0.45
+# against 0.52 ms at 2^15 and 0.47 against 1.51 ms at 2^16; a product of
+# two 2^15-bit operands 0.39 against 0.71 ms (medians of 601; one core,
+# Python 3.11, numpy 2.4). KS2 halves the operands, so the m = 2 ladders'
+# 65,281-bit squares (the step to depth 9) now lie below 2^16: cold, the
+# LIS ladder to depth 9 builds in 5.4 ms at 2^15 against 7.1 ms at 2^16,
+# and the Stirling one in 2.4 against 3.4 ms (medians of 15). The largest
+# ladder operands left to Karatsuba are 24,201-bit squares (p = 3).
+_INT_FFT_BITS = 1 << 15
 _CHECK_PRIME = (1 << 61) - 1  # Mersenne prime modulus of the exactness check
 _FLOAT_MASS_TOL = 1e-9
 # Relative floor of `trim`. 1e-12 moves the depth-20 Stirling density at
@@ -66,11 +71,19 @@ TRIM_FLOOR = 1e-13
 def int_convolve(a: list[int], b: list[int]) -> list[int]:
     """Exact convolution of nonnegative integer sequences.
 
-    Packs each sequence into a single integer with one byte-aligned slot of
-    w bytes per entry, 8w > log2(len * max_a * max_b) so slots of the
-    product cannot carry, multiplies once (`_multiply`), then slices the
-    product's bytes back into slots. Packing and unpacking are linear in the
-    total size. Passing the same list twice packs it once and squares.
+    Harvey's multipoint Kronecker substitution (KS2; J. Symbolic Comput. 44,
+    2009). Every coefficient of the convolution is at most min(len) * max_a
+    * max_b, below 2^bits; with B = 8h for h = ceil(bits / 16) bytes, each
+    sequence v is evaluated at +2^B and -2^B as E +- O, where E packs its
+    even entries and O its odd ones in slots of 2h bytes (O shifted up by B
+    bits). An entry is below 2^(2B), so it may spill past its half slot into
+    the next, which its packing leaves empty. The two products P+ and P-
+    (`_multiply`, which checks each; P- multiplies absolute values and then
+    takes the sign) are each half the size of one product with full-width
+    slots. (P+ + P-) / 2 holds the even coefficients of the convolution and
+    (P+ - P-) / 2^(B+1) the odd ones, each in slots of 2h bytes, which
+    cannot carry. Packing and unpacking are linear in the total size.
+    Passing the same list twice packs it once and squares twice.
     """
     if not a or not b:
         return []
@@ -78,12 +91,33 @@ def int_convolve(a: list[int], b: list[int]) -> list[int]:
     if ma == 0 or mb == 0:
         return [0] * (len(a) + len(b) - 1)
     bits = (ma * mb * min(len(a), len(b))).bit_length() + 1
-    w = (bits + 7) // 8
-    pa = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in a), "little")
-    pb = pa if b is a else int.from_bytes(b"".join(v.to_bytes(w, "little") for v in b), "little")
+    h = (bits + 15) // 16
+    plus_a, minus_a, neg_a = _evaluations(a, h)
+    plus_b, minus_b, neg_b = (plus_a, minus_a, neg_a) if b is a else _evaluations(b, h)
+    plus = _multiply(plus_a, plus_b)
+    minus = _multiply(minus_a, minus_b)
+    if neg_a != neg_b:
+        minus = -minus
     n = len(a) + len(b) - 1
-    raw = _multiply(pa, pb).to_bytes(n * w, "little")
-    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, n * w, w)]
+    out = [0] * n
+    out[0::2] = _slots((plus + minus) >> 1, 2 * h, (n + 1) // 2)
+    out[1::2] = _slots((plus - minus) >> (8 * h + 1), 2 * h, n // 2)
+    return out
+
+
+def _evaluations(v: list[int], h: int) -> tuple[int, int, bool]:
+    """v(2^B), |v(-2^B)| and whether v(-2^B) < 0, for B = 8h: v(+-2^B) =
+    E +- O, where E and O >> B pack the even and the odd entries of v in
+    slots of 2h bytes."""
+    even = int.from_bytes(b"".join(x.to_bytes(2 * h, "little") for x in v[0::2]), "little")
+    odd = int.from_bytes(b"".join(x.to_bytes(2 * h, "little") for x in v[1::2]), "little") << 8 * h
+    return even + odd, abs(even - odd), odd > even
+
+
+def _slots(x: int, w: int, count: int) -> list[int]:
+    """The first ``count`` slots of w bytes of x >= 0, least significant first."""
+    raw = x.to_bytes(count * w, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, count * w, w)]
 
 
 def _multiply(x: int, y: int) -> int:
@@ -123,17 +157,18 @@ def _fft_multiply(x: int, y: int) -> int:
     """x * y by a float64 FFT on 12-bit limbs, with no exactness check.
 
     Each coefficient of the limb convolution is a sum of at most min(len)
-    limb products below 2^24 (under 2^46 for the 2^25-bit squares behind
+    limb products below 2^24 (under 2^45 for the 2^24-bit products behind
     depth 13), so it is rounded to int64. Percival's bound on the rounding
-    error of an FFT product (Math. Comp. 72, 2003) stays below 1/2 up to the
-    2^23-bit squares behind depth 12, even for all-0xFFF limbs. The measured
-    error on all-0xFFF limbs is 0.01 at 2^23 bits and 0.04 at 2^25, and
-    0.005 on the depth-13 squares. Coefficient pairs become digits at 24-bit
-    spacing (even + odd << 12, below 2^58 at depth 13), and the integer is
-    read from the digits' low three bytes, plus the carries above them
-    shifted by 24 bits. One vectorized carry pass would already leave
-    carries below 2^24; the second leaves carries of 0 or 1, nearly always
-    none, which saves that second integer.
+    error of an FFT product (Math. Comp. 72, 2003) stays below 1/2 up to
+    2^23-bit squares, even for all-0xFFF limbs, so it covers the 2^22-bit
+    products behind depth 12; past it the check in `_multiply` stands
+    alone. The measured error on all-0xFFF limbs is 0.005 at 2^22 bits and
+    0.017 at 2^24, and at most 0.006 on the depth-13 products. Coefficient
+    pairs become digits at 24-bit spacing (even + odd << 12, below 2^57 at
+    depth 13), and the integer is read from the digits' low three bytes,
+    plus the carries above them shifted by 24 bits. One vectorized carry
+    pass would already leave carries below 2^24; the second leaves carries
+    of 0 or 1, nearly always none, which saves that second integer.
     """
     lx = _limbs(x)
     ly = lx if y is x else _limbs(y)

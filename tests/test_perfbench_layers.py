@@ -5,8 +5,8 @@ metrics of a name that no longer resolves, so renaming or removing a layer
 would shrink the benchmark's per-layer report without any error. This test
 installs the tracer in a fresh interpreter (installing rebinds module
 attributes, which must not leak into the other tests), requires an empty
-``missing`` list, and runs a small `lis-mc` under the wrappers so that the
-counter hooks read the real argument shapes.
+``missing`` list, and runs a small `lis-mc` and `verify` under the wrappers
+so that the counter hooks read the real argument shapes.
 """
 import json
 import os
@@ -28,6 +28,9 @@ from butterflylab import cli
 
 with tempfile.TemporaryDirectory() as out:
     rc = cli.main(["lis-mc", "--n", "2..3", "--trials", "2", "--seed", "5", "--out", out])
+    # lis-mc patience-sorts its one-line arrays directly; verify's censuses
+    # still pass Permutations through lis.lis.
+    rc = rc or cli.main(["verify", "--seed", "5", "--out", out])
 print(json.dumps({"missing": tracer.missing, "rc": rc,
                   "layers": tracer.summary(), "names": [n for n, *_ in spans.LAYERS]}))
 """

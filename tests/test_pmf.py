@@ -55,14 +55,66 @@ def test_int_convolve_byte_boundaries(bits):
     assert int_convolve([0, 0], b) == [0] * 7
 
 
+_ENTRIES = st.one_of(st.just(0), st.integers(0, 255), st.integers(0, 2**64), st.integers(0, 2**300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTRIES, min_size=1, max_size=40), st.lists(_ENTRIES, min_size=1, max_size=40))
+def test_int_convolve_matches_schoolbook_at_any_length(a, b):
+    # Lengths 1..40, so both parities of the output length len(a) + len(b) - 1
+    # (the even coefficients outnumber the odd ones by one when it is odd),
+    # single entries, zero entries and all-zero lists. A square is one list
+    # passed twice; an equal copy takes the two-operand path.
+    assert int_convolve(a, b) == schoolbook(a, b)
+    assert int_convolve(a, a) == schoolbook(a, a)
+    assert int_convolve(a, list(a)) == schoolbook(a, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([15, 16, 17, 31, 32, 33, 127, 128, 129]),
+       st.integers(1, 40), st.integers(1, 40), st.integers(1, 200), st.randoms(use_true_random=False))
+def test_int_convolve_at_half_slot_boundaries(bits, la, lb, mb, rng):
+    # Slot bounds just below, at and above a multiple of 16 bits, where h,
+    # the half-slot width in bytes, steps. All-maximal entries make the middle
+    # coefficient max_a * max_b * min(len), the largest the bound allows.
+    k = min(la, lb)
+    ma = (2 ** (bits - 2) - 1) // (mb * k) + 1
+    a, b = [ma] * la, [mb] * lb
+    assert (ma * mb * k).bit_length() + 1 == bits
+    assert int_convolve(a, b) == schoolbook(a, b)
+    assert int_convolve(a, a) == schoolbook(a, a)
+    c = [rng.randint(0, ma) for _ in range(la)]  # max_b fixes the bound; c's entries may be smaller
+    c[rng.randrange(la)] = ma
+    assert int_convolve(c, b) == schoolbook(c, b)
+    assert int_convolve(b, c) == schoolbook(b, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(26, 2000), st.lists(st.integers(0, 3), min_size=1, max_size=40),
+       st.integers(1, 40), st.randoms(use_true_random=False))
+def test_int_convolve_entries_spill_past_the_half_slot(width, b, la, rng):
+    # Wide entries against small ones, as in the unbalanced s^(*2) * s
+    # products of p = 3: an entry of a is wider than B = 8h bits, so its high
+    # part lies in the next slot of its packing.
+    b[rng.randrange(len(b))] = rng.randint(1, 3)
+    a = [rng.getrandbits(width) | 1 << width - 1 if rng.random() < 0.8 else 0 for _ in range(la)]
+    a[rng.randrange(la)] = (1 << width) - 1
+    h = ((max(a) * max(b) * min(len(a), len(b))).bit_length() + 1 + 15) // 16  # as in `int_convolve`
+    assert max(a).bit_length() > 8 * h
+    assert int_convolve(a, b) == schoolbook(a, b)
+    assert int_convolve(b, a) == schoolbook(b, a)
+
+
 def _operand(rng, bits):
     return rng.getrandbits(bits) | 1 << (bits - 1)
 
 
-@pytest.mark.parametrize("bits", [CROSS // 2, CROSS - 1, CROSS, CROSS + 1, 4 * CROSS + 13, 1 << 20])
+@pytest.mark.parametrize("bits", [CROSS // 2, CROSS - 1, CROSS, CROSS + 1, 2 * CROSS - 1, 2 * CROSS,
+                                  2 * CROSS + 1, 4 * CROSS + 13, 8 * CROSS + 13, 1 << 20])
 def test_multiply_random_operands(bits):
-    # Both sides of the crossover; above it the FFT itself must be exact,
-    # not merely rescued by the integer fallback.
+    # Both sides of the crossover, and of twice it, where the transform length
+    # doubles; above it the FFT itself must be exact, not merely rescued by
+    # the integer fallback.
     rng = random.Random(bits)
     x, y = _operand(rng, bits), _operand(rng, bits)
     assert _multiply(x, y) == x * y
@@ -72,10 +124,11 @@ def test_multiply_random_operands(bits):
         assert _fft_multiply(x, x) == x * x
 
 
-@pytest.mark.parametrize("bits", [CROSS, 1 << 20, 1 << 23])
+@pytest.mark.parametrize("bits", [CROSS, 2 * CROSS, 1 << 20, 1 << 23])
 def test_multiply_all_ones_limbs(bits):
-    # Every limb 0xFF: the largest coefficients, sums of 255 * 255, the FFT
-    # meets at this length; 2^23 bits is the size of the depth-12 squares.
+    # Every limb 0xFFF: the largest coefficients, sums of 4095 * 4095, the
+    # FFT meets at this length; 2^23 bits is the edge of Percival's bound,
+    # past the 2^22-bit products behind depth 12.
     # (2^k - 1)^2 = 2^2k - 2^(k+1) + 1 stands in for x * y at that size,
     # which would take CPython seconds.
     x = (1 << bits) - 1
@@ -167,8 +220,9 @@ def test_fft_multiply_at_limb_boundaries(residue, extra):
 
 @pytest.mark.parametrize("bits", [1 << 24, 1 << 25])
 def test_multiply_all_ones_at_depth_13_size(bits):
-    # Every limb 0xFFF up to 2^25 bits, the size of the squares behind
-    # depth 13: the FFT itself is exact there, with no help from the check.
+    # Every limb 0xFFF at 2^24 bits, the size of the products behind depth
+    # 13, and at twice that: the FFT itself is exact there, with no help from
+    # the check.
     x = (1 << bits) - 1
     assert _fft_multiply(x, x) == (1 << 2 * bits) - (1 << bits + 1) + 1
 
@@ -176,8 +230,19 @@ def test_multiply_all_ones_at_depth_13_size(bits):
 def test_depth_12_ladders_make_no_check_mismatch(monkeypatch):
     # The check in `_multiply` keeps every FFT product of the depth-12 LIS
     # (m = 2) and Stirling (p = 2) ladders, and of the p = 3 ladder to depth
-    # 7, whose FFT products include two of unequal operands: `_multiply`
+    # 7, whose FFT products include four of unequal operands: `_multiply`
     # returns the FFT's own result, never the fallback x * y.
+    # Each convolution makes two products, P+ and P-, whose operands differ
+    # by at most one bit, and takes the FFT when the smaller operand has at
+    # least CROSS = 2^15 bits. The m = 2 LIS and p = 2 Stirling steps each
+    # square once; the squares' operands have 16,257 bits on the step to
+    # depth 8 and 65,281, 261,633, 1,047,553 and 4,192,257 on the steps to
+    # depths 9..12: 2 ladders x 4 steps x 2 products = 16. A p = 3 step forms
+    # s^(*2) and s^(*2) * s. Up to depth 7, only the steps to depths 6 and 7
+    # reach 2^15 bits, and the square of the first stays below (24,201 bits):
+    # three convolutions (smaller operands of 35,817 to 317,409 bits) x 2 = 6.
+    # So 22 in all.
+    assert CROSS == 1 << 15
     products, kept = [], []
 
     def fft_counting(x, y):
@@ -199,8 +264,28 @@ def test_depth_12_ladders_make_no_check_mismatch(monkeypatch):
     lis.nonsimple_lis_counts(12)
     cycles.nonsimple_cycle_counts(2, 12)
     cycles.nonsimple_cycle_counts(3, 7)
-    assert len(kept) == 11
+    assert len(kept) == 22
     assert all(kept)
+
+
+def test_depth_12_ladders_multiply_half_width_operands(monkeypatch):
+    # KS2 evaluates at +-2^B with half-width slots: the largest operand
+    # behind depth 12 has 4,192,257 bits, where one product with full-width
+    # slots would multiply 8,384,513-bit ones. Its FFT sets the peak memory
+    # of the depth-12 ladders.
+    widest = []
+
+    def multiply_recording(x, y):
+        widest.append(max(x.bit_length(), y.bit_length()))
+        return multiply(x, y)
+
+    multiply = pmf._multiply
+    monkeypatch.setattr(pmf, "_multiply", multiply_recording)
+    monkeypatch.setattr(lis._LADDER, "_levels", {})
+    monkeypatch.setattr(cycles._LADDER, "_levels", {})
+    lis.nonsimple_lis_counts(12)
+    cycles.nonsimple_cycle_counts(2, 12)
+    assert max(widest) <= 4_200_000
 
 
 def _digest(masses):

@@ -300,9 +300,10 @@ class TestCli:
         assert capsys.readouterr().err == "butterflylab: error: m^n = 2^14 exceeds the exact cap 8192\n"
 
     def test_exact_fit_builds_no_level_above_n_minus_one(self, tmp_path):
-        # A fresh process, so no memoized level hides a product. The square
-        # behind depth 12 has a 16.8M-bit product, the one behind depth 11 a
-        # 4.2M-bit one: the first is never formed, and the ladder stops at depth 11.
+        # A fresh process, so no memoized level hides a product. The two
+        # products behind depth 12 multiply 4.2M-bit operands, 8.4M bits
+        # together, the ones behind depth 11 2.1M bits together: the first
+        # are never formed, and the ladder stops at depth 11.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = ("from butterflylab import cli, lis, pmf\n"
@@ -313,7 +314,7 @@ class TestCli:
                 "    return multiply(x, y)\n"
                 "pmf._multiply = counting\n"
                 f"assert cli.main(['fit', '--mode', 'exact', '--n', '3..12', '--out', {str(tmp_path)!r}]) == 0\n"
-                "assert bits and max(bits) < 2**23, max(bits)\n"
+                "assert bits and max(bits) < 2**22, max(bits)\n"
                 "assert len(lis._LADDER._levels['exact', 2]) == 12\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
