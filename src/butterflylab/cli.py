@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cycles, gepp, groups, lis
-from .permutations import Permutation, compose, cycle_stats, fisher_yates, kron
+from .permutations import Permutation, compose, cycle_stats, dsum, fisher_yates, identity, kron
 from .pmf import Pmf
 from .rng import DEFAULT_SEED, substream
 
@@ -305,13 +305,19 @@ def cmd_fit(args, seed: int) -> dict:
             for column in ("n", "mean"):
                 if column not in (reader.fieldnames or ()):
                     raise ValueError(f"{args.source} has no {column!r} column")
-            points = [(2.0 ** int(row["n"]), float(row["mean"]))
-                      for row in reader if int(row["n"]) in ns]
+            means = []
+            for row in reader:
+                if not (row["n"] and row["mean"]):
+                    raise ValueError(f"{args.source} line {reader.line_num} lacks an n or a mean")
+                if int(row["n"]) in ns:
+                    means.append((int(row["n"]), float(row["mean"])))
     elif args.mode == "exact":
-        points = [(2.0**n, float(lis.nonsimple_lis_mean(n))) for n in ns]
+        means = [(n, float(lis.nonsimple_lis_mean(n))) for n in ns]
     else:
-        points = [(2.0**n, float(lis.nonsimple_lis_counts(n, mode="float").moment(1))) for n in ns]
-    res = lis.fit_exponent(points)
+        means = [(n, float(lis.nonsimple_lis_counts(n, mode="float").moment(1))) for n in ns]
+    if max([n for n, _ in means], default=0) >= sys.float_info.max_exp:  # checked after the laws' caps
+        raise ValueError(f"N = 2^n is past the float range from n = {sys.float_info.max_exp} on")
+    res = lis.fit_exponent([(2.0**n, mean) for n, mean in means])
     return {"fit.json": json.dumps({
         "alpha_hat": res.alpha_hat,
         "intercept": res.intercept,
@@ -395,12 +401,14 @@ def _verify_checks(seed: int):
         return fisher_yates(M, rng)
 
     def chk_kron_mixed_product():
+        # The mixed-product laws of kron and dsum, and p (x) q = (p (x) 1)(1 (x) q).
         for _ in range(25):
             p1, p2 = random_perm(4), random_perm(4)
             q1, q2 = random_perm(3), random_perm(3)
-            lhs = compose(kron(p1, q1), kron(p2, q2))
-            rhs = kron(compose(p1, p2), compose(q1, q2))
-            if lhs != rhs:
+            pq = compose(p1, p2), compose(q1, q2)
+            if (compose(kron(p1, q1), kron(p2, q2)) != kron(*pq)
+                    or compose(dsum(p1, q1), dsum(p2, q2)) != dsum(*pq)
+                    or compose(kron(p1, identity(3)), kron(identity(4), q1)) != kron(p1, q1)):
                 return False
         return True
 
@@ -423,11 +431,8 @@ def _verify_checks(seed: int):
             spec = gepp.sample_spec("scalar", "nonsimple", 16, rng)
             pred = gepp.predicted_factorization(spec)
             full = gepp.gepp(gepp.build_butterfly(spec))
-            if pred.perm != full.perm:
-                return False
-            if np.abs(pred.lower - full.lower).max() > 1e-10:
-                return False
-            if np.abs(pred.upper - full.upper).max() > 1e-10:
+            if (pred.perm != full.perm or np.abs(pred.lower - full.lower).max() > 1e-10
+                    or np.abs(pred.upper - full.upper).max() > 1e-10):
                 return False
         return True
 

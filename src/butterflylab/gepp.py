@@ -14,6 +14,9 @@ factors the rest. Both are bound with ctypes from the OpenBLAS that numpy
 already has loaded, so no scipy module is imported. A fast permutation
 stands only when every multiplier it made has |l_jk| < 1 - TIE_RTOL; the
 other matrices re-run the rank-1 loop at full width.
+
+`predicted_factorization` builds a scalar butterfly's factors without elimination:
+P from the exponent tree e = [|tan theta| > 1], P^T L and U one depth at a time.
 """
 from __future__ import annotations
 
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutations import Permutation, compose, dsum, identity, kron
+from .groups import NonsimpleButterfly, SimpleButterfly, materialize
+from .permutations import Permutation
 
 __all__ = [
     "GeppResult",
@@ -454,56 +458,45 @@ def build_butterfly(spec: ButterflySpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pivot_data(theta: float):
-    """(e, theta_hat) for the 2x2 rotation; rejects |tan theta| ~ 1."""
-    t = math.tan(theta)
-    if abs(abs(t) - 1.0) <= TIE_RTOL * max(1.0, abs(t)):
-        raise TieAngleError(f"|tan({theta})| = 1 within tolerance")
-    e = 1 if abs(t) > 1.0 else 0
-    return e, (math.pi / 2 - theta if e else theta)
-
-
 def predicted_factorization(spec: ButterflySpec) -> GeppResult:
     """Closed-form GEPP factors of a scalar butterfly matrix, no elimination.
 
-    For B = (R_theta (x) I)(A1 (+) A2) with child factorizations
-    P_k A_k = L_k U_k and theta_hat the pivot-adjusted angle:
+    P is the group element of the exponent tree e = [|tan theta| > 1]
+    (`groups.materialize`) and L = P Q. Built bottom-up like `build_butterflies`,
+    each node B = (R_theta (x) I)(A1 (+) A2) is Q U, with theta_hat = pi/2 - theta
+    if e else theta and
 
-        P = (P1 (+) P2)(P_theta (x) I)
-        L = [[L1, 0], [-tan(theta_hat) P2 P1^T L1, L2]]
+        Q = (P_theta^e (x) I)^T [[Q1, 0], [-tan(theta_hat) Q1, Q2]]
         U = [[(-1)^e cos(theta_hat) U1,  sin(theta_hat) U1 A1^T A2],
              [0,                         sec(theta_hat) U2]]
-
-    Simple specs reduce to Kronecker products of the 2x2 factors.
     """
     if spec.flavor != "scalar":
         raise ValueError("closed-form factorization covers the scalar flavor only")
-
-    def rec(d: int, node: int):
-        if d == spec.n:
-            one = np.ones((1, 1))
-            return identity(1), one, one
-        theta = spec.angles[d if spec.shape == "simple" else (1 << d) - 1 + node]
-        if spec.shape == "simple":
-            p1, L1, U1 = rec(d + 1, 0)
-            p2, L2, U2 = p1, L1, U1
-        else:
-            p1, L1, U1 = rec(d + 1, 2 * node)
-            p2, L2, U2 = rec(d + 1, 2 * node + 1)
-        e, that = _pivot_data(theta)
-        m = L1.shape[0]
-        c, s = math.cos(that), math.sin(that)
-        tn = math.tan(that)
-        swap = Permutation([1, 0]) if e else identity(2)
-        perm = compose(dsum(p1, p2), kron(swap, identity(m)))
-        P1m, P2m = p1.matrix(), p2.matrix()
-        A1, A2 = P1m.T @ L1 @ U1, P2m.T @ L2 @ U2  # the children, from P_k A_k = L_k U_k
-        Z = np.zeros((m, m))
-        L = np.block([[L1, Z], [-tn * (P2m @ P1m.T @ L1), L2]])
-        U = np.block([[((-1.0) ** e) * c * U1, s * (U1 @ A1.T @ A2)], [Z, (1.0 / c) * U2]])
-        return perm, L, U
-
-    return GeppResult(*rec(0, 0))
+    theta = np.array(spec.angles)
+    t = np.abs(np.tan(theta))
+    tie = np.abs(t - 1.0) <= TIE_RTOL * np.maximum(1.0, t)
+    if tie.any():
+        raise TieAngleError(f"|tan({float(theta[tie][0])})| = 1 within tolerance")
+    e = t > 1.0
+    that = np.where(e, math.pi / 2 - theta, theta)
+    c, s, tn = np.cos(that), np.sin(that), np.tan(that)
+    simple = spec.shape == "simple"
+    # Q and U hold one row per node of the depth below; at the leaves and at
+    # every depth of a simple spec one row serves all children (mode="clip").
+    Q = U = np.ones((1, 1, 1))
+    for d in reversed(range(spec.n)):
+        nodes = 1 if simple else 1 << d
+        k = slice(d, d + 1) if simple else slice(nodes - 1, 2 * nodes - 1)
+        ek, ck, sk, tk = (x[k, None, None] for x in (e, c, s, tn))
+        left = np.arange(0, 2 * nodes, 2)
+        Q1, Q2, U1, U2 = (X.take(i, axis=0, mode="clip") for X in (Q, U) for i in (left, left + 1))
+        A1, A2, Z = Q1 @ U1, Q2 @ U2, np.zeros_like(Q1)
+        Q = np.block([[Q1, Z], [-tk * Q1, Q2]])
+        Q = np.where(ek, np.roll(Q, Q1.shape[1], axis=1), Q)  # (P_theta (x) I)^T swaps the row halves
+        U = np.block([[np.where(ek, -ck, ck) * U1, sk * (U1 @ A1.transpose(0, 2, 1) @ A2)],
+                      [Z, (1.0 / ck) * U2]])
+    perm = materialize(SimpleButterfly(2, e.tolist()) if simple else NonsimpleButterfly(2, spec.n, e))
+    return GeppResult(perm, Q[0][np.argsort(perm.map)], U[0])  # L = P Q
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,8 @@ def fit_exponent(points) -> FitResult:
     pts = [(float(N), float(v)) for N, v in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    if any(N <= 0 or v <= 0 for N, v in pts):
-        raise ValueError("N and mean must be positive")
+    if not all(0 < N < math.inf and 0 < v < math.inf for N, v in pts):  # NaN fails both
+        raise ValueError("N and mean must be positive and finite")
     x = np.log([N for N, _ in pts])
     y = np.log([v for _, v in pts])
     A = np.vstack([x, np.ones_like(x)]).T

@@ -1097,6 +1097,34 @@ class TestPredictedFactorization:
         with pytest.raises(TieAngleError):
             predicted_factorization(spec)
 
+    @pytest.mark.parametrize("N, shape, tie", [(8, "nonsimple", 5), (4, "simple", 1)])
+    def test_tie_below_the_root_rejected(self, N, shape, tie):
+        # Nonsimple angle 5 is the second node of depth 2; simple angle 1 is the second digit.
+        angles = [0.3] * angle_count("scalar", shape, N)
+        angles[tie] = 3 * math.pi / 4
+        with pytest.raises(TieAngleError, match=f"tan\\({angles[tie]}\\)"):
+            predicted_factorization(ButterflySpec(N, "scalar", shape, tuple(angles)))
+
+    @pytest.mark.parametrize("shape", ["simple", "nonsimple"])
+    def test_order_one_is_the_identity(self, shape):
+        res = predicted_factorization(ButterflySpec(1, "scalar", shape, ()))
+        assert res.perm == identity(1)
+        assert res.lower.tolist() == [[1.0]] and res.upper.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("shape", ["simple", "nonsimple"])
+    def test_gepp_permutation_is_the_exponent_tree(self, shape):
+        # No closed form: each elimination's permutation is the group element
+        # whose exponent at each node is [|tan theta| > 1].
+        from butterflylab.groups import NonsimpleButterfly, SimpleButterfly, materialize
+        rng = substream(31, 22 if shape == "simple" else 23)
+        for n in range(1, 7):
+            angles = rng.uniform(0, 2 * math.pi, (20, angle_count("scalar", shape, 2**n)))
+            perms = gepp_perm_batch(build_butterflies("scalar", shape, 2**n, angles))
+            for row, theta in zip(perms, angles):
+                e = (np.abs(np.tan(theta)) > 1).astype(int)
+                elem = SimpleButterfly(2, e.tolist()) if shape == "simple" else NonsimpleButterfly(2, n, e)
+                assert np.array_equal(row, materialize(elem).map)
+
     def test_uniform_permutation_factor_at_n4(self):
         from butterflylab.groups import enumerate_group, materialize
         from chisq import chi_square

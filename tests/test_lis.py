@@ -411,3 +411,8 @@ class TestFit:
             fit_exponent([(2.0, 1.0), (4.0, 1.0)])
         with pytest.raises(ValueError):
             fit_exponent([(2.0, 1.0)])
+
+    @pytest.mark.parametrize("bad", [(8.0, math.nan), (8.0, math.inf), (math.inf, 3.0), (math.nan, 3.0)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            fit_exponent([(2.0, 1.0), (4.0, 2.0), bad])

@@ -229,6 +229,8 @@ class TestCli:
         (["sample", "--kind", "simple", "--m", "1", "--n", "3"], None),
         (["sample", "--kind", "nonsimple", "--n", "-1"], None),
         (["sample", "--kind", "uniform", "--n", "-1"], None),
+        (["fit", "--n", "1024..1026"], None),
+        (["fit", "--mode", "exact", "--n", "1100..1102"], None),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -255,6 +257,20 @@ class TestCli:
         source.write_text("m,mean\n2,0.5\n")
         assert main(["fit", "--from", str(source), "--n", "1..4", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"butterflylab: error: {source} has no 'n' column\n"
+
+    @pytest.mark.parametrize("rows, n, message", [
+        ("1024,3\n1025,4\n1026,5\n", "1024..1026", "N = 2^n is past the float range from n = 1024 on"),
+        ("3,1\n4\n5,3\n", "3..5", "{source} line 3 lacks an n or a mean"),
+        ("3,1\n,2\n5,3\n", "3..5", "{source} line 3 lacks an n or a mean"),
+        ("3,1\n4,nan\n5,3\n", "3..5", "N and mean must be positive and finite"),
+        ("3,1\n4,inf\n5,3\n", "3..5", "N and mean must be positive and finite"),
+    ])
+    def test_fit_from_refuses_bad_rows(self, tmp_path, capsys, rows, n, message):
+        source = tmp_path / "means.csv"
+        source.write_text("n,mean\n" + rows)
+        assert main(["fit", "--from", str(source), "--n", n, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"butterflylab: error: {message.format(source=source)}\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["means.csv"]
 
     def test_sample_cap_is_checked_before_building_m_to_the_n(self, tmp_path, capsys):
         # 3^2000000 has about 954,000 digits: it must not be built or printed.
