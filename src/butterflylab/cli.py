@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -34,15 +35,14 @@ SEED_ENV = "BUTTERFLYLAB_SEED"
 ENSEMBLES = ("bs-scalar", "ns-scalar", "bs-diag", "ns-diag", "uniform", "goe", "gue", "bernoulli")
 # Sampled directly as permutations; the other ensembles go through GEPP.
 _PERMUTATION_ENSEMBLES = ("uniform", "bs-scalar", "ns-scalar")
-_BUTTERFLY_SHAPES = {"bs-diag": "simple", "ns-diag": "nonsimple"}
 
-# Matrix entries per gepp_perm_batch call in lis-mc: 16384 trials at N = 4,
-# 16 at N = 128, 4 at N = 256, one at a time from N = 512 on. Measured when
-# mc-small took about 3 s, before the LAPACK and modulus routes
-# (BENCH_blocked_gepp.json; 2 cores, 1 BLAS thread): over 10 alternated
-# perfbench runs 1 << 18 took a median wall_s of 3.00 s against 3.65 s for
-# 1 << 16, at 57.7 MB peak RSS for both. A larger stack would raise the
-# peak RSS of the GUE rows.
+# Matrix entries (N^2 a trial) in one draw chunk of a lis-mc row, for every
+# ensemble (`_draws`): 16384 trials at N = 4, 16 at N = 128, 4 at N = 256,
+# one from N = 512 on. Measured when mc-small took about 3 s, before the
+# LAPACK and modulus routes (BENCH_blocked_gepp.json; 2 cores, 1 BLAS
+# thread): over 10 alternated perfbench runs 1 << 18 took a median wall_s of
+# 3.00 s against 3.65 s for 1 << 16, at 57.7 MB peak RSS for both. A larger
+# stack would raise the peak RSS of the GUE rows.
 BATCH_ENTRIES = 1 << 18
 # Largest order lis-mc eliminates. One trial at N = 2^11 peaks at 212 MB of
 # RSS for gue and 135 MB for bernoulli (1 BLAS thread); at 2^12 one GUE
@@ -92,20 +92,24 @@ def _unlimited_int_digits():
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
+    try:
+        if ".." not in text:
+            return [int(tok) for tok in text.split(",")]
         lo, hi = map(int, text.split(".."))
-        if hi - lo >= MAX_VALUES:
-            raise ValueError(f"range {text!r} has more than {MAX_VALUES} values")
-        values = list(range(lo, hi + 1))
-    else:
-        values = [int(tok) for tok in text.split(",")]
-    if not values:
+    except ValueError:
+        raise ValueError(f"range {text!r} must be N, N..M or a comma list of integers") from None
+    if hi - lo >= MAX_VALUES:
+        raise ValueError(f"range {text!r} has more than {MAX_VALUES} values")
+    if hi < lo:
         raise ValueError(f"empty range {text!r}")
-    return values
+    return list(range(lo, hi + 1))
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    lo, hi, step = (float(tok) for tok in text.split(":"))
+    try:
+        lo, hi, step = (float(tok) for tok in text.split(":"))
+    except ValueError:
+        raise ValueError(f"grid {text!r} must be lo:hi:step") from None
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"grid {text!r} has a non-finite bound or step")
     if not step > 0:
@@ -222,49 +226,43 @@ def cmd_lis_table(args, seed: int) -> dict:
             "lis_moments": (["n", "mean", "second_moment", "mode"], moment_rows)}
 
 
-def _gepp_inputs(ensemble: str, N: int, rngs) -> np.ndarray:
-    """One matrix per substream, each written into one stack as it is drawn."""
-    if ensemble in _BUTTERFLY_SHAPES:
-        shape = _BUTTERFLY_SHAPES[ensemble]
-        # The draw of `gepp.sample_spec`, written straight into the stack's rows.
-        angles = np.empty((len(rngs), gepp.angle_count("diagonal", shape, N)))
-        for row, rng in zip(angles, rngs):
-            row[:] = rng.uniform(0.0, 2.0 * math.pi, size=row.size)
-        return gepp.build_butterflies("diagonal", shape, N, angles)
-    first = gepp.ensemble_sample(ensemble, N, rngs[0])
-    out = np.empty((len(rngs), *first.shape), first.dtype)
-    out[0] = first
-    del first
-    for t, rng in enumerate(rngs[1:], 1):
-        out[t] = gepp.ensemble_sample(ensemble, N, rng)
-    return out
+def _draws(ensemble: str, N: int, trials: int, seed: int):
+    """One lis-mc row's trials, trial t from substream(seed, e, N, t), in chunks of
+    at most BATCH_ENTRIES matrix entries: encoded group elements for bs-scalar and
+    ns-scalar, one-line arrays otherwise. No chunk is kept while the next is drawn."""
+    e, n = ENSEMBLES.index(ensemble), N.bit_length() - 1
+    shape = {"bs-diag": "simple", "ns-diag": "nonsimple"}.get(ensemble)
+    chunk = max(1, BATCH_ENTRIES // N**2)
+    for lo in range(0, trials, chunk):
+        rngs = [substream(seed, e, N, t) for t in range(lo, min(lo + chunk, trials))]
+        if ensemble == "uniform":  # `fisher_yates`'s draw
+            yield [rng.permutation(N) for rng in rngs]
+        elif ensemble in ("bs-scalar", "ns-scalar"):
+            sample = groups.sample_simple if ensemble == "bs-scalar" else groups.sample_nonsimple
+            yield [sample(2, n, rng) for rng in rngs]
+        elif shape:  # the draw of `gepp.sample_spec`, written straight into one array
+            angles = np.empty((len(rngs), gepp.angle_count("diagonal", shape, N)))
+            for t, rng in enumerate(rngs):
+                angles[t] = rng.uniform(0.0, 2.0 * math.pi, size=angles.shape[1])
+            yield gepp.gepp_perm_batch(gepp.build_butterflies("diagonal", shape, N, angles))
+            del angles
+        else:  # one stack, each matrix written into it as it is drawn
+            first = gepp.ensemble_sample(ensemble, N, rngs[0])
+            stack = np.empty((len(rngs), *first.shape), first.dtype)
+            stack[0] = first
+            del first
+            for t, rng in enumerate(rngs[1:], 1):
+                stack[t] = gepp.ensemble_sample(ensemble, N, rng)
+            yield gepp.gepp_perm_batch(stack)
+            del stack
 
 
 def _sample_lis(ensemble: str, N: int, trials: int, seed: int) -> tuple[float, float]:
-    vals = np.empty(trials)
-    n = N.bit_length() - 1
-    e = ENSEMBLES.index(ensemble)
-    if ensemble in _PERMUTATION_ENSEMBLES:
-        for t in range(trials):
-            rng = substream(seed, e, N, t)
-            if ensemble == "uniform":
-                # `fisher_yates`'s draw, a permutation by construction, so
-                # patience sorting reads it without a `Permutation` check.
-                vals[t] = lis._patience(rng.permutation(N))
-            elif ensemble == "bs-scalar":
-                vals[t] = groups.lis(groups.sample_simple(2, n, rng))
-            else:
-                vals[t] = groups.lis(groups.sample_nonsimple(2, n, rng))
-    else:
-        # Eliminate in chunks of at most BATCH_ENTRIES matrix entries; each
-        # trial still draws from its own substream and lands in vals[t].
-        chunk = max(1, BATCH_ENTRIES // N**2)
-        for lo in range(0, trials, chunk):
-            rngs = [substream(seed, e, N, t) for t in range(lo, min(lo + chunk, trials))]
-            # The rows are argsort outputs, permutations by construction, so
-            # patience sorting reads them without a `Permutation` check.
-            for t, row in enumerate(gepp.gepp_perm_batch(_gepp_inputs(ensemble, N, rngs)), lo):
-                vals[t] = lis._patience(row)
+    # One-line arrays are permutations by construction; patience sorting reads
+    # them unchecked. chain lets go of each chunk before it asks for the next.
+    measure = groups.lis if ensemble in ("bs-scalar", "ns-scalar") else lis._patience
+    draws = itertools.chain.from_iterable(_draws(ensemble, N, trials, seed))
+    vals = np.fromiter(map(measure, draws), float, trials)
     return float(vals.mean()), float(vals.std(ddof=1)) if trials > 1 else 0.0
 
 

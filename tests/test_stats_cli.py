@@ -181,56 +181,61 @@ class TestCli:
         out = run_cli(args, tmp_path)
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
+    # Explicit ids, so that a case added anywhere renames no other. The first
+    # 49 keep the positional ids they had before the ids were written out.
     @pytest.mark.parametrize("args, env", [
-        (["verify"], "abc"),
-        (["cycles-table", "--p", "4"], None),
-        (["lis-table", "--n", "14..14"], None),
-        (["lis-table", "--m", "3", "--n", "9..9"], None),
-        (["lis-mc", "--ensembles", "goe,cauchy", "--n", "2..2"], None),
-        (["lis-mc", "--ensembles", "ns-scalar", "--n", "2,27", "--trials", "1"], None),
-        (["density", "--t", "0:4:0"], None),
-        (["fit", "--from", "/nonexistent.csv", "--n", "3..5"], None),
-        (["fit", "--from", "{tmp}/lis_counts.csv", "--n", "1..4"], None),
-        (["sample", "--kind", "uniform", "--n", "40"], None),
-        (["sample", "--kind", "simple", "--m", "3", "--n", "2000000"], None),
-        (["lis-mc", "--ensembles", "uniform,goe", "--n", "18", "--trials", "1"], None),
-        (["lis-mc", "--ensembles", "gue", "--n", "2,12", "--trials", "1"], None),
-        (["lis-mc", "--n=-1..-1", "--ensembles", "goe"], None),
-        (["lis-mc", "--ensembles", "goe", "--n", "2..2", "--trials", "-1"], None),
-        (["lis-mc", "--ensembles", "goe", "--n", "2..2", "--trials", "100000000000"], None),
-        (["lis-mc", "--ensembles", "uniform", "--n", "2..2", "--trials", "1048577"], None),
-        (["sample", "--trials", "-1"], None),
-        (["lis-table", "--n", "3..1"], None),
-        (["cycles-table", "--n", "3..1"], None),
-        (["lis-mc", "--n", "3..1"], None),
-        (["fit", "--n", "3..1"], None),
-        (["bounds", "--m", "5..2"], None),
-        (["density", "--t", "5:1:0.1"], None),
-        (["density", "--t", "nan:1:0.1"], None),
-        (["density", "--t", "0:1:inf"], None),
-        (["density", "--t", "0:inf:0.1"], None),
-        (["fixed-points", "--n", "21"], None),
-        (["fixed-points", "--n", "40"], None),
-        (["lis-table", "--n", "-1..2"], None),
-        (["bounds", "--m", "10000000000"], None),
-        (["bounds", "--m", "2..100000"], None),
-        (["density", "--t", "0:1e7:1e-3"], None),
-        (["sample", "--m", "0", "--n", "-1"], None),
-        (["cycles-table", "--p", "1000000000000000003", "--n", "1"], None),
-        (["moments", "--p", "1000000000000000003", "--k-max", "1"], None),
-        (["cycles-table", "--p", "1000000000000000003", "--n", "0"], None),
-        (["lis-table", "--n", "1..10000000000"], None),
-        (["lis-mc", "--n", "0..100000000"], None),
-        (["density", "--t", "1e308:1.7e308:1e308"], None),
-        (["moments", "--p", "1099511627689", "--k-max", "54"], None),
-        (["fit", "--mode", "exact", "--n", "14..14"], None),
-        (["density", "--p", "4"], None),
-        (["sample", "--kind", "uniform", "--m", "-2", "--n", "2"], None),
-        (["sample", "--kind", "simple", "--m", "1", "--n", "3"], None),
-        (["sample", "--kind", "nonsimple", "--n", "-1"], None),
-        (["sample", "--kind", "uniform", "--n", "-1"], None),
-        (["fit", "--n", "1024..1026"], None),
-        (["fit", "--mode", "exact", "--n", "1100..1102"], None),
+        pytest.param(["verify"], "abc", id="args0-abc"),
+        pytest.param(["cycles-table", "--p", "4"], None, id="args1-None"),
+        pytest.param(["lis-table", "--n", "14..14"], None, id="args2-None"),
+        pytest.param(["lis-table", "--m", "3", "--n", "9..9"], None, id="args3-None"),
+        pytest.param(["lis-mc", "--ensembles", "goe,cauchy", "--n", "2..2"], None, id="args4-None"),
+        pytest.param(["lis-mc", "--ensembles", "ns-scalar", "--n", "2,27", "--trials", "1"], None, id="args5-None"),
+        pytest.param(["density", "--t", "0:4:0"], None, id="args6-None"),
+        pytest.param(["fit", "--from", "/nonexistent.csv", "--n", "3..5"], None, id="args7-None"),
+        pytest.param(["fit", "--from", "{tmp}/lis_counts.csv", "--n", "1..4"], None, id="args8-None"),
+        pytest.param(["sample", "--kind", "uniform", "--n", "40"], None, id="args9-None"),
+        pytest.param(["sample", "--kind", "simple", "--m", "3", "--n", "2000000"], None, id="args10-None"),
+        pytest.param(["lis-mc", "--ensembles", "uniform,goe", "--n", "18", "--trials", "1"], None, id="args11-None"),
+        pytest.param(["lis-mc", "--ensembles", "gue", "--n", "2,12", "--trials", "1"], None, id="args12-None"),
+        pytest.param(["lis-mc", "--n=-1..-1", "--ensembles", "goe"], None, id="args13-None"),
+        pytest.param(["lis-mc", "--ensembles", "goe", "--n", "2..2", "--trials", "-1"], None, id="args14-None"),
+        pytest.param(["lis-mc", "--ensembles", "goe", "--n", "2..2", "--trials", "100000000000"], None, id="args15-None"),
+        pytest.param(["lis-mc", "--ensembles", "uniform", "--n", "2..2", "--trials", "1048577"], None, id="args16-None"),
+        pytest.param(["sample", "--trials", "-1"], None, id="args17-None"),
+        pytest.param(["lis-table", "--n", "3..1"], None, id="args18-None"),
+        pytest.param(["cycles-table", "--n", "3..1"], None, id="args19-None"),
+        pytest.param(["lis-mc", "--n", "3..1"], None, id="args20-None"),
+        pytest.param(["fit", "--n", "3..1"], None, id="args21-None"),
+        pytest.param(["bounds", "--m", "5..2"], None, id="args22-None"),
+        pytest.param(["density", "--t", "5:1:0.1"], None, id="args23-None"),
+        pytest.param(["density", "--t", "nan:1:0.1"], None, id="args24-None"),
+        pytest.param(["density", "--t", "0:1:inf"], None, id="args25-None"),
+        pytest.param(["density", "--t", "0:inf:0.1"], None, id="args26-None"),
+        pytest.param(["fixed-points", "--n", "21"], None, id="args27-None"),
+        pytest.param(["fixed-points", "--n", "40"], None, id="args28-None"),
+        pytest.param(["lis-table", "--n", "-1..2"], None, id="args29-None"),
+        pytest.param(["bounds", "--m", "10000000000"], None, id="args30-None"),
+        pytest.param(["bounds", "--m", "2..100000"], None, id="args31-None"),
+        pytest.param(["density", "--t", "0:1e7:1e-3"], None, id="args32-None"),
+        pytest.param(["sample", "--m", "0", "--n", "-1"], None, id="args33-None"),
+        pytest.param(["cycles-table", "--p", "1000000000000000003", "--n", "1"], None, id="args34-None"),
+        pytest.param(["moments", "--p", "1000000000000000003", "--k-max", "1"], None, id="args35-None"),
+        pytest.param(["cycles-table", "--p", "1000000000000000003", "--n", "0"], None, id="args36-None"),
+        pytest.param(["lis-table", "--n", "1..10000000000"], None, id="args37-None"),
+        pytest.param(["lis-mc", "--n", "0..100000000"], None, id="args38-None"),
+        pytest.param(["density", "--t", "1e308:1.7e308:1e308"], None, id="args39-None"),
+        pytest.param(["moments", "--p", "1099511627689", "--k-max", "54"], None, id="args40-None"),
+        pytest.param(["fit", "--mode", "exact", "--n", "14..14"], None, id="args41-None"),
+        pytest.param(["density", "--p", "4"], None, id="args42-None"),
+        pytest.param(["sample", "--kind", "uniform", "--m", "-2", "--n", "2"], None, id="args43-None"),
+        pytest.param(["sample", "--kind", "simple", "--m", "1", "--n", "3"], None, id="args44-None"),
+        pytest.param(["sample", "--kind", "nonsimple", "--n", "-1"], None, id="args45-None"),
+        pytest.param(["sample", "--kind", "uniform", "--n", "-1"], None, id="args46-None"),
+        pytest.param(["fit", "--n", "1024..1026"], None, id="args47-None"),
+        pytest.param(["fit", "--mode", "exact", "--n", "1100..1102"], None, id="args48-None"),
+        pytest.param(["density", "--t", "0:1"], None, id="grid-without-step"),
+        pytest.param(["lis-table", "--n", "1..x"], None, id="range-bound-not-an-integer"),
+        pytest.param(["lis-table", "--n", "1..2..3"], None, id="range-with-two-dots"),
     ])
     def test_errors_are_one_line(self, tmp_path, monkeypatch, capsys, args, env):
         if env is None:
@@ -244,6 +249,16 @@ class TestCli:
         assert err.startswith("butterflylab: error: ") and err.count("\n") == 1
         # A refused command writes nothing: no data file and no manifest.
         assert [f.name for f in tmp_path.iterdir()] == ["lis_counts.csv"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["density", "--t", "0:1"], "grid '0:1' must be lo:hi:step"),
+        (["lis-table", "--n", "1..x"], "range '1..x' must be N, N..M or a comma list of integers"),
+        (["lis-table", "--n", "1..2..3"], "range '1..2..3' must be N, N..M or a comma list of integers"),
+        (["bounds", "--m", "2,x"], "range '2,x' must be N, N..M or a comma list of integers"),
+    ], ids=["grid", "range-bound", "range-dots", "comma-list"])
+    def test_malformed_ranges_name_the_expected_form(self, tmp_path, capsys, args, message):
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"butterflylab: error: {message}\n"
 
     def test_lis_mc_lower_bounds_still_run(self, tmp_path):
         # N = 2^0 = 1, and --trials 0 takes each ensemble's default.
@@ -456,13 +471,15 @@ class TestCli:
 
     @pytest.mark.parametrize("budget", [64, cli.BATCH_ENTRIES])
     def test_lis_mc_batches_match_per_trial_loop(self, tmp_path, monkeypatch, budget):
-        # At budget 64 the chunks hold 16, 4 and 1 matrices at N = 2, 4, 8:
-        # boundaries fall inside a row and the last chunk of N = 4 is partial.
+        # Every ensemble is drawn in chunks. At budget 64 they hold 64, 16, 4
+        # and 1 trials at N = 1, 2, 4, 8: boundaries fall inside a row and the
+        # last chunk of N = 4 is partial. N = 1 is an empty tree, no angles
+        # and 1 x 1 matrices.
         monkeypatch.setattr(cli, "BATCH_ENTRIES", budget)
-        out = run_cli(["lis-mc", "--n", "1..3", "--trials", "10", "--seed", "4"], tmp_path / "b")
+        out = run_cli(["lis-mc", "--n", "0..3", "--trials", "10", "--seed", "4"], tmp_path / "b")
         rows = []
         for e, ens in enumerate(cli.ENSEMBLES):
-            for n in (1, 2, 3):
+            for n in range(4):
                 N = 2**n
                 vals = []
                 for t in range(10):
